@@ -60,7 +60,7 @@ def _add_common(p: argparse.ArgumentParser):
         action="append",
         default=[],
         metavar="SYM=VALUE",
-        help="substitute an exact rational for a symbol before differentiating",
+        help="substitute an exact rational for a parameter before differentiating",
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
 

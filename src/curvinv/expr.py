@@ -15,6 +15,16 @@ Every value handed out by this module is in canonical form:
 Canonical forms are unique: two expressions equal as rational functions
 modulo ``sin**2 + cos**2 = 1`` compare equal componentwise.  In particular
 an expression is zero exactly when its numerator is the zero polynomial.
+
+The canonical form is defined by the grevlex ring, but the GCD that
+cancels numerator against denominator runs on copies in a lex-ordered twin
+ring over the same generators.  sympy's heuristic GCD spends almost all of
+its time in trial divisions, and each division step searches for a leading
+term: a plain ``max`` over exponent tuples in a lex ring, but a ``max``
+keyed by a Python grevlex function otherwise (``leading_expv`` in
+``sympy/polys/rings.py``).  Over ZZ the reduced cofactors are unique up to
+one common sign, so mapping them back and re-applying the grevlex sign rule
+gives exactly the grevlex ``cancel`` result.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Iterable, Mapping, Union
 
 from sympy import Symbol
 from sympy.polys.domains import ZZ
-from sympy.polys.orderings import grevlex
+from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import ring
 
 
@@ -47,10 +57,21 @@ class EvaluationError(SymbolicError):
 
 
 @lru_cache(maxsize=None)
-def _ring_for(gen_names: tuple) -> tuple:
+def _ring_for(gen_names: tuple, order=grevlex):
     symbols = [Symbol(name) for name in gen_names]
-    R = ring(symbols, ZZ, grevlex)[0]
-    return R
+    return ring(symbols, ZZ, order)[0]
+
+
+def _cancel(env: "SymbolEnv", num, den):
+    """``num.cancel(den)`` in the env's grevlex ring, with the GCD run in
+    the lex twin ring (see the module docstring)."""
+    R = env.ring
+    L = _ring_for(env.gen_names, lex)
+    _, num, den = L.dtype(num).cofactors(L.dtype(den))
+    num, den = R.dtype(num), R.dtype(den)
+    if den.LC < 0:
+        return -num, -den
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -217,7 +238,7 @@ class Expr:
             return cls(env, env.ring.zero, env.ring.one)
         den = _sine_reduce(env, den)
         num, den = _clear_sines_from_denominator(env, num, den)
-        num, den = num.cancel(den)
+        num, den = _cancel(env, num, den)
         return cls(env, num, den)
 
     # Introspection --------------------------------------------------------

@@ -5,12 +5,14 @@ parcels for n workers; idle workers pull the next parcel from a shared
 queue, accumulate a private partial sum, and hand exactly one partial sum
 back when the queue drains.  The merged, multiplier-scaled sum is
 canonical, so the result is independent of worker count, parcel count,
-and scheduling order.
+and scheduling order.  A worker that dies, with or without reporting,
+ends the run in WorkerFailure.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 import time
 from dataclasses import dataclass, field
 
@@ -129,6 +131,39 @@ def _worker_loop(worker_id, spec, tensors, entries, parcels, cadence, task_q, re
         raise
 
 
+# How long the coordinator waits on the result queue before it looks for
+# workers that exited without reporting; a result is taken as it arrives.
+_POLL_SECONDS = 0.5
+
+
+def _gather(procs, result_q) -> list:
+    """One result per worker, in worker order.
+
+    A worker that reports an error, or exits without reporting (os._exit,
+    an OOM kill), raises WorkerFailure instead of blocking forever.
+    """
+    results = {}
+    while len(results) < len(procs):
+        # Taken before the wait: a worker that has exited has already
+        # flushed its result into the queue's pipe, so if the wait then
+        # times out, that worker never reported.
+        exited = [i for i, p in enumerate(procs) if p.exitcode is not None]
+        try:
+            item = result_q.get(timeout=_POLL_SECONDS)
+        except queue.Empty:
+            lost = [i for i in exited if i not in results]
+            if lost:
+                raise WorkerFailure(
+                    "worker %d exited with code %s without reporting"
+                    % (lost[0], procs[lost[0]].exitcode)
+                ) from None
+            continue
+        if item[0] == "error":
+            raise WorkerFailure("worker %s failed: %s" % (item[1], item[2]))
+        results[item[0]] = item
+    return [results[i] for i in range(len(procs))]
+
+
 def execute(
     plan: ContractionPlan,
     spec: InvariantSpec,
@@ -177,25 +212,18 @@ def execute(
         ]
         for p in procs:
             p.start()
-        results = []
-        failure = None
-        for _ in range(n):
-            item = result_q.get()
-            if item[0] == "error":
-                failure = item
-                break
-            results.append(item)
-        if failure is not None:
+        try:
+            results = _gather(procs, result_q)
+        except WorkerFailure:
             for p in procs:
                 p.terminate()
             for p in procs:
                 p.join()
-            raise WorkerFailure("worker %s failed: %s" % (failure[1], failure[2]))
+            raise
         for p in procs:
             p.join()
             if p.exitcode != 0:
                 raise WorkerFailure("worker exited with code %s" % p.exitcode)
-        results.sort(key=lambda item: item[0])
         partials = [partial for _, partial, _, _ in results]
         stats = [WorkerStats(done, ms) for _, _, done, ms in results]
     invariant = balanced_sum(partials, zero) * plan.multiplier

@@ -31,22 +31,20 @@ from .tensor import (
 )
 
 
-# Lowered Riemann fields and their covariant derivatives, memoized per
-# metric instance (metrics are immutable).
+# Per metric instance (metrics are immutable): the connection, and the
+# lowered Riemann field followed by its covariant derivatives.
 _base_fields = weakref.WeakKeyDictionary()
 
 
 def _lowered_field(metric: Metric, order: int):
-    cache = _base_fields.setdefault(metric, {"fields": {}, "gamma": None})
-    fields = cache["fields"]
-    if 0 not in fields:
-        fields[0] = riemann_lowered(metric)
-    top = max(fields)
-    while top < order:
-        if cache["gamma"] is None:
-            cache["gamma"] = christoffel(metric)
-        fields[top + 1] = covariant_derivative(fields[top], cache["gamma"])
-        top += 1
+    entry = _base_fields.get(metric)
+    if entry is None:
+        # One connection serves Riemann and every covariant derivative.
+        gamma = christoffel(metric)
+        entry = _base_fields[metric] = (gamma, [riemann_lowered(metric, gamma)])
+    gamma, fields = entry
+    while len(fields) <= order:
+        fields.append(covariant_derivative(fields[-1], gamma))
     return fields[order]
 
 

@@ -78,6 +78,16 @@ class Metric:
         return self._inverse
 
     def substitute(self, name: str, value) -> "Metric":
+        """Replace a parameter by an exact rational.
+
+        Only parameters may be fixed: a coordinate or sin/cos symbol set to
+        a constant before differentiating gives a silently wrong curvature.
+        """
+        if name not in self.env.parameters:
+            raise TensorError(
+                "can only substitute a parameter (%s), not %r"
+                % (", ".join(self.env.parameters) or "none", name)
+            )
         subbed = {}
         for (a, b), expr in self.components.items():
             if a <= b:
@@ -240,17 +250,19 @@ def christoffel(g: Metric) -> ChristoffelField:
     return ChristoffelField(env, dim, components)
 
 
-def riemann_lowered(g: Metric) -> TensorField:
+def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> TensorField:
     """All-lower Riemann tensor, antisymmetric in slots (0,1) and (2,3).
 
     Built from R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
     + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, then lowered with the
     metric.  Only c < d is computed; the (2,3) swap fills the rest.  The
     (0,1) antisymmetry is left to emerge from the computation so tests can
-    verify it independently.
+    verify it independently.  ``gamma`` is the metric's connection when the
+    caller already has it; otherwise it is built here.
     """
     dim, env = g.dim, g.env
-    gamma = christoffel(g)
+    if gamma is None:
+        gamma = christoffel(g)
     coords = env.coordinates
     dgamma = {}
 

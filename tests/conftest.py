@@ -4,7 +4,7 @@ import pytest
 
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import KerrParams, flat, kerr, sphere_metric
-from curvinv.tensor import Metric
+from curvinv.tensor import Metric, riemann_lowered
 
 
 def pytest_collection_modifyitems(config, items):
@@ -29,6 +29,13 @@ def s3():
 @pytest.fixture(scope="session")
 def kerr4():
     return kerr(KerrParams(4))
+
+
+@pytest.fixture(scope="session")
+def kerr4_riemann(kerr4):
+    """Lowered Riemann tensor of Kerr D=4, built once for every test that
+    only reads it."""
+    return riemann_lowered(kerr4)
 
 
 @pytest.fixture(scope="session")

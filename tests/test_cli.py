@@ -111,6 +111,24 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "metric, substitution",
+        [("kerr", "r=1"), ("sphere", "cos(chi2)=0")],
+    )
+    def test_non_parameter_substitution_rejected(self, capsys, metric, substitution):
+        # fixing a coordinate before differentiating gives a wrong invariant
+        # (I_a of the unit 2-sphere is 4, not 0)
+        dim = "4" if metric == "kerr" else "2"
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--metric", metric, "--dim", dim,
+            "--invariant", "I_a", "--set", substitution,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "parameter" in err
+
 
 class TestCount:
     def test_i1_worst_case(self, capsys):

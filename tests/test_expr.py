@@ -11,11 +11,14 @@ from curvinv.expr import (
     Expr,
     SymbolEnv,
     UnknownSymbolError,
+    _clear_sines_from_denominator,
+    _sine_reduce,
     arith,
     eval_rational,
     normalize,
     term_count,
 )
+from curvinv.pipeline import run_invariant
 
 from oracles import agree_at_random_points
 
@@ -263,3 +266,117 @@ def test_zero_test_soundness_via_random_points():
     for e1, e2, equal in pairs:
         assert ((e1 - e2).is_zero) is equal
         assert agree_at_random_points(e1, e2, seed=rng.randrange(10 ** 6)) is equal
+
+
+# --- cancellation against sympy's grevlex cancel --------------------------------
+
+
+def _grevlex_cancel(env, num, den):
+    """Expr.make's sine handling, then ``cancel`` in the env's own grevlex
+    ring: the reference for the GCD that make runs in the lex twin ring."""
+    num, den = _clear_sines_from_denominator(
+        env, _sine_reduce(env, num), _sine_reduce(env, den)
+    )
+    return num.cancel(den)
+
+
+def _gens(env, *names):
+    return [env.ring.gens[env.gen_index(n)] for n in names]
+
+
+def _lex_lc(p):
+    # lex order on exponent tuples is plain tuple order
+    return p[max(p)]
+
+
+def _random_poly(env, rng, sine):
+    R = env.ring
+    a, mu, r, c, s = _gens(env, "a", "mu", "r", "cos(theta)", "sin(theta)")
+    p = R.zero
+    while not p:
+        for _ in range(rng.randint(1, 4)):
+            term = R(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]))
+            for g in (a, mu, r, c):
+                term *= g ** rng.randint(0, 2)
+            if sine and rng.random() < 0.5:
+                term *= s
+            p += term
+    return p
+
+
+def _assert_make_matches_cancel(env, num, den):
+    e = Expr.make(env, num, den)
+    assert e.num.ring is env.ring and e.den.ring is env.ring
+    assert (e.num, e.den) == _grevlex_cancel(env, num, den)
+    return e
+
+
+class TestCancelOracle:
+    def test_shared_non_monomial_factor(self, trig_env):
+        a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+        rho2 = r ** 2 + a ** 2 * c ** 2
+        e = _assert_make_matches_cancel(trig_env, (r - mu) * rho2 ** 2, (a + r ** 3) * rho2)
+        assert (e.num, e.den) == ((r - mu) * rho2, a + r ** 3)
+
+    def test_denominator_sign_differs_between_orders(self, trig_env):
+        a, mu, r = _gens(trig_env, "a", "mu", "r")
+        negative_grevlex = a - r ** 2  # grevlex leads with r**2, lex with a
+        positive_grevlex = r ** 2 - a
+        assert negative_grevlex.LC < 0 < _lex_lc(negative_grevlex)
+        assert _lex_lc(positive_grevlex) < 0 < positive_grevlex.LC
+        for den in (negative_grevlex, positive_grevlex):
+            e = _assert_make_matches_cancel(trig_env, (mu + r) * (r + 1), den * (r + 1))
+            assert e.den.LC > 0
+            assert e.den == positive_grevlex
+
+    def test_common_integer_content(self, trig_env):
+        a, mu, r = _gens(trig_env, "a", "mu", "r")
+        e = _assert_make_matches_cancel(trig_env, 6 * (r + a), -4 * (r - mu))
+        # grevlex breaks the degree tie between mu and r in favour of mu
+        assert (e.num, e.den) == (3 * (r + a), 2 * (mu - r))
+
+    def test_sine_bearing_denominator(self, trig_env):
+        r, s, c = _gens(trig_env, "r", "sin(theta)", "cos(theta)")
+        e = _assert_make_matches_cancel(trig_env, c * (r + 1), s * r + c)
+        assert e.den.degree(s) == 0
+
+    def test_zero_numerator(self, trig_env):
+        R = trig_env.ring
+        (r,) = _gens(trig_env, "r")
+        e = _assert_make_matches_cancel(trig_env, R.zero, r ** 2 - 1)
+        assert e.is_zero and e.den == R.one
+
+    def test_seeded_random_pairs(self, trig_env):
+        rng = random.Random(20261018)
+        R = trig_env.ring
+        a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+        shared = [R.one, R(6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, -(r ** 2) + mu * a]
+        signs = set()
+        for _ in range(60):
+            f = rng.choice(shared)
+            num = _random_poly(trig_env, rng, sine=True) * f
+            den = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * f
+            e = _assert_make_matches_cancel(trig_env, num, den)
+            signs.add((den.LC > 0, _lex_lc(den) > 0))
+            assert e.den.LC > 0
+        # both leading-coefficient disagreements between the orders occur
+        assert {(False, True), (True, False)} <= signs
+
+
+def test_kerr4_kretschmann_closed_form(kerr4):
+    """12 mu**2 (r**6 - 15 a**2 r**4 c**2 + 15 a**4 r**2 c**4 - a**6 c**6) / rho**12
+    with c = cos(theta), rho**2 = r**2 + a**2 c**2 and mu = 2M (R. C. Henry,
+    ApJ 535, 350, 2000).
+
+    R^ab_cd R^cd_ab is the same scalar as R^abcd R_abcd with two raised
+    slots per factor instead of four, which keeps this check to seconds.
+    """
+    env = kerr4.env
+    r, a, mu, c = env.symbol("r"), env.symbol("a"), env.symbol("mu"), env.cos("theta")
+    rho2 = r ** 2 + a ** 2 * c ** 2
+    numerator = (
+        r ** 6 - 15 * a ** 2 * r ** 4 * c ** 2 + 15 * a ** 4 * r ** 2 * c ** 4 - a ** 6 * c ** 6
+    )
+    expected = 12 * mu ** 2 * numerator / rho2 ** 6
+    report = run_invariant(kerr4, "R(+a,+b,-c,-d) R(+c,+d,-a,-b)")
+    assert report.invariant == expected

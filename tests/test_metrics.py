@@ -69,6 +69,12 @@ class TestKerr:
         assert g.component(3, 3) == r ** 2 * (1 - c ** 2)
         assert g.component(0, 3).is_zero
 
+    def test_substitution_only_for_parameters(self, kerr4, s2):
+        assert kerr4.substitute("mu", 2).component(2, 2) == kerr4.component(2, 2)
+        for g, name in ((kerr4, "r"), (kerr4, "cos(theta)"), (s2, "cos(chi2)"), (s2, "bogus")):
+            with pytest.raises(TensorError, match="parameter"):
+                g.substitute(name, 0)
+
     def test_cross_term_is_only_off_diagonal(self, kerr4):
         for dim in (4, 6):
             g = kerr4 if dim == 4 else kerr(KerrParams(6))

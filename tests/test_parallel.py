@@ -1,5 +1,9 @@
+import os
+import signal
+
 import pytest
 
+from curvinv import parallel
 from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
 from curvinv.metrics import flat, sphere_metric
 from curvinv.parallel import (
@@ -150,6 +154,36 @@ class TestExecute:
         )
         with pytest.raises(WorkerFailure):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
+
+    def test_dead_worker_does_not_hang(self, s2, monkeypatch):
+        # The worker that evaluates the first entry exits without reporting,
+        # as under an OOM kill; forked workers inherit the patched evaluator.
+        spec, tensors, plan, _ = _plan_for(s2, I_B)
+        real = parallel.ProductEvaluator
+        first = plan.sum_index_array[0]
+
+        def dying_evaluator(spec, tensors):
+            evaluate = real(spec, tensors)
+
+            def call(entry):
+                if entry == first:
+                    os._exit(1)
+                return evaluate(entry)
+
+            return call
+
+        def hang(signum, frame):
+            raise TimeoutError("execute hung on a dead worker")
+
+        monkeypatch.setattr(parallel, "ProductEvaluator", dying_evaluator)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(WorkerFailure, match="without reporting"):
+                execute(plan, spec, tensors, RunConfig(workers=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSequentialOracle:

@@ -126,23 +126,24 @@ class TestRiemann:
             for key in itertools.product(range(g.dim), repeat=4):
                 assert R.component(key) == oracle[key[0]][key[1]][key[2]][key[3]]
 
-    def test_pair_antisymmetries(self, s3, kerr4):
-        for g in (s3, kerr4):
-            R = riemann_lowered(g)
+    def test_given_connection(self, s3, quartic2d):
+        for g in (s3, quartic2d):
+            assert riemann_lowered(g, christoffel(g)).same_components(riemann_lowered(g))
+
+    def test_pair_antisymmetries(self, s3, kerr4_riemann):
+        for R in (riemann_lowered(s3), kerr4_riemann):
             for (a, b, c, d), value in R.items():
                 assert R.component((b, a, c, d)) == -value
                 assert R.component((a, b, d, c)) == -value
 
-    def test_pair_exchange_symmetry(self, s3, kerr4):
-        for g in (s3, kerr4):
-            R = riemann_lowered(g)
+    def test_pair_exchange_symmetry(self, s3, kerr4_riemann):
+        for R in (riemann_lowered(s3), kerr4_riemann):
             for (a, b, c, d), value in R.items():
                 assert R.component((c, d, a, b)) == value
 
-    def test_first_bianchi_identity(self, s3, kerr4):
-        for g in (s3, kerr4):
-            R = riemann_lowered(g)
-            for key in itertools.product(range(g.dim), repeat=4):
+    def test_first_bianchi_identity(self, s3, kerr4_riemann):
+        for R in (riemann_lowered(s3), kerr4_riemann):
+            for key in itertools.product(range(R.dim), repeat=4):
                 a, b, c, d = key
                 cyclic = (
                     R.component((a, b, c, d))
@@ -151,18 +152,17 @@ class TestRiemann:
                 )
                 assert cyclic.is_zero
 
-    def test_store_honesty(self, kerr4):
-        R = riemann_lowered(kerr4)
+    def test_store_honesty(self, kerr4_riemann):
+        R = kerr4_riemann
         assert all(not v.is_zero for v in R.components.values())
 
-    def test_independent_count_bound(self, s3, kerr4):
-        for g in (s3, kerr4):
-            R = riemann_lowered(g)
-            bound = g.dim ** 2 * (g.dim ** 2 - 1) // 12
+    def test_independent_count_bound(self, s3, kerr4_riemann):
+        for R in (riemann_lowered(s3), kerr4_riemann):
+            bound = R.dim ** 2 * (R.dim ** 2 - 1) // 12
             assert riemann_independent_nonzero_count(R) <= bound
 
-    def test_kerr4_has_13_independent_nonzero(self, kerr4):
-        R = riemann_lowered(kerr4)
+    def test_kerr4_has_13_independent_nonzero(self, kerr4_riemann):
+        R = kerr4_riemann
         assert riemann_independent_nonzero_count(R) == 13
 
 
@@ -175,8 +175,8 @@ class TestRaiseLower:
             expected = value / quartic2d.component(key[0], key[0])
             assert up.component(key) == expected
 
-    def test_round_trip(self, kerr4):
-        R = riemann_lowered(kerr4)
+    def test_round_trip(self, kerr4, kerr4_riemann):
+        R = kerr4_riemann
         inv = kerr4.inverse()
         up = raise_index(R, 2, inv)
         back = lower_index(up, 2, kerr4)
