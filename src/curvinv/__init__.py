@@ -22,11 +22,8 @@ from .expr import (
     SymbolEnv,
     SymbolicError,
     UnknownSymbolError,
-    arith,
     balanced_sum,
-    eval_rational,
     normalize,
-    term_count,
 )
 from .metrics import KerrParams, flat, kerr, metric_by_name, sphere_metric
 from .parallel import (

@@ -2,11 +2,14 @@
 product counting.
 
 A specification is a list of tensor factors, each carrying one contraction
-label per slot.  Enumeration walks every assignment of dimension values to
-labels by odometer cycling, restricts abbreviated antisymmetric pairs to
-strictly increasing values (compensated by a power-of-two multiplier), and
-keeps only assignments whose components are all nonzero in the factors'
-sparse stores.
+label per slot.  Enumeration is a join over the factors' sparse stores: it
+starts from the factor with the fewest nonzeros and extends each partial
+label assignment by probing the next factor's nonzeros on the labels
+already bound, so its cost follows the stored components rather than the
+D**L possible assignments.  Abbreviated antisymmetric pairs are kept only
+with strictly increasing values (compensated by a power-of-two
+multiplier), and the survivors are sorted into odometer order, first label
+fastest.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
 
 from .expr import Expr
 from .tensor import LOWER, UPPER, TensorField
@@ -216,43 +218,62 @@ def _check_tensors(spec: InvariantSpec, tensors, dim: int):
             )
 
 
-def _cycle_assignments(assignment: list, positions: list, dim: int) -> Iterator:
-    """Odometer over the given label positions, first position fastest;
-    yields after the initial all-zero state and stops when it cycles back."""
-    while True:
-        yield assignment
-        k = 0
-        while k < len(positions):
-            p = positions[k]
-            assignment[p] += 1
-            if assignment[p] == dim:
-                assignment[p] = 0
-                k += 1
-            else:
-                break
-        if k == len(positions):
-            return
+def _join(spec: InvariantSpec, tensors, dim: int, abbreviated) -> list:
+    """Label assignments whose components are all stored and whose
+    abbreviated pairs increase strictly, sorted by the reversed tuple."""
+    index = {name: i for i, name in enumerate(spec.label_names)}
+    pending = [(index[x], index[y]) for x, y in sorted(abbreviated)]
+    factor_ids = spec.factor_label_ids()
+    stores = [t.components for t in tensors]
+    # A label on no factor (possible only in a hand-built spec) takes every value.
+    for lid in set(range(spec.label_count)).difference(*factor_ids):
+        factor_ids.append((lid,))
+        stores.append(dict.fromkeys((v,) for v in range(dim)))
+    remaining = list(range(len(stores)))
+    position = {}  # label id -> its place in the partial assignments
+    states = [()]
+    while remaining:
+        # Most labels already bound first, then fewest nonzeros.
+        f = max(remaining, key=lambda f: (len(position.keys() & factor_ids[f]), -len(stores[f])))
+        remaining.remove(f)
+        ids = factor_ids[f]
+        bound = [s for s, i in enumerate(ids) if i in position]
+        lookup = [position[ids[s]] for s in bound]
+        # Probe on the bound slots; a repeated new label must agree across its slots.
+        first = {i: ids.index(i) for i in ids if i not in position}
+        repeats = [(s, first[i]) for s, i in enumerate(ids) if first.get(i, s) != s]
+        probe = {}
+        for key in stores[f]:
+            if all(key[s] == key[t] for s, t in repeats):
+                tail = tuple(key[s] for s in first.values())
+                probe.setdefault(tuple(key[s] for s in bound), []).append(tail)
+        for i in first:
+            position[i] = len(position)
+        checks = [
+            (position[i], position[j])
+            for i, j in pending
+            if i in position and j in position and (i in first or j in first)
+        ]
+        states = [
+            state
+            for prefix in states
+            for tail in probe.get(tuple(prefix[p] for p in lookup), ())
+            for state in (prefix + tail,)
+            if all(state[j] > state[i] for i, j in checks)
+        ]
+        if not states:
+            return []
+    order = [position[i] for i in range(spec.label_count)]
+    return sorted((tuple(s[p] for p in order) for s in states), key=lambda e: e[::-1])
 
 
 def enumerate_indices(spec: InvariantSpec, tensors, dim: int) -> ContractionPlan:
-    """Walk all dim**label_count assignments by cycling, skip abbreviated
-    pairs out of order, and keep assignments whose components all exist."""
+    """Join the factors' nonzero stores into the assignments whose
+    components all exist, abbreviated pairs strictly increasing, in
+    odometer order (first label fastest)."""
     _check_tensors(spec, tensors, dim)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
-    index = {name: i for i, name in enumerate(spec.label_names)}
-    pair_ids = [(index[x], index[y]) for x, y in sorted(abbreviated)]
-    factor_ids = spec.factor_label_ids()
-    stores = [t.components for t in tensors]
-    entries = []
-    assignment = [0] * spec.label_count
-    for state in _cycle_assignments(assignment, list(range(spec.label_count)), dim):
-        if any(state[j] <= state[i] for i, j in pair_ids):
-            continue
-        for ids, store in zip(factor_ids, stores):
-            if tuple(state[i] for i in ids) not in store:
-                break
-        else:
-            entries.append(tuple(state))
+    entries = _join(spec, tensors, dim, abbreviated)
     return ContractionPlan(
         sum_index_array=tuple(entries),
         multiplier=multiplier,
@@ -316,42 +337,21 @@ def independent_component_count(dim: int) -> int:
 
 
 def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
-    """Contract all paired labels once per assignment of the free labels,
-    producing a field over the free slots (rank 0 when no label is free)."""
+    """Group the joined assignments by their free labels and sum each
+    group's products, giving a field over the free slots (rank 0 when no
+    label is free)."""
     _check_tensors(spec, tensors, dim)
-    index = {name: i for i, name in enumerate(spec.label_names)}
-    free_ids = [index[name] for name in spec.label_names if name in spec.free_labels]
-    bound_ids = [i for i in range(spec.label_count) if i not in free_ids]
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
-    pair_ids = [(index[x], index[y]) for x, y in sorted(abbreviated)]
-    factor_ids = spec.factor_label_ids()
-    stores = [t.components for t in tensors]
+    free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
+    # Free labels sit on exactly one slot each.
+    slot_variance = {n: v for f in spec.factors for n, v in zip(f.labels, f.variance)}
+    variance = tuple(slot_variance[spec.label_names[i]] for i in free_ids)
     evaluator = ProductEvaluator(spec, tensors)
-
-    slot_of = {}
-    variance = []
-    for fid in free_ids:
-        for fi, ids in enumerate(factor_ids):
-            if fid in ids:
-                slot = ids.index(fid)
-                slot_of[fid] = (fi, slot)
-                variance.append(spec.factors[fi].variance[slot])
-    env = tensors[0].env
-    components = {}
-    assignment = [0] * spec.label_count
-    for free_state in _cycle_assignments(assignment, free_ids, dim):
-        total = None
-        inner = list(free_state)
-        for state in _cycle_assignments(inner, bound_ids, dim):
-            if any(state[j] <= state[i] for i, j in pair_ids):
-                continue
-            for ids, store in zip(factor_ids, stores):
-                if tuple(state[i] for i in ids) not in store:
-                    break
-            else:
-                value = evaluator(tuple(state))
-                total = value if total is None else total + value
-        if total is not None and not total.is_zero:
-            key = tuple(free_state[i] for i in free_ids)
-            components[key] = total * multiplier
-    return TensorField(env, dim, tuple(variance), components)
+    sums = {}
+    for entry in _join(spec, tensors, dim, abbreviated):
+        key = tuple(entry[i] for i in free_ids)
+        value = evaluator(entry)
+        sums[key] = sums[key] + value if key in sums else value
+    # Keys in odometer order; TensorField drops components that cancel to zero.
+    components = {key: sums[key] * multiplier for key in sorted(sums, key=lambda k: k[::-1])}
+    return TensorField(tensors[0].env, dim, variance, components)

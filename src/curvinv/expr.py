@@ -566,25 +566,6 @@ def normalize(env: SymbolEnv, tree: Tree) -> Expr:
     raise SymbolicError("unsupported expression leaf %r" % (tree,))
 
 
-def arith(op: str, lhs: Expr, rhs) -> Expr:
-    """Field arithmetic on canonical expressions; ``pow`` takes an int."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    if op == "pow":
-        return lhs ** rhs
-    raise SymbolicError("unknown operation %r" % op)
-
-
-def term_count(e: Expr) -> int:
-    return e.term_count()
-
-
 def balanced_sum(values, zero: Expr) -> Expr:
     """Pairwise-tree summation; cheaper than a left fold when many addends
     share denominators."""
@@ -598,6 +579,3 @@ def balanced_sum(values, zero: Expr) -> Expr:
         ]
     return layer[0]
 
-
-def eval_rational(e: Expr, assignment: Mapping) -> Fraction:
-    return e.eval_rational(assignment)

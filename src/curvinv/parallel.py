@@ -82,6 +82,8 @@ class RunReport:
             "spec": self.spec_text,
             "multiplier": self.multiplier,
             "P": self.P,
+            "product_count": self.product_count,
+            "raise_mults": self.raise_mults,
             "T": self.T,
             "expression": self.expression,
             "workers": self.workers,

@@ -64,10 +64,7 @@ class Metric:
 
     def rows(self) -> list:
         """Sparse rows: rows()[a] lists (b, g_ab) for nonzero entries."""
-        rows = [[] for _ in range(self.dim)]
-        for (a, b), value in sorted(self.components.items()):
-            rows[a].append((b, value))
-        return rows
+        return _rows(self.dim, self.components)
 
     def as_field(self) -> "TensorField":
         return TensorField(self.env, self.dim, (LOWER, LOWER), dict(self.components))
@@ -217,9 +214,7 @@ def inverse_metric(g: Metric) -> TensorField:
 def christoffel(g: Metric) -> ChristoffelField:
     """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc)."""
     dim, env = g.dim, g.env
-    ginv_rows = [[] for _ in range(dim)]
-    for (a, d), value in sorted(g.inverse().items()):
-        ginv_rows[a].append((d, value))
+    ginv_rows = _rows(dim, g.inverse().components)
     coords = env.coordinates
     dg = {}
 
@@ -371,9 +366,10 @@ def _contract_slot(field, slot, rows, new_char, counter):
     )
 
 
-def _symmetric_rows(field2: TensorField) -> list:
-    rows = [[] for _ in range(field2.dim)]
-    for (a, b), value in sorted(field2.items()):
+def _rows(dim: int, components: Mapping) -> list:
+    """Sparse rows of a rank-2 store: rows[a] lists (b, value) by b."""
+    rows = [[] for _ in range(dim)]
+    for (a, b), value in sorted(components.items()):
         rows[a].append((b, value))
     return rows
 
@@ -391,7 +387,7 @@ def raise_index(
         raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
     if t.variance[slot] != LOWER:
         raise TensorError("slot %d is already upper" % slot)
-    return _contract_slot(t, slot, _symmetric_rows(g_inv), UPPER, counter)
+    return _contract_slot(t, slot, _rows(g_inv.dim, g_inv.components), UPPER, counter)
 
 
 def lower_index(

@@ -1,10 +1,13 @@
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import KerrParams, flat, kerr, sphere_metric
-from curvinv.tensor import Metric, riemann_lowered
+from curvinv.pipeline import _lowered_field
+from curvinv.tensor import Metric
 
 
 def pytest_collection_modifyitems(config, items):
@@ -34,8 +37,8 @@ def kerr4():
 @pytest.fixture(scope="session")
 def kerr4_riemann(kerr4):
     """Lowered Riemann tensor of Kerr D=4, built once for every test that
-    only reads it."""
-    return riemann_lowered(kerr4)
+    only reads it; the same object the pipeline caches for ``kerr4``."""
+    return _lowered_field(kerr4, 0)
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +57,24 @@ def trig_env():
         parameters=("a", "mu"),
         trig_pairs=frozenset({"theta"}),
     )
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(n):`` raises TimeoutError in a block that outlives n
+    seconds."""
+    return _deadline

@@ -4,14 +4,19 @@ check expected values.
 Everything here favors obvious dense loops over the production code's
 sparse stores and symmetry shortcuts: inversion goes through the adjugate,
 curvature tensors are computed for every index tuple, and invariant sums
-walk all D**n assignments with no abbreviation or zero filtering.
+walk all D**n assignments with no abbreviation or zero filtering.  The one
+exception is ``dense_enumerate``: it walks all D**n assignments too, but
+applies the production abbreviation filter, so its output is the reference
+for the production sparse join entry for entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from curvinv.contraction import detect_abbreviable_pairs, evaluate_product
 from curvinv.expr import Expr, SymbolEnv
 from curvinv.tensor import Metric
 
@@ -179,6 +184,40 @@ def brute_force_sum(spec, tensors, dim: int) -> Expr:
         if k == n:
             break
     return total
+
+
+def dense_enumerate(spec, tensors, dim: int) -> tuple:
+    """Odometer over every dim**label_count assignment, first label fastest:
+    skip abbreviated pairs out of order and keep the assignments whose
+    components are all stored.  Same result as ``enumerate_indices``'s
+    ``sum_index_array``."""
+    abbreviated, _ = detect_abbreviable_pairs(spec)
+    index = {name: i for i, name in enumerate(spec.label_names)}
+    pair_ids = [(index[x], index[y]) for x, y in sorted(abbreviated)]
+    factor_ids = spec.factor_label_ids()
+    stores = [t.components for t in tensors]
+    entries = []
+    for reversed_state in itertools.product(range(dim), repeat=spec.label_count):
+        state = reversed_state[::-1]
+        if any(state[j] <= state[i] for i, j in pair_ids):
+            continue
+        if all(tuple(state[i] for i in ids) in store for ids, store in zip(factor_ids, stores)):
+            entries.append(state)
+    return tuple(entries)
+
+
+def dense_contract_free(spec, tensors, dim: int) -> dict:
+    """Nonzero components of ``contract_free``: products over
+    ``dense_enumerate`` summed per assignment of the free labels, times the
+    abbreviation multiplier."""
+    _, multiplier = detect_abbreviable_pairs(spec)
+    free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
+    sums = {}
+    for entry in dense_enumerate(spec, tensors, dim):
+        key = tuple(entry[i] for i in free_ids)
+        value = evaluate_product(spec, entry, tensors)
+        sums[key] = sums[key] + value if key in sums else value
+    return {key: total * multiplier for key, total in sums.items() if not total.is_zero}
 
 
 def random_point(env: SymbolEnv, rng: random.Random) -> dict:

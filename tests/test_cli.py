@@ -51,6 +51,15 @@ class TestRun:
         assert len(payload["per_worker"]) == 2
         assert sum(w["entries"] for w in payload["per_worker"]) >= 1
 
+    def test_json_carries_parts_of_p(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--metric", "sphere", "--dim", "3", "--invariant", "I_a", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["product_count"] == 3
+        assert payload["product_count"] + payload["raise_mults"] == payload["P"]
+
     def test_expression_identical_across_configs(self, capsys):
         outputs = set()
         for workers, parcels in ((1, 1), (3, 2)):
@@ -168,3 +177,15 @@ class TestCount:
         payload = json.loads(out)
         assert payload["enumerated_products"] == 1
         assert payload["worst_case_products"] == 1
+
+    def test_i1_on_flat_enumerates_nothing(self, capsys, deadline):
+        # 4**12 label assignments, none of them stored
+        with deadline(5):
+            code, out, _ = run_cli(
+                capsys,
+                "count",
+                "--metric", "flat", "--dim", "4",
+                "--invariant", "I_1", "--json", "--enumerate",
+            )
+        assert code == 0
+        assert json.loads(out)["enumerated_products"] == 0

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curvinv.cli import PRESETS
 from curvinv.contraction import (
     ContractionPlan,
     FactorSpec,
@@ -15,11 +17,12 @@ from curvinv.contraction import (
     parse_spec,
     worst_case_product_count,
 )
+from curvinv.expr import SymbolEnv
 from curvinv.metrics import flat, sphere_metric
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import TensorField, raise_index, riemann_lowered
 
-from oracles import brute_force_sum
+from oracles import brute_force_sum, dense_contract_free, dense_enumerate
 
 KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 I_B = "R(+a,+b,+c,+d) R(+e,+f,-a,-b) R(-c,-d,-e,-f)"
@@ -127,11 +130,25 @@ class TestEnumerate:
         assert plan.sum_index_array == ((0, 1, 0, 1),)
 
     def test_bounded_by_worst_case(self, s3, kerr4):
-        for g, text in ((s3, KRETSCHMANN), (s3, I_B), (kerr4, KRETSCHMANN)):
+        # The Kerr row is the Kretschmann scalar with two raised slots per
+        # factor: the same abbreviated pairs and bound (36) as KRETSCHMANN,
+        # at half the raising multiplications.
+        rows = ((s3, KRETSCHMANN), (s3, I_B), (kerr4, "R(+a,+b,-c,-d) R(+c,+d,-a,-b)"))
+        for g, text in rows:
             spec = parse_spec(text)
             tensors, _ = build_factor_tensors(g, spec)
             plan = enumerate_indices(spec, tensors, g.dim)
             assert plan.product_count <= worst_case_product_count(spec, g.dim)
+            assert plan.sum_index_array == dense_enumerate(spec, tensors, g.dim)
+
+    def test_i1_on_flat_is_empty(self, deadline):
+        # 4**12 assignments and no stored component: the join stops at once
+        spec = parse_spec(PRESETS["I_1"])
+        with deadline(5):
+            tensors, _ = build_factor_tensors(flat(4), spec)
+            plan = enumerate_indices(spec, tensors, 4)
+        assert plan.sum_index_array == ()
+        assert plan.product_count == 0
 
     def test_cycling_order_deterministic(self, s3):
         spec = parse_spec(KRETSCHMANN)
@@ -163,6 +180,90 @@ class TestEnumerate:
             enumerate_indices(spec, [tensors[1], tensors[0]], 2)
         with pytest.raises(PlanError):
             enumerate_indices(spec, tensors, 3)
+
+
+RANK_ZERO = FactorSpec(
+    base="R", derivative_order=0, labels=(), variance=(), antisym_pairs=frozenset()
+)
+JOIN_ENV = SymbolEnv(coordinates=("x",))
+
+
+def _with_scalar(text):
+    spec = parse_spec(text)
+    return InvariantSpec(
+        factors=spec.factors + (RANK_ZERO,),
+        label_names=spec.label_names,
+        free_labels=spec.free_labels,
+    )
+
+
+def _with_unused_label(text):
+    # only a hand-built spec can name a label that no factor carries
+    spec = parse_spec(text)
+    return InvariantSpec(
+        factors=spec.factors,
+        label_names=spec.label_names + ("z",),
+        free_labels=spec.free_labels,
+    )
+
+
+JOIN_SPECS = {
+    "I_a": parse_spec(PRESETS["I_a"]),
+    "I_b": parse_spec(PRESETS["I_b"]),
+    "I_c": parse_spec(PRESETS["I_c"]),
+    "I_2": parse_spec(PRESETS["I_2"]),
+    "repeated_in_factor": parse_spec("R(+a,+b,-a,-d) R(-b,+c,+d,-c)"),
+    "ricci_scalar": parse_spec("R(+a,+b,-a,-b)"),
+    "rank_zero": _with_scalar(PRESETS["I_a"]),
+    "unused_label": _with_unused_label(PRESETS["I_a"]),
+    "free_ricci": parse_spec("R(+a,-*b,-a,-*d)"),
+    "free_two_factors": parse_spec("R(+a,+b,-*c,-d) R(-a,-b,+*e,+d)"),
+    "free_abbreviated": parse_spec("R(+a,+b,+c,+d) R(-a,-b,-c,-d;-*e)"),
+    "free_rank_zero": _with_scalar("R(+*a,+b,-b,-*d)"),
+}
+FREE = ["free_ricci", "free_two_factors", "free_abbreviated", "free_rank_zero", "I_b"]
+
+
+@st.composite
+def sparse_tensors(draw, spec):
+    """Random nonzero patterns, D <= 3, small nonzero integer components
+    (so sums over free labels can cancel)."""
+    dim = draw(st.integers(1, 3))
+    tensors = []
+    for f in spec.factors:
+        keys = st.tuples(*[st.integers(0, dim - 1)] * f.rank)
+        values = draw(st.dictionaries(keys, st.sampled_from((-2, -1, 1, 3)), max_size=40))
+        components = {k: JOIN_ENV.integer(v) for k, v in values.items()}
+        tensors.append(TensorField(JOIN_ENV, dim, f.variance, components))
+    return dim, tensors
+
+
+class TestJoinMatchesDense:
+    @pytest.mark.parametrize("name", JOIN_SPECS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_enumerate(self, name, data):
+        spec = JOIN_SPECS[name]
+        dim, tensors = data.draw(sparse_tensors(spec))
+        plan = enumerate_indices(spec, tensors, dim)
+        assert plan.sum_index_array == dense_enumerate(spec, tensors, dim)
+
+    @pytest.mark.parametrize("name", FREE)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_contract_free(self, name, data):
+        spec = JOIN_SPECS[name]
+        dim, tensors = data.draw(sparse_tensors(spec))
+        field = contract_free(spec, tensors, dim)
+        assert field.components == dense_contract_free(spec, tensors, dim)
+
+    @pytest.mark.parametrize("name", JOIN_SPECS)
+    def test_all_stores_empty(self, name):
+        spec = JOIN_SPECS[name]
+        tensors = [TensorField(JOIN_ENV, 3, f.variance, {}) for f in spec.factors]
+        assert enumerate_indices(spec, tensors, 3).sum_index_array == ()
+        assert dense_enumerate(spec, tensors, 3) == ()
+        assert contract_free(spec, tensors, 3).nnz() == 0
 
 
 class TestEvaluateProduct:

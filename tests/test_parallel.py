@@ -1,5 +1,4 @@
 import os
-import signal
 
 import pytest
 
@@ -155,7 +154,7 @@ class TestExecute:
         with pytest.raises(WorkerFailure):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
 
-    def test_dead_worker_does_not_hang(self, s2, monkeypatch):
+    def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
         # The worker that evaluates the first entry exits without reporting,
         # as under an OOM kill; forked workers inherit the patched evaluator.
         spec, tensors, plan, _ = _plan_for(s2, I_B)
@@ -172,18 +171,9 @@ class TestExecute:
 
             return call
 
-        def hang(signum, frame):
-            raise TimeoutError("execute hung on a dead worker")
-
         monkeypatch.setattr(parallel, "ProductEvaluator", dying_evaluator)
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(5)
-        try:
-            with pytest.raises(WorkerFailure, match="without reporting"):
-                execute(plan, spec, tensors, RunConfig(workers=2))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
+            execute(plan, spec, tensors, RunConfig(workers=2))
 
 
 class TestSequentialOracle:
