@@ -12,6 +12,7 @@ ends the run in WorkerFailure.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import queue
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,10 @@ class WorkerFailure(Exception):
 
 
 CADENCES = ("per-parcel", "per-entry")
+
+# Each worker is one process; more than a few per CPU only adds spawn cost,
+# and a mistyped count must not start thousands of processes.
+MAX_WORKERS = 4 * (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,10 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(
+                "workers must be <= %d (4 per CPU), got %d" % (MAX_WORKERS, self.workers)
+            )
         if self.parcels_per_worker < 1:
             raise ValueError("parcels_per_worker must be >= 1")
         if self.simplify_cadence not in CADENCES:

@@ -1,10 +1,11 @@
 """End-to-end drivers: build the factor tensors an invariant needs, run
 the parcel pool, and assemble reports.
 
-Raised tensors are cached by (derivative order, raised slots) so a slot
-raising shared between factors is performed and counted once; the product
-statistic P is the enumerated product count plus all nonzero
-multiplications spent raising.
+Raised tensors are cached per metric by (derivative order, raised slots),
+so a slot raising shared between factors, or between runs on one metric,
+is performed once and counted once per run; the product statistic P is
+the enumerated product count plus the nonzero multiplications of the
+literal raisings, whether computed or filled by antisymmetry.
 """
 
 from __future__ import annotations
@@ -31,18 +32,24 @@ from .tensor import (
 )
 
 
-# Per metric instance (metrics are immutable): the connection, and the
-# lowered Riemann field followed by its covariant derivatives.
+# Per metric instance (metrics are immutable): the connection, the lowered
+# Riemann field followed by its covariant derivatives, and the raised
+# fields keyed by (derivative order, raised slots), each with the
+# multiplications its raising counted.
 _base_fields = weakref.WeakKeyDictionary()
 
 
-def _lowered_field(metric: Metric, order: int):
+def _metric_cache(metric: Metric):
     entry = _base_fields.get(metric)
     if entry is None:
         # One connection serves Riemann and every covariant derivative.
         gamma = christoffel(metric)
-        entry = _base_fields[metric] = (gamma, [riemann_lowered(metric, gamma)])
-    gamma, fields = entry
+        entry = _base_fields[metric] = (gamma, [riemann_lowered(metric, gamma)], {})
+    return entry
+
+
+def _lowered_field(metric: Metric, order: int):
+    gamma, fields, _ = _metric_cache(metric)
     while len(fields) <= order:
         fields.append(covariant_derivative(fields[-1], gamma))
     return fields[order]
@@ -52,14 +59,17 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
     """One tensor per factor, raised to the factor's variance pattern.
 
     Returns (tensors, raise_mults) where raise_mults counts the nonzero
-    scalar multiplications spent on all distinct raisings performed.
+    scalar multiplications of the literal raisings, whether their products
+    were computed or filled by antisymmetry, once per distinct raising the
+    spec needs.  Raised fields are cached per metric, so a later call on the
+    same metric reuses them and reports the same count.
     """
     base = {
         o: _lowered_field(metric, o) for o in {f.derivative_order for f in spec.factors}
     }
     ginv = metric.inverse()
-    counter = OpCounter()
-    cache = {}
+    _, _, raised_cache = _metric_cache(metric)
+    used = {}
     tensors = []
     for f in spec.factors:
         current = base[f.derivative_order]
@@ -69,13 +79,14 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
                 continue
             raised = raised + (slot,)
             key = (f.derivative_order, raised)
-            cached = cache.get(key)
+            cached = raised_cache.get(key)
             if cached is None:
-                cached = raise_index(current, slot, ginv, counter)
-                cache[key] = cached
-            current = cached
+                counter = OpCounter()
+                cached = raise_index(current, slot, ginv, counter), counter.mults
+                raised_cache[key] = cached
+            current, used[key] = cached
         tensors.append(current)
-    return tensors, counter.mults
+    return tensors, sum(used.values())
 
 
 def run_invariant(

@@ -5,6 +5,15 @@ stores.
 Component stores map full index tuples to canonical nonzero expressions;
 an absent key means the component is identically zero.  Fields are
 immutable once built and safe to share across worker processes.
+
+A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) whose index
+swap negates the component; the constructor rejects a store that breaks
+them.  Raising, lowering and the covariant derivative use them to save
+work: they compute only the output keys oriented on every antisymmetric
+pair, ``key[p] < key[p+1]``, and fill each swapped key with the negated
+value.  Canonical forms are unique, so the filled component is exactly the
+one the full computation would give; keys with equal indices on a pair are
+zero and stay absent.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ LOWER = "l"
 
 @dataclass
 class OpCounter:
-    """Accumulates nonzero scalar multiplications spent on index raising."""
+    """Accumulates the nonzero scalar multiplications of the literal index
+    raising: one per (stored component, inverse-metric row entry) pair,
+    whether the product is computed or its key is filled by antisymmetry."""
 
     mults: int = 0
 
@@ -98,7 +109,10 @@ class TensorField:
     ``antisym_pairs`` lists adjacent slot pairs (p, p+1) whose index swap
     negates the component; the metadata is only meaningful while both slots
     share the same variance, so raising a single slot of a pair parks it in
-    ``mixed_pairs`` until its partner is raised too.
+    ``mixed_pairs`` until its partner is raised too.  Pairs must be in range
+    and disjoint, and every stored key must have distinct indices on each
+    antisymmetric pair and its swapped key stored with the negated value:
+    operations trust the metadata to fill components they do not compute.
     """
 
     def __init__(
@@ -123,6 +137,7 @@ class TensorField:
             if value.is_zero:
                 continue
             store[key] = value
+        _check_pairs(rank, antisym_pairs, mixed_pairs, store)
         self.env = env
         self.dim = dim
         self.rank = rank
@@ -143,6 +158,49 @@ class TensorField:
 
     def same_components(self, other: "TensorField") -> bool:
         return self.components == other.components
+
+
+def _check_pairs(rank: int, antisym_pairs, mixed_pairs, store: Mapping):
+    seen = set()
+    for pair in list(antisym_pairs) + list(mixed_pairs):
+        p, q = pair
+        if q != p + 1 or not 0 <= p or q >= rank or seen & {p, q}:
+            raise TensorError(
+                "slot pair %r is not an adjacent, disjoint pair of a rank-%d field"
+                % (pair, rank)
+            )
+        seen.update(pair)
+    for p, q in antisym_pairs:
+        for key, value in store.items():
+            if key[p] == key[q]:
+                raise TensorError(
+                    "component %r has equal indices on antisymmetric pair %r"
+                    % (key, (p, q))
+                )
+            mirror = store.get(_swapped(key, p))
+            if mirror is None or mirror != -value:
+                raise TensorError(
+                    "component %r is not minus its swap on antisymmetric pair %r"
+                    % (key, (p, q))
+                )
+
+
+def _swapped(key: tuple, p: int) -> tuple:
+    return key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
+
+
+def _oriented(key: tuple, pairs) -> bool:
+    return all(key[p] < key[p + 1] for p, _ in pairs)
+
+
+def _mirrored(oriented: Mapping, pairs) -> dict:
+    """Full store from the components at oriented keys: each antisymmetric
+    pair in turn adds the swapped key of every key so far, negated."""
+    store = dict(oriented)
+    for p, _ in pairs:
+        for key, value in list(store.items()):
+            store[_swapped(key, p)] = -value
+    return store
 
 
 class ChristoffelField:
@@ -341,26 +399,28 @@ def _repaired_pairs(field: TensorField, slot: int, new_variance: tuple):
 
 
 def _contract_slot(field, slot, rows, new_char, counter):
-    accumulated = {}
-    for key, value in field.components.items():
-        e = key[slot]
-        prefix, suffix = key[:slot], key[slot + 1 :]
-        for k, weight in rows[e]:
-            out_key = prefix + (k,) + suffix
-            product = weight * value
-            if counter is not None:
-                counter.mults += 1
-            prior = accumulated.get(out_key)
-            accumulated[out_key] = product if prior is None else prior + product
     variance = list(field.variance)
     variance[slot] = new_char
     variance = tuple(variance)
     antisym, mixed = _repaired_pairs(field, slot, variance)
+    accumulated = {}
+    for key, value in field.components.items():
+        e = key[slot]
+        if counter is not None:
+            counter.mults += len(rows[e])
+        prefix, suffix = key[:slot], key[slot + 1 :]
+        for k, weight in rows[e]:
+            out_key = prefix + (k,) + suffix
+            if not _oriented(out_key, antisym):
+                continue
+            product = weight * value
+            prior = accumulated.get(out_key)
+            accumulated[out_key] = product if prior is None else prior + product
     return TensorField(
         field.env,
         field.dim,
         variance,
-        accumulated,
+        _mirrored(accumulated, antisym),
         antisym_pairs=antisym,
         mixed_pairs=mixed,
     )
@@ -379,8 +439,11 @@ def raise_index(
 ) -> TensorField:
     """Contract slot with the inverse metric, flipping it to upper variance.
 
-    Every product of two nonzero components performed here is tallied on
-    ``counter``; the tally feeds the run statistic that also counts the
+    Only output keys oriented on the output's antisymmetric pairs are
+    computed; their swapped keys are filled by negation.  ``counter`` still
+    tallies every product of two nonzero components of the literal raising,
+    one per stored component and inverse-metric row entry, computed or
+    filled; the tally feeds the run statistic that also counts the
     enumerated sum products.
     """
     if not 0 <= slot < t.rank:
@@ -405,27 +468,33 @@ def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField
     Gamma^f_{e i_s} T_{..f..} over the original slots.
 
     Requires an all-lower input; raising is deferred until all derivatives
-    are taken.
+    are taken.  The output keeps the input's antisymmetric pairs, so only
+    keys oriented on them are computed: partial derivatives of oriented
+    components, and connection terms whose target key is oriented.  The
+    swapped keys are filled by negation.
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")
     dim, env = t.dim, t.env
     coords = env.coordinates
+    pairs = t.antisym_pairs
     pending = {}
 
     def add(key, value):
         pending.setdefault(key, []).append(value)
 
     for key, value in t.components.items():
-        for e in range(dim):
-            d = value.diff(coords[e])
-            if not d.is_zero:
-                add(key + (e,), d)
+        if _oriented(key, pairs):
+            for e in range(dim):
+                d = value.diff(coords[e])
+                if not d.is_zero:
+                    add(key + (e,), d)
         for s in range(t.rank):
             f = key[s]
             prefix, suffix = key[:s], key[s + 1 :]
+            targets = [i for i in range(dim) if _oriented(prefix + (i,) + suffix, pairs)]
             for e in range(dim):
-                for i in range(dim):
+                for i in targets:
                     w = gamma.component(f, e, i)
                     if w.is_zero:
                         continue
@@ -436,8 +505,8 @@ def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField
         env,
         dim,
         t.variance + (LOWER,),
-        accumulated,
-        antisym_pairs=t.antisym_pairs,
+        _mirrored(accumulated, pairs),
+        antisym_pairs=pairs,
     )
 
 

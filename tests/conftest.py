@@ -35,6 +35,12 @@ def kerr4():
 
 
 @pytest.fixture(scope="session")
+def schwarzschild4():
+    """Kerr D=4 at a=0: a diagonal metric whose nabla R is nonzero."""
+    return kerr(KerrParams(4)).substitute("a", 0)
+
+
+@pytest.fixture(scope="session")
 def kerr4_riemann(kerr4):
     """Lowered Riemann tensor of Kerr D=4, built once for every test that
     only reads it; the same object the pipeline caches for ``kerr4``."""

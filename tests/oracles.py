@@ -3,11 +3,13 @@ check expected values.
 
 Everything here favors obvious dense loops over the production code's
 sparse stores and symmetry shortcuts: inversion goes through the adjugate,
-curvature tensors are computed for every index tuple, and invariant sums
-walk all D**n assignments with no abbreviation or zero filtering.  The one
-exception is ``dense_enumerate``: it walks all D**n assignments too, but
-applies the production abbreviation filter, so its output is the reference
-for the production sparse join entry for entry.
+curvature tensors are computed for every index tuple, raising and covariant
+derivatives compute every key rather than one orientation of each
+antisymmetric pair, and invariant sums walk all D**n assignments with no
+abbreviation or zero filtering.  The one exception is ``dense_enumerate``:
+it walks all D**n assignments too, but applies the production abbreviation
+filter, so its output is the reference for the production sparse join
+entry for entry.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import random
 from fractions import Fraction
 
 from curvinv.contraction import detect_abbreviable_pairs, evaluate_product
-from curvinv.expr import Expr, SymbolEnv
-from curvinv.tensor import Metric
+from curvinv.expr import Expr, SymbolEnv, balanced_sum
+from curvinv.tensor import LOWER, Metric, TensorField, _repaired_pairs
 
 
 def adjugate_inverse(g: Metric):
@@ -143,6 +145,69 @@ def _lookup(grid, key):
     for i in key:
         node = node[i]
     return node
+
+
+def full_contract_slot(field, slot, rows, new_char, counter):
+    """``tensor._contract_slot`` forming every product at every output key,
+    each one tallied on ``counter``."""
+    accumulated = {}
+    for key, value in field.components.items():
+        e = key[slot]
+        prefix, suffix = key[:slot], key[slot + 1 :]
+        for k, weight in rows[e]:
+            out_key = prefix + (k,) + suffix
+            product = weight * value
+            if counter is not None:
+                counter.mults += 1
+            prior = accumulated.get(out_key)
+            accumulated[out_key] = product if prior is None else prior + product
+    variance = list(field.variance)
+    variance[slot] = new_char
+    variance = tuple(variance)
+    antisym, mixed = _repaired_pairs(field, slot, variance)
+    return TensorField(
+        field.env,
+        field.dim,
+        variance,
+        accumulated,
+        antisym_pairs=antisym,
+        mixed_pairs=mixed,
+    )
+
+
+def full_covariant_derivative(t, gamma):
+    """``tensor.covariant_derivative`` computing every output key, swapped
+    orientations of antisymmetric pairs included."""
+    dim, env = t.dim, t.env
+    coords = env.coordinates
+    pending = {}
+
+    def add(key, value):
+        pending.setdefault(key, []).append(value)
+
+    for key, value in t.components.items():
+        for e in range(dim):
+            d = value.diff(coords[e])
+            if not d.is_zero:
+                add(key + (e,), d)
+        for s in range(t.rank):
+            f = key[s]
+            prefix, suffix = key[:s], key[s + 1 :]
+            for e in range(dim):
+                for i in range(dim):
+                    w = gamma.component(f, e, i)
+                    if w.is_zero:
+                        continue
+                    add(prefix + (i,) + suffix + (e,), -(w * value))
+    zero = env.zero()
+    accumulated = {key: balanced_sum(parts, zero) for key, parts in pending.items()}
+    return TensorField(
+        env,
+        dim,
+        t.variance + (LOWER,),
+        accumulated,
+        antisym_pairs=t.antisym_pairs,
+    )
 
 
 def field_to_grid(field, env: SymbolEnv):

@@ -6,6 +6,7 @@ from curvinv import parallel
 from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
 from curvinv.metrics import flat, sphere_metric
 from curvinv.parallel import (
+    MAX_WORKERS,
     Parcel,
     RunConfig,
     WorkerFailure,
@@ -45,6 +46,14 @@ class TestRunConfig:
             RunConfig(parcels_per_worker=0)
         with pytest.raises(ValueError):
             RunConfig(simplify_cadence="sometimes")
+
+    def test_workers_capped(self):
+        # Validation only: an over-cap count must never reach a pool.
+        assert RunConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError):
+            RunConfig(workers=MAX_WORKERS + 1)
+        with pytest.raises(ValueError):
+            RunConfig(workers=10 ** 6)
 
 
 class TestPartition:

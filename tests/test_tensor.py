@@ -12,6 +12,7 @@ from curvinv.tensor import (
     TensorError,
     TensorField,
     UPPER,
+    _rows,
     christoffel,
     covariant_derivative,
     inverse_metric,
@@ -27,6 +28,8 @@ from oracles import (
     dense_covariant_derivative,
     dense_riemann_lowered,
     field_to_grid,
+    full_contract_slot,
+    full_covariant_derivative,
 )
 
 
@@ -277,12 +280,104 @@ class TestCovariantDerivative:
         with pytest.raises(TensorError):
             covariant_derivative(up, christoffel(s2))
 
-    def test_preserves_antisymmetry_metadata(self, s3):
-        R = riemann_lowered(s3)
-        dR = covariant_derivative(R, christoffel(s3))
+    def test_preserves_antisymmetry_metadata(self, schwarzschild4):
+        g = schwarzschild4
+        dR = covariant_derivative(riemann_lowered(g), christoffel(g))
+        assert dR.nnz() > 0
         assert dR.antisym_pairs == frozenset({(0, 1), (2, 3)})
         for (a, b, c, d, e), value in dR.items():
             assert dR.component((b, a, c, d, e)) == -value
+            assert dR.component((a, b, d, c, e)) == -value
+
+
+class TestOrientedMatchesFull:
+    """Raising, lowering and nabla compute one orientation of each
+    antisymmetric pair and fill the rest; the every-key loops in
+    ``oracles`` are the reference, component for component and count for
+    count."""
+
+    CHAINS = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (1,), (2,), (3,))
+
+    @staticmethod
+    def assert_same_field(got, want):
+        assert got.components == want.components
+        assert got.variance == want.variance
+        assert got.antisym_pairs == want.antisym_pairs
+        assert got.mixed_pairs == want.mixed_pairs
+
+    def test_raise_and_lower(self, s3, schwarzschild4, quartic2d):
+        for g in (s3, schwarzschild4, quartic2d):
+            R = riemann_lowered(g)
+            ginv = g.inverse()
+            up_rows, down_rows = _rows(g.dim, ginv.components), g.rows()
+            for chain in self.CHAINS:
+                got, want = R, R
+                counted, expected = OpCounter(), OpCounter()
+                for slot in chain:
+                    got = raise_index(got, slot, ginv, counted)
+                    want = full_contract_slot(want, slot, up_rows, UPPER, expected)
+                    self.assert_same_field(got, want)
+                    assert counted.mults == expected.mults
+                for slot in chain:
+                    got = lower_index(got, slot, g, counted)
+                    want = full_contract_slot(want, slot, down_rows, LOWER, expected)
+                    self.assert_same_field(got, want)
+                    assert counted.mults == expected.mults
+                assert got.same_components(R)
+
+    def test_first_and_second_covariant_derivative(self, s3, schwarzschild4, quartic2d):
+        for g in (s3, schwarzschild4, quartic2d):
+            gam = christoffel(g)
+            got = want = riemann_lowered(g)
+            for _ in range(2):
+                got = covariant_derivative(got, gam)
+                want = full_covariant_derivative(want, gam)
+                self.assert_same_field(got, want)
+
+
+class TestPairMetadataChecked:
+    """A declared antisymmetric pair lets operations fill components they
+    never compute, so the constructor rejects a store that contradicts it."""
+
+    @staticmethod
+    def field(components, pairs=frozenset({(0, 1)}), mixed=frozenset()):
+        env = SymbolEnv(coordinates=("u", "v", "w"))
+        u = env.symbol("u")
+        store = {key: sign * u for key, sign in components.items()}
+        return TensorField(env, 3, (LOWER,) * 3, store, antisym_pairs=pairs, mixed_pairs=mixed)
+
+    def test_consistent_store_accepted(self):
+        t = self.field({(0, 1, 2): 1, (1, 0, 2): -1})
+        assert t.nnz() == 2
+
+    def test_pair_not_adjacent_in_range_and_disjoint(self):
+        for pairs, mixed in (
+            ({(0, 2)}, set()),
+            ({(1, 0)}, set()),
+            ({(2, 3)}, set()),
+            ({(-1, 0)}, set()),
+            ({(0, 1), (1, 2)}, set()),
+            ({(0, 1)}, {(0, 1)}),
+            (set(), {(1, 3)}),
+        ):
+            with pytest.raises(TensorError):
+                self.field({}, frozenset(pairs), frozenset(mixed))
+
+    def test_equal_indices_on_pair(self):
+        with pytest.raises(TensorError):
+            self.field({(1, 1, 2): 1})
+
+    def test_swap_missing_or_not_negated(self):
+        with pytest.raises(TensorError):
+            self.field({(0, 1, 2): 1})
+        with pytest.raises(TensorError):
+            self.field({(0, 1, 2): 1, (1, 0, 2): 1})
+        with pytest.raises(TensorError):
+            self.field({(0, 1, 2): 1, (1, 0, 2): -2})
+
+    def test_mixed_pair_values_not_checked(self):
+        t = self.field({(0, 1, 2): 1}, pairs=frozenset(), mixed=frozenset({(0, 1)}))
+        assert t.nnz() == 1
 
 
 def test_metric_symmetry_enforced():
