@@ -9,7 +9,6 @@ from .contraction import (
     contract_free,
     detect_abbreviable_pairs,
     enumerate_indices,
-    evaluate_product,
     independent_component_count,
     pair_exchange_reduction_factor,
     parse_spec,
@@ -34,7 +33,6 @@ from .parallel import (
     WorkerStats,
     execute,
     partition,
-    sequential_oracle,
 )
 from .pipeline import build_factor_tensors, run_invariant
 from .tensor import (

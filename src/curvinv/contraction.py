@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr
+from .expr import Expr, RawSum
 from .tensor import LOWER, UPPER, TensorField
 
 
@@ -285,23 +285,25 @@ def enumerate_indices(spec: InvariantSpec, tensors, dim: int) -> ContractionPlan
 
 
 class ProductEvaluator:
-    """Evaluates one enumerated assignment to the product of its components."""
+    """Looks up the components one enumerated assignment addresses."""
 
     def __init__(self, spec: InvariantSpec, tensors):
         self.factor_ids = spec.factor_label_ids()
         self.stores = [t.components for t in tensors]
 
+    def factors(self, entry: tuple) -> list:
+        """The entry's component of each factor, in factor order."""
+        return [
+            store[tuple(entry[i] for i in ids)]
+            for ids, store in zip(self.factor_ids, self.stores)
+        ]
+
     def __call__(self, entry: tuple) -> Expr:
+        """The canonical product of the entry's components."""
         product = None
-        for ids, store in zip(self.factor_ids, self.stores):
-            value = store[tuple(entry[i] for i in ids)]
+        for value in self.factors(entry):
             product = value if product is None else product * value
         return product
-
-
-def evaluate_product(spec: InvariantSpec, entry: tuple, tensors) -> Expr:
-    """Product of the components addressed by one plan entry, canonical."""
-    return ProductEvaluator(spec, tensors)(entry)
 
 
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
@@ -339,7 +341,8 @@ def independent_component_count(dim: int) -> int:
 def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     """Group the joined assignments by their free labels and sum each
     group's products, giving a field over the free slots (rank 0 when no
-    label is free)."""
+    label is free).  Each free key sums its products raw, grouped by
+    denominator (``expr.RawSum``)."""
     _check_tensors(spec, tensors, dim)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
@@ -347,11 +350,15 @@ def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     slot_variance = {n: v for f in spec.factors for n, v in zip(f.labels, f.variance)}
     variance = tuple(slot_variance[spec.label_names[i]] for i in free_ids)
     evaluator = ProductEvaluator(spec, tensors)
+    env = tensors[0].env
     sums = {}
     for entry in _join(spec, tensors, dim, abbreviated):
         key = tuple(entry[i] for i in free_ids)
-        value = evaluator(entry)
-        sums[key] = sums[key] + value if key in sums else value
+        if key not in sums:
+            sums[key] = RawSum(env)
+        sums[key].add_product(evaluator.factors(entry))
     # Keys in odometer order; TensorField drops components that cancel to zero.
-    components = {key: sums[key] * multiplier for key in sorted(sums, key=lambda k: k[::-1])}
-    return TensorField(tensors[0].env, dim, variance, components)
+    components = {
+        key: sums[key].value() * multiplier for key in sorted(sums, key=lambda k: k[::-1])
+    }
+    return TensorField(env, dim, variance, components)

@@ -2,11 +2,17 @@
 
 The enumerated assignment list is split into m*n near-equal contiguous
 parcels for n workers; idle workers pull the next parcel from a shared
-queue, accumulate a private partial sum, and hand exactly one partial sum
-back when the queue drains.  The merged, multiplier-scaled sum is
-canonical, so the result is independent of worker count, parcel count,
-and scheduling order.  A worker that dies, with or without reporting,
-ends the run in WorkerFailure.
+queue, accumulate a private partial sum, and hand exactly one canonical
+partial sum back when the queue drains.
+
+The ``per-parcel`` cadence multiplies each entry's components raw and sums
+the products grouped by denominator (``expr.RawSum``), canonicalising once
+per distinct denominator at the end of the parcel.  The ``per-entry``
+cadence canonicalises each product and adds it to the partial sum at once.
+Canonical forms are unique, so the merged, multiplier-scaled sum is the
+same expression for either cadence, every worker and parcel count, and any
+scheduling order.  A worker that dies, with or without reporting, ends the
+run in WorkerFailure.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from .contraction import ContractionPlan, InvariantSpec, ProductEvaluator
-from .expr import Expr, balanced_sum
+from .expr import Expr, RawSum, balanced_sum
 
 
 class WorkerFailure(Exception):
@@ -118,8 +124,8 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
 def _worker_loop(worker_id, spec, tensors, entries, parcels, cadence, task_q, result_q):
     try:
         evaluate = ProductEvaluator(spec, tensors)
-        zero = tensors[0].env.zero()
-        partial = zero
+        env = tensors[0].env
+        partial = env.zero()
         done = 0
         busy = 0.0
         while True:
@@ -132,8 +138,10 @@ def _worker_loop(worker_id, spec, tensors, entries, parcels, cadence, task_q, re
                 for entry in entries[parcel.start : parcel.stop]:
                     partial = partial + evaluate(entry)
             else:
-                products = [evaluate(e) for e in entries[parcel.start : parcel.stop]]
-                partial = partial + balanced_sum(products, zero)
+                products = RawSum(env)
+                for entry in entries[parcel.start : parcel.stop]:
+                    products.add_product(evaluate.factors(entry))
+                partial = partial + products.value()
             busy += time.perf_counter() - start
             done += len(parcel)
         result_q.put((worker_id, partial, done, busy * 1000.0))
@@ -255,12 +263,3 @@ def execute(
         wall_ms=wall_ms,
         per_worker=stats,
     )
-
-
-def sequential_oracle(plan: ContractionPlan, spec: InvariantSpec, tensors) -> Expr:
-    """Single-pass reference summation used to cross-check pool runs."""
-    evaluate = ProductEvaluator(spec, tensors)
-    total = tensors[0].env.zero()
-    for entry in plan.sum_index_array:
-        total = total + evaluate(entry)
-    return total * plan.multiplier

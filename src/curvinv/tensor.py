@@ -14,6 +14,13 @@ pair, ``key[p] < key[p+1]``, and fill each swapped key with the negated
 value.  Canonical forms are unique, so the filled component is exactly the
 one the full computation would give; keys with equal indices on a pair are
 zero and stay absent.
+
+Christoffel symbols, both stages of Riemann and the covariant derivative
+build each component as a sum of products of canonical components, and
+sum them in an ``expr.RawSum``: the products stay raw, grouped by
+denominator, and each group is canonicalised once.  The component is the
+same canonical expression that summing canonical products gives.  Raising
+and lowering keep summing canonical products (see ``_contract_slot``).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .expr import Expr, SymbolEnv, balanced_sum
+from .expr import Expr, RawSum, SymbolEnv
 
 
 class TensorError(Exception):
@@ -270,7 +277,11 @@ def inverse_metric(g: Metric) -> TensorField:
 
 
 def christoffel(g: Metric) -> ChristoffelField:
-    """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc)."""
+    """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc).
+
+    Each component sums the products (1/2) g^ad d_x g_yz raw, grouped by
+    denominator (``expr.RawSum``).
+    """
     dim, env = g.dim, g.env
     ginv_rows = _rows(dim, g.inverse().components)
     coords = env.coordinates
@@ -287,19 +298,12 @@ def christoffel(g: Metric) -> ChristoffelField:
     for a in range(dim):
         for b in range(dim):
             for c in range(b, dim):
-                total = None
+                total = RawSum(env)
                 for d, g_ad in ginv_rows[a]:
-                    term = (
-                        metric_derivative(d, c, b)
-                        + metric_derivative(b, d, c)
-                        - metric_derivative(b, c, d)
-                    )
-                    if term.is_zero:
-                        continue
-                    piece = g_ad * term
-                    total = piece if total is None else total + piece
-                if total is not None and not total.is_zero:
-                    components[(a, b, c)] = half * total
+                    total.add_product((half, g_ad, metric_derivative(d, c, b)))
+                    total.add_product((half, g_ad, metric_derivative(b, d, c)))
+                    total.add_product((half, g_ad, metric_derivative(b, c, d)), -1)
+                components[(a, b, c)] = total.value()
     return ChristoffelField(env, dim, components)
 
 
@@ -312,6 +316,10 @@ def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> Tens
     (0,1) antisymmetry is left to emerge from the computation so tests can
     verify it independently.  ``gamma`` is the metric's connection when the
     caller already has it; otherwise it is built here.
+
+    Both stages sum raw products grouped by denominator (``expr.RawSum``):
+    the derivative and Gamma Gamma terms of each R^a_bcd, then the
+    products g_ae R^e_bcd of each lowered component.
     """
     dim, env = g.dim, g.env
     if gamma is None:
@@ -333,28 +341,21 @@ def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> Tens
         for b in range(dim):
             for c in range(dim):
                 for d in range(c + 1, dim):
-                    total = None
+                    total = RawSum(env)
                     t1 = gamma_derivative(a, d, b, c)
-                    if t1 is not None and not t1.is_zero:
-                        total = t1
+                    if t1 is not None:
+                        total.add_product((t1,))
                     t2 = gamma_derivative(a, c, b, d)
-                    if t2 is not None and not t2.is_zero:
-                        total = -t2 if total is None else total - t2
+                    if t2 is not None:
+                        total.add_product((t2,), -1)
                     for e in range(dim):
-                        g1 = gamma.component(a, c, e)
-                        if not g1.is_zero:
-                            h1 = gamma.component(e, d, b)
-                            if not h1.is_zero:
-                                piece = g1 * h1
-                                total = piece if total is None else total + piece
-                        g2 = gamma.component(a, d, e)
-                        if not g2.is_zero:
-                            h2 = gamma.component(e, c, b)
-                            if not h2.is_zero:
-                                piece = g2 * h2
-                                total = -piece if total is None else total - piece
-                    if total is not None and not total.is_zero:
-                        up[(a, b, c, d)] = total
+                        total.add_product((gamma.component(a, c, e), gamma.component(e, d, b)))
+                        total.add_product(
+                            (gamma.component(a, d, e), gamma.component(e, c, b)), -1
+                        )
+                    value = total.value()
+                    if not value.is_zero:
+                        up[(a, b, c, d)] = value
 
     g_rows = g.rows()
     components = {}
@@ -363,16 +364,15 @@ def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> Tens
         for b in range(dim):
             for c in range(dim):
                 for d in range(c + 1, dim):
-                    total = None
+                    total = RawSum(env)
                     for e, g_ae in row:
                         value = up.get((e, b, c, d))
-                        if value is None:
-                            continue
-                        piece = g_ae * value
-                        total = piece if total is None else total + piece
-                    if total is not None and not total.is_zero:
-                        components[(a, b, c, d)] = total
-                        components[(a, b, d, c)] = -total
+                        if value is not None:
+                            total.add_product((g_ae, value))
+                    value = total.value()
+                    if not value.is_zero:
+                        components[(a, b, c, d)] = value
+                        components[(a, b, d, c)] = -value
     return TensorField(
         env,
         dim,
@@ -399,6 +399,17 @@ def _repaired_pairs(field: TensorField, slot: int, new_variance: tuple):
 
 
 def _contract_slot(field, slot, rows, new_char, counter):
+    """Contract ``slot`` with a metric's sparse ``rows``, summing canonical
+    products.
+
+    Unlike the other builders, this does not group raw products by
+    denominator (``expr.RawSum``): a raised component sums only a few
+    products, one per metric row entry, so there are few GCDs to save.
+    Grouped raising, timed on a 2-vCPU VM over three alternating runs of
+    the raisings of Kerr D=4 I_b at a=1 and S^6 I_2, was neutral on Kerr
+    (0.47-0.74 s canonical, 0.45-0.65 s grouped) and slower on S^6
+    (0.15-0.24 s canonical, 0.19-0.26 s grouped).
+    """
     variance = list(field.variance)
     variance[slot] = new_char
     variance = tuple(variance)
@@ -471,24 +482,27 @@ def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField
     are taken.  The output keeps the input's antisymmetric pairs, so only
     keys oriented on them are computed: partial derivatives of oriented
     components, and connection terms whose target key is oriented.  The
-    swapped keys are filled by negation.
+    swapped keys are filled by negation.  Each output component sums its
+    partial derivative and connection products raw, grouped by denominator
+    (``expr.RawSum``).
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")
     dim, env = t.dim, t.env
     coords = env.coordinates
     pairs = t.antisym_pairs
-    pending = {}
+    sums = {}
 
-    def add(key, value):
-        pending.setdefault(key, []).append(value)
+    def add(key, values, sign=1):
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = RawSum(env)
+        total.add_product(values, sign)
 
     for key, value in t.components.items():
         if _oriented(key, pairs):
             for e in range(dim):
-                d = value.diff(coords[e])
-                if not d.is_zero:
-                    add(key + (e,), d)
+                add(key + (e,), (value.diff(coords[e]),))
         for s in range(t.rank):
             f = key[s]
             prefix, suffix = key[:s], key[s + 1 :]
@@ -496,11 +510,9 @@ def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField
             for e in range(dim):
                 for i in targets:
                     w = gamma.component(f, e, i)
-                    if w.is_zero:
-                        continue
-                    add(prefix + (i,) + suffix + (e,), -(w * value))
-    zero = env.zero()
-    accumulated = {key: balanced_sum(parts, zero) for key, parts in pending.items()}
+                    if not w.is_zero:
+                        add(prefix + (i,) + suffix + (e,), (w, value), -1)
+    accumulated = {key: total.value() for key, total in sums.items()}
     return TensorField(
         env,
         dim,

@@ -9,7 +9,9 @@ antisymmetric pair, and invariant sums walk all D**n assignments with no
 abbreviation or zero filtering.  The one exception is ``dense_enumerate``:
 it walks all D**n assignments too, but applies the production abbreviation
 filter, so its output is the reference for the production sparse join
-entry for entry.
+entry for entry.  Products are formed canonically, one ``*`` and one ``+``
+at a time, as the reference for the production sums that group raw
+products by denominator.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from curvinv.contraction import detect_abbreviable_pairs, evaluate_product
+from curvinv.contraction import detect_abbreviable_pairs
 from curvinv.expr import Expr, SymbolEnv, balanced_sum
 from curvinv.tensor import LOWER, Metric, TensorField, _repaired_pairs
 
@@ -220,6 +222,24 @@ def field_to_grid(field, env: SymbolEnv):
         return [build(rank - 1, key + (i,)) for i in range(dim)]
 
     return build(field.rank, ())
+
+
+def evaluate_product(spec, entry: tuple, tensors) -> Expr:
+    """Canonical product of the components one plan entry addresses."""
+    product = None
+    for ids, tensor in zip(spec.factor_label_ids(), tensors):
+        value = tensor.components[tuple(entry[i] for i in ids)]
+        product = value if product is None else product * value
+    return product
+
+
+def sequential_oracle(plan, spec, tensors) -> Expr:
+    """The plan's multiplier times its canonical products, added one at a
+    time in plan order."""
+    total = tensors[0].env.zero()
+    for entry in plan.sum_index_array:
+        total = total + evaluate_product(spec, entry, tensors)
+    return total * plan.multiplier
 
 
 def brute_force_sum(spec, tensors, dim: int) -> Expr:

@@ -11,7 +11,6 @@ from curvinv.contraction import (
     contract_free,
     detect_abbreviable_pairs,
     enumerate_indices,
-    evaluate_product,
     independent_component_count,
     pair_exchange_reduction_factor,
     parse_spec,
@@ -22,7 +21,7 @@ from curvinv.metrics import flat, sphere_metric
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import TensorField, raise_index, riemann_lowered
 
-from oracles import brute_force_sum, dense_contract_free, dense_enumerate
+from oracles import brute_force_sum, dense_contract_free, dense_enumerate, evaluate_product
 
 KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 I_B = "R(+a,+b,+c,+d) R(+e,+f,-a,-b) R(-c,-d,-e,-f)"

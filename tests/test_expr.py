@@ -9,10 +9,12 @@ from curvinv.expr import (
     DivisionByZeroExpression,
     EvaluationError,
     Expr,
+    RawSum,
     SymbolEnv,
     UnknownSymbolError,
     _clear_sines_from_denominator,
     _sine_reduce,
+    balanced_sum,
     normalize,
 )
 from curvinv.pipeline import run_invariant
@@ -263,6 +265,84 @@ def test_zero_test_soundness_via_random_points():
     for e1, e2, equal in pairs:
         assert ((e1 - e2).is_zero) is equal
         assert agree_at_random_points(e1, e2, seed=rng.randrange(10 ** 6)) is equal
+
+
+# --- sums of raw products grouped by denominator ---------------------------------
+
+# Divisors for the factors: repeated, shared, sine-bearing (cleared by make)
+# and cosine-bearing denominators, so products fall into few groups.
+_DIVISORS = (
+    1,
+    ("-", "x", "k"),
+    ("+", ("**", "x", 2), "k"),
+    ("+", 1, "cos(t)"),
+    ("+", "x", "sin(t)"),
+    ("*", ("-", "x", "k"), ("+", 1, "cos(t)")),
+)
+
+
+def _factors():
+    return st.tuples(_trees(2), st.sampled_from(_DIVISORS)).map(
+        lambda pair: normalize(_env, ("/", pair[0], pair[1]))
+    )
+
+
+def _products():
+    return st.lists(
+        st.tuples(st.lists(_factors(), min_size=1, max_size=3), st.sampled_from([1, -1])),
+        max_size=8,
+    )
+
+
+def _canonical_sum(products):
+    terms = []
+    for values, sign in products:
+        product = _env.one()
+        for v in values:
+            product = product * v
+        terms.append(product if sign > 0 else -product)
+    return balanced_sum(terms, _env.zero())
+
+
+def _raw_sum(products):
+    total = RawSum(_env)
+    for values, sign in products:
+        total.add_product(values, sign)
+    return total.value()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products(), st.booleans())
+def test_raw_sum_equals_canonical_sum(products, cancel_first):
+    if cancel_first and products:
+        # the first product's group also holds its negation
+        values, sign = products[0]
+        products = products + [(values, -sign)]
+    assert _raw_sum(products) == _canonical_sum(products)
+
+
+class TestRawSum:
+    def test_empty_is_zero(self):
+        assert RawSum(_env).value() == _env.zero()
+
+    def test_sine_numerators(self):
+        x, k, s = _env.symbol("x"), _env.symbol("k"), _env.sin("t")
+        products = [([s * x / (x - k), s], 1), ([s / (x - k), x * s], 1), ([s], -1)]
+        assert _raw_sum(products) == _canonical_sum(products)
+        assert _raw_sum(products) == 2 * x * (1 - _env.cos("t") ** 2) / (x - k) - s
+
+    def test_group_cancelling_to_zero(self):
+        x, k, c = _env.symbol("x"), _env.symbol("k"), _env.cos("t")
+        left, right = x / (x - k), (c + k) / (x - k)
+        products = [([left, right], 1), ([right, left], -1), ([c / (1 + c)], 1)]
+        assert _raw_sum(products) == c / (1 + c)
+
+    def test_groups_cancelling_each_other(self):
+        # x/(x-k) * 1/x and 1/(x-k) are one value over two raw denominators
+        x, k = _env.symbol("x"), _env.symbol("k")
+        products = [([x / (x - k), 1 / x], 1), ([1 / (x - k)], -1)]
+        assert _raw_sum(products).is_zero
+        assert _raw_sum(products + [([k / x], -1)]) == -k / x
 
 
 # --- cancellation against sympy's grevlex cancel --------------------------------

@@ -12,12 +12,14 @@ from curvinv.parallel import (
     WorkerFailure,
     execute,
     partition,
-    sequential_oracle,
 )
 from curvinv.pipeline import build_factor_tensors
 
+from oracles import sequential_oracle
+
 KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 I_B = "R(+a,+b,+c,+d) R(+e,+f,-a,-b) R(-c,-d,-e,-f)"
+I_C = "R(+a,+b,+c,+d;+e) R(-a,-b,-c,-d;-e)"
 
 
 def _plan_for(metric, text):
@@ -120,6 +122,20 @@ class TestExecute:
         )
         assert per_parcel.expression == per_entry.expression
 
+    def test_grouped_and_canonical_cadences_match_oracle(self, s3, schwarzschild4):
+        # per-parcel groups raw products by denominator, per-entry
+        # canonicalises each product, the oracle adds them one at a time
+        for g, text in ((s3, I_B), (schwarzschild4, I_C)):
+            spec, tensors, plan, _ = _plan_for(g, text)
+            oracle = sequential_oracle(plan, spec, tensors)
+            assert not oracle.is_zero
+            for cadence in ("per-parcel", "per-entry"):
+                cfg = RunConfig(workers=2, parcels_per_worker=3, simplify_cadence=cadence)
+                report = execute(plan, spec, tensors, cfg)
+                assert report.parcels == min(6, plan.product_count)
+                assert report.invariant == oracle
+                assert report.expression == str(oracle)
+
     def test_matches_sequential_oracle(self, s2, s3):
         for g, text in ((s2, KRETSCHMANN), (s3, KRETSCHMANN), (s3, I_B)):
             spec, tensors, plan, _ = _plan_for(g, text)
@@ -164,23 +180,18 @@ class TestExecute:
             execute(poisoned, spec, tensors, RunConfig(workers=2))
 
     def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
-        # The worker that evaluates the first entry exits without reporting,
-        # as under an OOM kill; forked workers inherit the patched evaluator.
+        # The worker that looks up the first entry's factors exits without
+        # reporting, as under an OOM kill; forked workers inherit the patch.
         spec, tensors, plan, _ = _plan_for(s2, I_B)
-        real = parallel.ProductEvaluator
+        real = parallel.ProductEvaluator.factors
         first = plan.sum_index_array[0]
 
-        def dying_evaluator(spec, tensors):
-            evaluate = real(spec, tensors)
+        def dying_factors(self, entry):
+            if entry == first:
+                os._exit(1)
+            return real(self, entry)
 
-            def call(entry):
-                if entry == first:
-                    os._exit(1)
-                return evaluate(entry)
-
-            return call
-
-        monkeypatch.setattr(parallel, "ProductEvaluator", dying_evaluator)
+        monkeypatch.setattr(parallel.ProductEvaluator, "factors", dying_factors)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
             execute(plan, spec, tensors, RunConfig(workers=2))
 

@@ -1,7 +1,10 @@
+import pytest
+
 from curvinv import pipeline, tensor
 from curvinv.cli import PRESETS
 from curvinv.expr import SymbolEnv
-from curvinv.metrics import sphere_metric
+from curvinv.metrics import KerrParams, kerr, sphere_metric
+from curvinv.parallel import RunConfig
 from curvinv.tensor import Metric
 
 
@@ -33,6 +36,32 @@ def test_schwarzschild_ic_closed_form(schwarzschild4):
     assert report.expression == "(-180*mu**3 + 180*mu**2*r)/(r**9)"
     assert report.P == 294
     assert report.raise_mults == 280
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_tangherlini_kretschmann_closed_form(dim):
+    # (D-1)(D-2)^2(D-3) mu^2 / r^(2(D-1)) for f = 1 - mu/r^(D-3)
+    # (Tangherlini 1963; e.g. Emparan and Reall, Living Rev. Rel. 11, 6, 2008)
+    g = kerr(KerrParams(dim)).substitute("a", 0)
+    env = g.env
+    r, mu = env.symbol("r"), env.symbol("mu")
+    expected = (dim - 1) * (dim - 2) ** 2 * (dim - 3) * mu ** 2 / r ** (2 * (dim - 1))
+    report = pipeline.run_invariant(g, PRESETS["I_a"])
+    assert report.invariant == expected
+
+
+def test_schwarzschild_i1(schwarzschild4, deadline):
+    with deadline(15):
+        one = pipeline.run_invariant(schwarzschild4, PRESETS["I_1"])
+        two = pipeline.run_invariant(schwarzschild4, PRESETS["I_1"], RunConfig(workers=2))
+    assert one.expression == two.expression
+    assert (one.product_count, one.P, one.T) == (4880, 6224, 5)
+    # Four factors of nabla nabla R, each of length dimension -4 with mu and
+    # r lengths: every numerator term is 16 degrees below the denominator.
+    env = schwarzschild4.env
+    mu, r = env.gen_index("mu"), env.gen_index("r")
+    (den_degree,) = {m[mu] + m[r] for m in one.invariant.den.monoms()}
+    assert {m[mu] + m[r] - den_degree for m in one.invariant.num.monoms()} == {-16}
 
 
 def test_raised_fields_cached_per_metric(monkeypatch):
