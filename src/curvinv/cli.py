@@ -77,12 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--parcels", type=int, default=1, help="parcels per worker")
     run_p.add_argument(
-        "--cadence",
-        choices=("per-parcel", "per-entry"),
-        default="per-parcel",
-        help="partial-sum simplification cadence",
-    )
-    run_p.add_argument(
         "--allow-large",
         action="store_true",
         help="permit presets with very large worst-case product counts",
@@ -137,11 +131,7 @@ def _cmd_run(args) -> int:
     metric = metric_with_substitutions(
         args.metric, args.dim, _parse_substitutions(args.substitutions)
     )
-    cfg = RunConfig(
-        workers=args.workers,
-        parcels_per_worker=args.parcels,
-        simplify_cadence=args.cadence,
-    )
+    cfg = RunConfig(workers=args.workers, parcels_per_worker=args.parcels)
     report = run_invariant(metric, spec_text, cfg, metric_name=args.metric)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))

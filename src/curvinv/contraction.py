@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, RawSum
+from .expr import RawSum
 from .tensor import LOWER, UPPER, TensorField
 
 
@@ -297,13 +297,6 @@ class ProductEvaluator:
             store[tuple(entry[i] for i in ids)]
             for ids, store in zip(self.factor_ids, self.stores)
         ]
-
-    def __call__(self, entry: tuple) -> Expr:
-        """The canonical product of the entry's components."""
-        product = None
-        for value in self.factors(entry):
-            product = value if product is None else product * value
-        return product
 
 
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:

@@ -291,6 +291,11 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a zero operand leaves the other canonical; make would redo its GCD
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             if self.den == self.env.ring.one:
                 # sum of sine-reduced polynomials is canonical as-is
@@ -308,6 +313,10 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
         if self.den == other.den:
             if self.den == self.env.ring.one:
                 return Expr(self.env, self.num - other.num, self.den)

@@ -1,37 +1,39 @@
 """Parcel-parallel summation of enumerated component products.
 
 The enumerated assignment list is split into m*n near-equal contiguous
-parcels for n workers; idle workers pull the next parcel from a shared
-queue, accumulate a private partial sum, and hand exactly one canonical
-partial sum back when the queue drains.
+parcels for n workers.  Each parcel is one task of a
+``concurrent.futures.ProcessPoolExecutor``, so a worker takes the next
+parcel as it goes idle.  A task multiplies each entry's components raw,
+sums the products grouped by denominator (``expr.RawSum``) and returns the
+parcel's canonical partial sum; the coordinator adds the partials in parcel
+order.  Canonical forms are unique, so the multiplier-scaled sum is the
+same expression for every worker and parcel count and any scheduling order.
 
-The ``per-parcel`` cadence multiplies each entry's components raw and sums
-the products grouped by denominator (``expr.RawSum``), canonicalising once
-per distinct denominator at the end of the parcel.  The ``per-entry``
-cadence canonicalises each product and adds it to the partial sum at once.
-Canonical forms are unique, so the merged, multiplier-scaled sum is the
-same expression for either cadence, every worker and parcel count, and any
-scheduling order.  A worker that dies, with or without reporting, ends the
-run in WorkerFailure.
+The pool forks its workers, so they inherit the factor tensors and the
+assignment list instead of receiving pickled copies: only parcel bounds go
+out and partial sums come back.  The start method is named because fork is
+not the default everywhere (from Python 3.14 not on Linux either).  A task
+that raises, or a worker that dies without reporting, ends the run in
+WorkerFailure.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 from .contraction import ContractionPlan, InvariantSpec, ProductEvaluator
 from .expr import Expr, RawSum, balanced_sum
 
 
 class WorkerFailure(Exception):
-    """A worker process died; the run produced no result."""
+    """A parcel's task raised or a worker process died; the run produced no
+    result."""
 
-
-CADENCES = ("per-parcel", "per-entry")
 
 # Each worker is one process; more than a few per CPU only adds spawn cost,
 # and a mistyped count must not start thousands of processes.
@@ -52,7 +54,6 @@ class Parcel:
 class RunConfig:
     workers: int = 1
     parcels_per_worker: int = 1
-    simplify_cadence: str = "per-parcel"
 
     def __post_init__(self):
         if self.workers < 1:
@@ -63,12 +64,16 @@ class RunConfig:
             )
         if self.parcels_per_worker < 1:
             raise ValueError("parcels_per_worker must be >= 1")
-        if self.simplify_cadence not in CADENCES:
-            raise ValueError("simplify_cadence must be one of %s" % (CADENCES,))
 
 
 @dataclass
 class WorkerStats:
+    """One worker process's share of a run: the entries of the parcels it
+    summed and the milliseconds it spent summing them (busy time only, not
+    start-up or waiting).  ``RunReport.per_worker`` lists the processes in
+    the order of the first parcel each took, then one all-zero entry per
+    configured worker that took no parcel."""
+
     entries: int
     wall_ms: float
 
@@ -88,7 +93,7 @@ class RunReport:
     workers: int
     parcels: int
     wall_ms: float
-    per_worker: list
+    per_worker: list  # of WorkerStats, padded to `workers` entries
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,66 +126,25 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
     return [Parcel(i, bounds[i], bounds[i + 1]) for i in range(count)]
 
 
-def _worker_loop(worker_id, spec, tensors, entries, parcels, cadence, task_q, result_q):
-    try:
-        evaluate = ProductEvaluator(spec, tensors)
-        env = tensors[0].env
-        partial = env.zero()
-        done = 0
-        busy = 0.0
-        while True:
-            pid = task_q.get()
-            if pid is None:
-                break
-            parcel = parcels[pid]
-            start = time.perf_counter()
-            if cadence == "per-entry":
-                for entry in entries[parcel.start : parcel.stop]:
-                    partial = partial + evaluate(entry)
-            else:
-                products = RawSum(env)
-                for entry in entries[parcel.start : parcel.stop]:
-                    products.add_product(evaluate.factors(entry))
-                partial = partial + products.value()
-            busy += time.perf_counter() - start
-            done += len(parcel)
-        result_q.put((worker_id, partial, done, busy * 1000.0))
-    except Exception as exc:  # surfaced by the coordinator as WorkerFailure
-        result_q.put(("error", worker_id, repr(exc)))
-        raise
+# Set in each worker by _init_worker: (ProductEvaluator, SymbolEnv, entries).
+_state = None
 
 
-# How long the coordinator waits on the result queue before it looks for
-# workers that exited without reporting; a result is taken as it arrives.
-_POLL_SECONDS = 0.5
+def _init_worker(evaluate, env, entries):
+    global _state
+    _state = (evaluate, env, entries)
 
 
-def _gather(procs, result_q) -> list:
-    """One result per worker, in worker order.
-
-    A worker that reports an error, or exits without reporting (os._exit,
-    an OOM kill), raises WorkerFailure instead of blocking forever.
-    """
-    results = {}
-    while len(results) < len(procs):
-        # Taken before the wait: a worker that has exited has already
-        # flushed its result into the queue's pipe, so if the wait then
-        # times out, that worker never reported.
-        exited = [i for i, p in enumerate(procs) if p.exitcode is not None]
-        try:
-            item = result_q.get(timeout=_POLL_SECONDS)
-        except queue.Empty:
-            lost = [i for i in exited if i not in results]
-            if lost:
-                raise WorkerFailure(
-                    "worker %d exited with code %s without reporting"
-                    % (lost[0], procs[lost[0]].exitcode)
-                ) from None
-            continue
-        if item[0] == "error":
-            raise WorkerFailure("worker %s failed: %s" % (item[1], item[2]))
-        results[item[0]] = item
-    return [results[i] for i in range(len(procs))]
+def _sum_parcel(start: int, stop: int):
+    """The canonical sum of one parcel's products, with the worker's pid and
+    the milliseconds it took."""
+    evaluate, env, entries = _state
+    began = time.perf_counter()
+    products = RawSum(env)
+    for entry in entries[start:stop]:
+        products.add_product(evaluate.factors(entry))
+    value = products.value()
+    return os.getpid(), value, (time.perf_counter() - began) * 1000.0
 
 
 def execute(
@@ -200,52 +164,32 @@ def execute(
     """
     started = time.perf_counter()
     env = tensors[0].env
-    zero = env.zero()
     parcels = partition(plan, cfg)
-    n = cfg.workers
-    if not parcels:
-        partials = []
-        stats = [WorkerStats(0, 0.0) for _ in range(n)]
-    else:
-        task_q = mp.Queue()
-        result_q = mp.Queue()
-        for parcel in parcels:
-            task_q.put(parcel.id)
-        for _ in range(n):
-            task_q.put(None)
-        procs = [
-            mp.Process(
-                target=_worker_loop,
-                args=(
-                    i,
-                    spec,
-                    tensors,
-                    plan.sum_index_array,
-                    parcels,
-                    cfg.simplify_cadence,
-                    task_q,
-                    result_q,
-                ),
-            )
-            for i in range(n)
-        ]
-        for p in procs:
-            p.start()
-        try:
-            results = _gather(procs, result_q)
-        except WorkerFailure:
-            for p in procs:
-                p.terminate()
-            for p in procs:
-                p.join()
-            raise
-        for p in procs:
-            p.join()
-            if p.exitcode != 0:
-                raise WorkerFailure("worker exited with code %s" % p.exitcode)
-        partials = [partial for _, partial, _, _ in results]
-        stats = [WorkerStats(done, ms) for _, _, done, ms in results]
-    invariant = balanced_sum(partials, zero) * plan.multiplier
+    partials = []
+    stats = {}  # pid -> WorkerStats, in order of the first parcel taken
+    if parcels:
+        with ProcessPoolExecutor(
+            max_workers=min(cfg.workers, len(parcels)),
+            mp_context=mp.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(ProductEvaluator(spec, tensors), env, plan.sum_index_array),
+        ) as pool:
+            futures = [pool.submit(_sum_parcel, p.start, p.stop) for p in parcels]
+            for parcel, future in zip(parcels, futures):
+                try:
+                    pid, partial, busy_ms = future.result()
+                except BrokenProcessPool as exc:
+                    raise WorkerFailure("a worker exited without reporting") from exc
+                except Exception as exc:
+                    pool.shutdown(cancel_futures=True)
+                    raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
+                partials.append(partial)
+                worker = stats.setdefault(pid, WorkerStats(0, 0.0))
+                worker.entries += len(parcel)
+                worker.wall_ms += busy_ms
+    per_worker = list(stats.values())
+    per_worker += [WorkerStats(0, 0.0) for _ in range(cfg.workers - len(per_worker))]
+    invariant = balanced_sum(partials, env.zero()) * plan.multiplier
     wall_ms = (time.perf_counter() - started) * 1000.0
     return RunReport(
         invariant=invariant,
@@ -261,5 +205,5 @@ def execute(
         workers=cfg.workers,
         parcels=len(parcels),
         wall_ms=wall_ms,
-        per_worker=stats,
+        per_worker=per_worker,
     )

@@ -15,6 +15,10 @@ value.  Canonical forms are unique, so the filled component is exactly the
 one the full computation would give; keys with equal indices on a pair are
 zero and stay absent.
 
+The connection (Christoffel symbols) is a ``TensorField`` of variance
+(u, l, l) that stores both orientations of its symmetric lower pair, so
+``gamma.component((a, b, c))`` needs no index sorting.
+
 Christoffel symbols, both stages of Riemann and the covariant derivative
 build each component as a sum of products of canonical components, and
 sum them in an ``expr.RawSum``: the products stay raw, grouped by
@@ -210,31 +214,6 @@ def _mirrored(oriented: Mapping, pairs) -> dict:
     return store
 
 
-class ChristoffelField:
-    """Connection coefficients Gamma^a_bc, symmetric in the lower pair."""
-
-    def __init__(self, env: SymbolEnv, dim: int, components: Mapping):
-        store = {}
-        for (a, b, c), value in components.items():
-            if value.is_zero:
-                continue
-            if b > c:
-                b, c = c, b
-            store[(a, b, c)] = value
-        self.env = env
-        self.dim = dim
-        self.components = store
-        self._zero = env.zero()
-
-    def component(self, a: int, b: int, c: int) -> Expr:
-        if b > c:
-            b, c = c, b
-        return self.components.get((a, b, c), self._zero)
-
-    def nnz(self) -> int:
-        return len(self.components)
-
-
 def inverse_metric(g: Metric) -> TensorField:
     """Invert the metric by Gauss-Jordan elimination over exact expressions."""
     dim, env = g.dim, g.env
@@ -276,10 +255,12 @@ def inverse_metric(g: Metric) -> TensorField:
     return TensorField(env, dim, (UPPER, UPPER), components)
 
 
-def christoffel(g: Metric) -> ChristoffelField:
+def christoffel(g: Metric) -> TensorField:
     """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc).
 
-    Each component sums the products (1/2) g^ad d_x g_yz raw, grouped by
+    Only b <= c is computed; the field stores the same value at both
+    orientations (a, b, c) and (a, c, b) of the symmetric lower pair.  Each
+    component sums the products (1/2) g^ad d_x g_yz raw, grouped by
     denominator (``expr.RawSum``).
     """
     dim, env = g.dim, g.env
@@ -303,11 +284,13 @@ def christoffel(g: Metric) -> ChristoffelField:
                     total.add_product((half, g_ad, metric_derivative(d, c, b)))
                     total.add_product((half, g_ad, metric_derivative(b, d, c)))
                     total.add_product((half, g_ad, metric_derivative(b, c, d)), -1)
-                components[(a, b, c)] = total.value()
-    return ChristoffelField(env, dim, components)
+                value = total.value()
+                components[(a, b, c)] = value
+                components[(a, c, b)] = value
+    return TensorField(env, dim, (UPPER, LOWER, LOWER), components)
 
 
-def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> TensorField:
+def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorField:
     """All-lower Riemann tensor, antisymmetric in slots (0,1) and (2,3).
 
     Built from R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
@@ -332,7 +315,7 @@ def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> Tens
             b, c = c, b
         key = (a, b, c, x)
         if key not in dgamma:
-            value = gamma.component(a, b, c)
+            value = gamma.component((a, b, c))
             dgamma[key] = None if value.is_zero else value.diff(coords[x])
         return dgamma[key]
 
@@ -349,9 +332,11 @@ def riemann_lowered(g: Metric, gamma: Optional[ChristoffelField] = None) -> Tens
                     if t2 is not None:
                         total.add_product((t2,), -1)
                     for e in range(dim):
-                        total.add_product((gamma.component(a, c, e), gamma.component(e, d, b)))
                         total.add_product(
-                            (gamma.component(a, d, e), gamma.component(e, c, b)), -1
+                            (gamma.component((a, c, e)), gamma.component((e, d, b)))
+                        )
+                        total.add_product(
+                            (gamma.component((a, d, e)), gamma.component((e, c, b))), -1
                         )
                     value = total.value()
                     if not value.is_zero:
@@ -474,7 +459,7 @@ def lower_index(
     return _contract_slot(t, slot, g.rows(), LOWER, counter)
 
 
-def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField:
+def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
     """Append one lower derivative slot: nabla_e T_... = d_e T_... - sum of
     Gamma^f_{e i_s} T_{..f..} over the original slots.
 
@@ -509,7 +494,7 @@ def covariant_derivative(t: TensorField, gamma: ChristoffelField) -> TensorField
             targets = [i for i in range(dim) if _oriented(prefix + (i,) + suffix, pairs)]
             for e in range(dim):
                 for i in targets:
-                    w = gamma.component(f, e, i)
+                    w = gamma.component((f, e, i))
                     if not w.is_zero:
                         add(prefix + (i,) + suffix + (e,), (w, value), -1)
     accumulated = {key: total.value() for key, total in sums.items()}

@@ -197,7 +197,7 @@ def full_covariant_derivative(t, gamma):
             prefix, suffix = key[:s], key[s + 1 :]
             for e in range(dim):
                 for i in range(dim):
-                    w = gamma.component(f, e, i)
+                    w = gamma.component((f, e, i))
                     if w.is_zero:
                         continue
                     add(prefix + (i,) + suffix + (e,), -(w * value))

@@ -94,6 +94,25 @@ class TestArith:
         with pytest.raises(DivisionByZeroExpression):
             trig_env.one() / trig_env.zero()
 
+    def test_zero_operand_skips_make(self, trig_env, monkeypatch):
+        r, mu, c = trig_env.symbol("r"), trig_env.symbol("mu"), trig_env.cos("theta")
+        x = mu * (r - c) / (r ** 2 + c ** 2)
+        zero = trig_env.zero()
+        calls = []
+        real = Expr.make.__func__
+
+        def counting(cls, env, num, den):
+            calls.append(1)
+            return real(cls, env, num, den)
+
+        monkeypatch.setattr(Expr, "make", classmethod(counting))
+        assert zero + x == x
+        assert x + zero == x
+        assert x - zero == x
+        assert zero - x == -x
+        assert zero + zero == zero and zero - zero == zero
+        assert calls == []
+
 
 class TestDiff:
     def test_power_rule(self, trig_env):

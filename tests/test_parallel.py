@@ -1,3 +1,4 @@
+import multiprocessing as mp
 import os
 
 import pytest
@@ -20,6 +21,13 @@ from oracles import sequential_oracle
 KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 I_B = "R(+a,+b,+c,+d) R(+e,+f,-a,-b) R(-c,-d,-e,-f)"
 I_C = "R(+a,+b,+c,+d;+e) R(-a,-b,-c,-d;-e)"
+
+
+@pytest.fixture(autouse=True)
+def no_stray_workers():
+    """A run, successful or failed, must leave no worker process behind."""
+    yield
+    assert mp.active_children() == []
 
 
 def _plan_for(metric, text):
@@ -46,8 +54,6 @@ class TestRunConfig:
             RunConfig(workers=0)
         with pytest.raises(ValueError):
             RunConfig(parcels_per_worker=0)
-        with pytest.raises(ValueError):
-            RunConfig(simplify_cadence="sometimes")
 
     def test_workers_capped(self):
         # Validation only: an over-cap count must never reach a pool.
@@ -109,32 +115,22 @@ class TestExecute:
                     RunConfig(workers=workers, parcels_per_worker=parcels),
                 )
                 expressions.add(report.expression)
+                assert len(report.per_worker) == workers
                 assert sum(w.entries for w in report.per_worker) == plan.product_count
         assert len(expressions) == 1
 
-    def test_cadences_agree(self, s3):
-        spec, tensors, plan, _ = _plan_for(s3, I_B)
-        per_parcel = execute(
-            plan, spec, tensors, RunConfig(workers=2, simplify_cadence="per-parcel")
-        )
-        per_entry = execute(
-            plan, spec, tensors, RunConfig(workers=2, simplify_cadence="per-entry")
-        )
-        assert per_parcel.expression == per_entry.expression
-
     def test_grouped_and_canonical_cadences_match_oracle(self, s3, schwarzschild4):
-        # per-parcel groups raw products by denominator, per-entry
-        # canonicalises each product, the oracle adds them one at a time
+        # parcels group raw products by denominator; the oracle
+        # canonicalises each product and adds them one at a time
         for g, text in ((s3, I_B), (schwarzschild4, I_C)):
             spec, tensors, plan, _ = _plan_for(g, text)
             oracle = sequential_oracle(plan, spec, tensors)
             assert not oracle.is_zero
-            for cadence in ("per-parcel", "per-entry"):
-                cfg = RunConfig(workers=2, parcels_per_worker=3, simplify_cadence=cadence)
-                report = execute(plan, spec, tensors, cfg)
-                assert report.parcels == min(6, plan.product_count)
-                assert report.invariant == oracle
-                assert report.expression == str(oracle)
+            cfg = RunConfig(workers=2, parcels_per_worker=3)
+            report = execute(plan, spec, tensors, cfg)
+            assert report.parcels == min(6, plan.product_count)
+            assert report.invariant == oracle
+            assert report.expression == str(oracle)
 
     def test_matches_sequential_oracle(self, s2, s3):
         for g, text in ((s2, KRETSCHMANN), (s3, KRETSCHMANN), (s3, I_B)):
@@ -176,7 +172,7 @@ class TestExecute:
             dim=plan.dim,
             label_count=plan.label_count,
         )
-        with pytest.raises(WorkerFailure):
+        with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
 
     def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
