@@ -22,9 +22,8 @@ from .expr import (
     SymbolicError,
     UnknownSymbolError,
     balanced_sum,
-    normalize,
 )
-from .metrics import KerrParams, flat, kerr, metric_by_name, sphere_metric
+from .metrics import flat, kerr, metric_by_name, sphere_metric
 from .parallel import (
     Parcel,
     RunConfig,
@@ -44,9 +43,7 @@ from .tensor import (
     christoffel,
     covariant_derivative,
     inverse_metric,
-    lower_index,
     raise_index,
-    riemann_independent_nonzero_count,
     riemann_lowered,
 )
 

@@ -45,8 +45,6 @@ PRESETS = {
     "I_2": "R(+a,+b,+c,+d) R(-a,-e,-f,-g) R(+e,+f,-b,-h) R(+g,+h,-c,-d)",
 }
 
-LARGE_PRESETS = {"I_1"}
-
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--metric", required=True, choices=sorted(METRIC_BUILDERS))
@@ -76,11 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--parcels", type=int, default=1, help="parcels per worker")
-    run_p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit presets with very large worst-case product counts",
-    )
 
     count_p = sub.add_parser("count", help="product-count analysis only")
     _add_common(count_p)
@@ -114,12 +107,6 @@ def _spec_text(args) -> str:
 
 def _cmd_run(args) -> int:
     spec_text = _spec_text(args)
-    if args.invariant in LARGE_PRESETS and not args.allow_large:
-        print(
-            "error: preset %s is gated; rerun with --allow-large" % args.invariant,
-            file=sys.stderr,
-        )
-        return 2
     spec = parse_spec(spec_text)
     if spec.free_labels:
         print(

@@ -60,9 +60,6 @@ class InvariantSpec:
     def label_count(self) -> int:
         return len(self.label_names)
 
-    def label_id(self, name: str) -> int:
-        return self.label_names.index(name)
-
     def factor_label_ids(self) -> list:
         index = {name: i for i, name in enumerate(self.label_names)}
         return [tuple(index[name] for name in f.labels) for f in self.factors]
@@ -195,10 +192,11 @@ class ContractionPlan:
 
     sum_index_array: tuple
     multiplier: int
-    abbreviated_pairs: frozenset
-    product_count: int
     dim: int
-    label_count: int
+
+    @property
+    def product_count(self) -> int:
+        return len(self.sum_index_array)
 
 
 def _check_tensors(spec: InvariantSpec, tensors, dim: int):
@@ -277,10 +275,7 @@ def enumerate_indices(spec: InvariantSpec, tensors, dim: int) -> ContractionPlan
     return ContractionPlan(
         sum_index_array=tuple(entries),
         multiplier=multiplier,
-        abbreviated_pairs=abbreviated,
-        product_count=len(entries),
         dim=dim,
-        label_count=spec.label_count,
     )
 
 

@@ -41,10 +41,11 @@ so most GCDs are never run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from sympy import Symbol
 from sympy.polys.domains import ZZ
@@ -313,19 +314,7 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return -other
-        if self.den == other.den:
-            if self.den == self.env.ring.one:
-                return Expr(self.env, self.num - other.num, self.den)
-            return Expr.make(self.env, self.num - other.num, self.den)
-        return Expr.make(
-            self.env,
-            self.num * other.den - other.num * self.den,
-            self.den * other.den,
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -494,19 +483,11 @@ def _subst_poly(R, p, gi: int, value: Fraction):
         stripped[gi] = 0
         key = tuple(stripped)
         acc[key] = acc.get(key, Fraction(0)) + int(coeff) * value ** e
-    denom = 1
-    for q in acc.values():
-        denom = denom * q.denominator // _gcd(denom, q.denominator)
+    denom = math.lcm(*(q.denominator for q in acc.values()))
     cleared = {
         m: int(q * denom) for m, q in acc.items() if q != 0
     }
     return R.from_dict(cleared), denom
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _format_poly(env: SymbolEnv, p) -> str:
@@ -533,58 +514,6 @@ def _format_poly(env: SymbolEnv, p) -> str:
         else:
             parts.append((" + " if c > 0 else " - ") + body)
     return "".join(parts)
-
-
-Tree = Union[int, str, tuple, Expr]
-
-
-def normalize(env: SymbolEnv, tree: Tree) -> Expr:
-    """Canonicalize a raw expression tree.
-
-    A tree is an integer, a symbol name (``"r"``, ``"sin(theta)"``), an
-    already-canonical :class:`Expr`, or a tuple ``(op, *args)`` with op one
-    of ``+ - * / ** neg``.  Equal inputs (as rational functions modulo the
-    Pythagorean identity) normalize to identical values; the map is
-    idempotent.
-    """
-    if isinstance(tree, Expr):
-        if tree.env != env:
-            raise UnknownSymbolError("expression belongs to a different environment")
-        return tree
-    if isinstance(tree, int):
-        return env.integer(tree)
-    if isinstance(tree, str):
-        return env.symbol(tree)
-    if isinstance(tree, tuple) and tree:
-        op = tree[0]
-        if op == "**":
-            if len(tree) != 3 or not isinstance(tree[2], int):
-                raise SymbolicError("power needs an integer exponent: %r" % (tree,))
-            return normalize(env, tree[1]) ** tree[2]
-        args = [normalize(env, a) for a in tree[1:]]
-        if op == "+":
-            out = env.zero()
-            for a in args:
-                out = out + a
-            return out
-        if op == "-":
-            if len(args) == 1:
-                return -args[0]
-            out = args[0]
-            for a in args[1:]:
-                out = out - a
-            return out
-        if op == "neg" and len(args) == 1:
-            return -args[0]
-        if op == "*":
-            out = env.one()
-            for a in args:
-                out = out * a
-            return out
-        if op == "/" and len(args) == 2:
-            return args[0] / args[1]
-        raise SymbolicError("malformed expression node %r" % (tree,))
-    raise SymbolicError("unsupported expression leaf %r" % (tree,))
 
 
 class RawSum:

@@ -3,19 +3,8 @@ Kerr family in arbitrary dimension D >= 4."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import SymbolEnv
 from .tensor import Metric, TensorError
-
-
-@dataclass(frozen=True)
-class KerrParams:
-    """Dimension and symbol names for the rotating black-hole family."""
-
-    dim: int
-    spin: str = "a"
-    mass: str = "mu"
 
 
 def flat(dim: int) -> Metric:
@@ -51,16 +40,15 @@ def sphere_metric(n: int) -> Metric:
     return Metric(env, n, components)
 
 
-def kerr(params: KerrParams) -> Metric:
+def kerr(dim: int) -> Metric:
     """Single-rotation Kerr metric in D dimensions.
 
     Coordinates are (t, r, theta, phi, chi_1, ..., chi_{D-4}); the sphere
-    block r**2 cos(theta)**2 dOmega**2 is absent at D=4.  With the mass
-    and spin parameters the metric depends on exactly D-1 symbols: r,
-    theta, the two parameters, and the D-5 polar angles of the sphere
-    block (the azimuthal chi_1 never appears explicitly).
+    block r**2 cos(theta)**2 dOmega**2 is absent at D=4.  With the spin a
+    and mass mu as parameters the metric depends on exactly D-1 symbols:
+    r, theta, a, mu, and the D-5 polar angles of the sphere block (the
+    azimuthal chi_1 never appears explicitly).
     """
-    dim = params.dim
     if dim < 4:
         raise TensorError("rotating metric needs dim >= 4")
     nchi = dim - 4
@@ -68,12 +56,12 @@ def kerr(params: KerrParams) -> Metric:
     trig = {"theta"} | {"chi%d" % k for k in range(2, nchi + 1)}
     env = SymbolEnv(
         coordinates=coords,
-        parameters=(params.spin, params.mass),
+        parameters=("a", "mu"),
         trig_pairs=frozenset(trig),
     )
     r = env.symbol("r")
-    a = env.symbol(params.spin)
-    mu = env.symbol(params.mass)
+    a = env.symbol("a")
+    mu = env.symbol("mu")
     cos_theta = env.cos("theta")
     sin2 = env.one() - cos_theta ** 2
     rho2 = r ** 2 + a ** 2 * cos_theta ** 2
@@ -99,9 +87,9 @@ def kerr(params: KerrParams) -> Metric:
 
 
 METRIC_BUILDERS = {
-    "flat": lambda dim: flat(dim),
-    "sphere": lambda dim: sphere_metric(dim),
-    "kerr": lambda dim: kerr(KerrParams(dim)),
+    "flat": flat,
+    "sphere": sphere_metric,
+    "kerr": kerr,
 }
 
 

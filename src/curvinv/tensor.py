@@ -1,19 +1,20 @@
 """Metric geometry: inverse metric, Christoffel symbols, Riemann tensor,
-index raising/lowering, and covariant derivatives over sparse component
-stores.
+index raising, and covariant derivatives over sparse component stores.
 
 Component stores map full index tuples to canonical nonzero expressions;
 an absent key means the component is identically zero.  Fields are
 immutable once built and safe to share across worker processes.
 
-A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) whose index
-swap negates the component; the constructor rejects a store that breaks
-them.  Raising, lowering and the covariant derivative use them to save
-work: they compute only the output keys oriented on every antisymmetric
-pair, ``key[p] < key[p+1]``, and fill each swapped key with the negated
-value.  Canonical forms are unique, so the filled component is exactly the
-one the full computation would give; keys with equal indices on a pair are
-zero and stay absent.
+A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) on which the
+tensor is antisymmetric.  Whether swapping a pair's indices negates a
+component follows from the variance alone: it does when both slots share
+a variance, and those pairs are the field's ``oriented_pairs``.  The
+constructor rejects a store that breaks them.  Raising and the covariant
+derivative use them to save work: they compute only the output keys
+oriented on every such pair, ``key[p] < key[p+1]``, and fill each swapped
+key with the negated value.  Canonical forms are unique, so the filled
+component is exactly the one the full computation would give; keys with
+equal indices on a pair are zero and stay absent.
 
 The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
@@ -24,13 +25,13 @@ build each component as a sum of products of canonical components, and
 sum them in an ``expr.RawSum``: the products stay raw, grouped by
 denominator, and each group is canonicalised once.  The component is the
 same canonical expression that summing canonical products gives.  Raising
-and lowering keep summing canonical products (see ``_contract_slot``).
+keeps summing canonical products (see ``raise_index``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .expr import Expr, RawSum, SymbolEnv
 
@@ -88,9 +89,6 @@ class Metric:
         """Sparse rows: rows()[a] lists (b, g_ab) for nonzero entries."""
         return _rows(self.dim, self.components)
 
-    def as_field(self) -> "TensorField":
-        return TensorField(self.env, self.dim, (LOWER, LOWER), dict(self.components))
-
     def inverse(self) -> "TensorField":
         if self._inverse is None:
             self._inverse = inverse_metric(self)
@@ -117,13 +115,15 @@ class Metric:
 class TensorField:
     """Sparse rank-k field with per-slot variance and antisymmetry metadata.
 
-    ``antisym_pairs`` lists adjacent slot pairs (p, p+1) whose index swap
-    negates the component; the metadata is only meaningful while both slots
-    share the same variance, so raising a single slot of a pair parks it in
-    ``mixed_pairs`` until its partner is raised too.  Pairs must be in range
-    and disjoint, and every stored key must have distinct indices on each
-    antisymmetric pair and its swapped key stored with the negated value:
-    operations trust the metadata to fill components they do not compute.
+    ``antisym_pairs`` lists adjacent slot pairs (p, p+1) on which the tensor
+    is antisymmetric; pairs must be in range and disjoint.  Its
+    ``oriented_pairs`` are the subset whose two slots share a variance,
+    where an index swap negates the component.  A pair with one upper and
+    one lower slot has no such rule (T^a_b is not -T^b_a), and becomes
+    oriented again once its other slot is raised too.  Every stored key
+    must have distinct indices on each oriented pair and its swapped key
+    stored with the negated value: operations trust the metadata to fill
+    components they do not compute.
     """
 
     def __init__(
@@ -133,7 +133,6 @@ class TensorField:
         variance: tuple,
         components: Mapping,
         antisym_pairs: frozenset = frozenset(),
-        mixed_pairs: frozenset = frozenset(),
     ):
         rank = len(variance)
         for v in variance:
@@ -148,14 +147,13 @@ class TensorField:
             if value.is_zero:
                 continue
             store[key] = value
-        _check_pairs(rank, antisym_pairs, mixed_pairs, store)
         self.env = env
         self.dim = dim
         self.rank = rank
         self.variance = tuple(variance)
         self.components = store
         self.antisym_pairs = frozenset(antisym_pairs)
-        self.mixed_pairs = frozenset(mixed_pairs)
+        self.oriented_pairs = _check_pairs(self.variance, self.antisym_pairs, store)
         self._zero = env.zero()
 
     def component(self, key: tuple) -> Expr:
@@ -167,13 +165,13 @@ class TensorField:
     def items(self):
         return self.components.items()
 
-    def same_components(self, other: "TensorField") -> bool:
-        return self.components == other.components
 
-
-def _check_pairs(rank: int, antisym_pairs, mixed_pairs, store: Mapping):
+def _check_pairs(variance: tuple, antisym_pairs, store: Mapping) -> frozenset:
+    """The oriented pairs of ``antisym_pairs``, once the pairs are found in
+    range and disjoint and the store honours the oriented ones."""
+    rank = len(variance)
     seen = set()
-    for pair in list(antisym_pairs) + list(mixed_pairs):
+    for pair in antisym_pairs:
         p, q = pair
         if q != p + 1 or not 0 <= p or q >= rank or seen & {p, q}:
             raise TensorError(
@@ -181,7 +179,8 @@ def _check_pairs(rank: int, antisym_pairs, mixed_pairs, store: Mapping):
                 % (pair, rank)
             )
         seen.update(pair)
-    for p, q in antisym_pairs:
+    oriented = _same_variance(antisym_pairs, variance)
+    for p, q in oriented:
         for key, value in store.items():
             if key[p] == key[q]:
                 raise TensorError(
@@ -194,6 +193,11 @@ def _check_pairs(rank: int, antisym_pairs, mixed_pairs, store: Mapping):
                     "component %r is not minus its swap on antisymmetric pair %r"
                     % (key, (p, q))
                 )
+    return oriented
+
+
+def _same_variance(pairs, variance: tuple) -> frozenset:
+    return frozenset((p, q) for p, q in pairs if variance[p] == variance[q])
 
 
 def _swapped(key: tuple, p: int) -> tuple:
@@ -205,8 +209,8 @@ def _oriented(key: tuple, pairs) -> bool:
 
 
 def _mirrored(oriented: Mapping, pairs) -> dict:
-    """Full store from the components at oriented keys: each antisymmetric
-    pair in turn adds the swapped key of every key so far, negated."""
+    """Full store from the components at oriented keys: each oriented pair
+    in turn adds the swapped key of every key so far, negated."""
     store = dict(oriented)
     for p, _ in pairs:
         for key, value in list(store.items()):
@@ -367,61 +371,6 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
     )
 
 
-def _repaired_pairs(field: TensorField, slot: int, new_variance: tuple):
-    antisym = set()
-    mixed = set()
-    for pair in field.antisym_pairs | field.mixed_pairs:
-        if slot in pair:
-            if new_variance[pair[0]] == new_variance[pair[1]]:
-                antisym.add(pair)
-            else:
-                mixed.add(pair)
-        elif pair in field.antisym_pairs:
-            antisym.add(pair)
-        else:
-            mixed.add(pair)
-    return frozenset(antisym), frozenset(mixed)
-
-
-def _contract_slot(field, slot, rows, new_char, counter):
-    """Contract ``slot`` with a metric's sparse ``rows``, summing canonical
-    products.
-
-    Unlike the other builders, this does not group raw products by
-    denominator (``expr.RawSum``): a raised component sums only a few
-    products, one per metric row entry, so there are few GCDs to save.
-    Grouped raising, timed on a 2-vCPU VM over three alternating runs of
-    the raisings of Kerr D=4 I_b at a=1 and S^6 I_2, was neutral on Kerr
-    (0.47-0.74 s canonical, 0.45-0.65 s grouped) and slower on S^6
-    (0.15-0.24 s canonical, 0.19-0.26 s grouped).
-    """
-    variance = list(field.variance)
-    variance[slot] = new_char
-    variance = tuple(variance)
-    antisym, mixed = _repaired_pairs(field, slot, variance)
-    accumulated = {}
-    for key, value in field.components.items():
-        e = key[slot]
-        if counter is not None:
-            counter.mults += len(rows[e])
-        prefix, suffix = key[:slot], key[slot + 1 :]
-        for k, weight in rows[e]:
-            out_key = prefix + (k,) + suffix
-            if not _oriented(out_key, antisym):
-                continue
-            product = weight * value
-            prior = accumulated.get(out_key)
-            accumulated[out_key] = product if prior is None else prior + product
-    return TensorField(
-        field.env,
-        field.dim,
-        variance,
-        _mirrored(accumulated, antisym),
-        antisym_pairs=antisym,
-        mixed_pairs=mixed,
-    )
-
-
 def _rows(dim: int, components: Mapping) -> list:
     """Sparse rows of a rank-2 store: rows[a] lists (b, value) by b."""
     rows = [[] for _ in range(dim)]
@@ -433,30 +382,51 @@ def _rows(dim: int, components: Mapping) -> list:
 def raise_index(
     t: TensorField, slot: int, g_inv: TensorField, counter: Optional[OpCounter] = None
 ) -> TensorField:
-    """Contract slot with the inverse metric, flipping it to upper variance.
+    """Contract ``slot`` with the inverse metric, flipping it to upper
+    variance.  The output keeps the input's antisymmetric pairs.
 
-    Only output keys oriented on the output's antisymmetric pairs are
-    computed; their swapped keys are filled by negation.  ``counter`` still
-    tallies every product of two nonzero components of the literal raising,
-    one per stored component and inverse-metric row entry, computed or
-    filled; the tally feeds the run statistic that also counts the
-    enumerated sum products.
+    Only output keys oriented on the output's oriented pairs are computed;
+    their swapped keys are filled by negation.  ``counter`` still tallies
+    every product of two nonzero components of the literal raising, one per
+    stored component and inverse-metric row entry, computed or filled; the
+    tally feeds the run statistic that also counts the enumerated sum
+    products.
+
+    Unlike the other builders, this sums canonical products rather than
+    grouping raw products by denominator (``expr.RawSum``): a raised
+    component sums only a few products, one per metric row entry, so there
+    are few GCDs to save.  Grouped raising, timed on a 2-vCPU VM over three
+    alternating runs of the raisings of Kerr D=4 I_b at a=1 and S^6 I_2, was
+    neutral on Kerr (0.47-0.74 s canonical, 0.45-0.65 s grouped) and slower
+    on S^6 (0.15-0.24 s canonical, 0.19-0.26 s grouped).
     """
     if not 0 <= slot < t.rank:
         raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
     if t.variance[slot] != LOWER:
         raise TensorError("slot %d is already upper" % slot)
-    return _contract_slot(t, slot, _rows(g_inv.dim, g_inv.components), UPPER, counter)
-
-
-def lower_index(
-    t: TensorField, slot: int, g: Metric, counter: Optional[OpCounter] = None
-) -> TensorField:
-    if not 0 <= slot < t.rank:
-        raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
-    if t.variance[slot] != UPPER:
-        raise TensorError("slot %d is already lower" % slot)
-    return _contract_slot(t, slot, g.rows(), LOWER, counter)
+    variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
+    oriented = _same_variance(t.antisym_pairs, variance)
+    rows = _rows(g_inv.dim, g_inv.components)
+    accumulated = {}
+    for key, value in t.components.items():
+        e = key[slot]
+        if counter is not None:
+            counter.mults += len(rows[e])
+        prefix, suffix = key[:slot], key[slot + 1 :]
+        for k, weight in rows[e]:
+            out_key = prefix + (k,) + suffix
+            if not _oriented(out_key, oriented):
+                continue
+            product = weight * value
+            prior = accumulated.get(out_key)
+            accumulated[out_key] = product if prior is None else prior + product
+    return TensorField(
+        t.env,
+        t.dim,
+        variance,
+        _mirrored(accumulated, oriented),
+        antisym_pairs=t.antisym_pairs,
+    )
 
 
 def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
@@ -464,18 +434,18 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
     Gamma^f_{e i_s} T_{..f..} over the original slots.
 
     Requires an all-lower input; raising is deferred until all derivatives
-    are taken.  The output keeps the input's antisymmetric pairs, so only
-    keys oriented on them are computed: partial derivatives of oriented
-    components, and connection terms whose target key is oriented.  The
-    swapped keys are filled by negation.  Each output component sums its
-    partial derivative and connection products raw, grouped by denominator
-    (``expr.RawSum``).
+    are taken, so every antisymmetric pair of the input is oriented.  The
+    output keeps those pairs, and only keys oriented on them are computed:
+    partial derivatives of oriented components, and connection terms whose
+    target key is oriented.  The swapped keys are filled by negation.  Each
+    output component sums its partial derivative and connection products
+    raw, grouped by denominator (``expr.RawSum``).
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")
     dim, env = t.dim, t.env
     coords = env.coordinates
-    pairs = t.antisym_pairs
+    pairs = t.oriented_pairs
     sums = {}
 
     def add(key, values, sign=1):
@@ -503,16 +473,5 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
         dim,
         t.variance + (LOWER,),
         _mirrored(accumulated, pairs),
-        antisym_pairs=pairs,
+        antisym_pairs=t.antisym_pairs,
     )
-
-
-def riemann_independent_nonzero_count(field: TensorField) -> int:
-    """Number of distinct nonzero components modulo the pair antisymmetries
-    and the pair-exchange symmetry."""
-    reps = set()
-    for a, b, c, d in field.components:
-        p = (a, b) if a <= b else (b, a)
-        q = (c, d) if c <= d else (d, c)
-        reps.add((p, q) if p <= q else (q, p))
-    return len(reps)

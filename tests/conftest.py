@@ -1,22 +1,12 @@
-import os
 import signal
 from contextlib import contextmanager
 
 import pytest
 
 from curvinv.expr import SymbolEnv
-from curvinv.metrics import KerrParams, flat, kerr, sphere_metric
+from curvinv.metrics import kerr, sphere_metric
 from curvinv.pipeline import _lowered_field
 from curvinv.tensor import Metric
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("CURVINV_STRETCH"):
-        return
-    skip = pytest.mark.skip(reason="stretch check; set CURVINV_STRETCH=1 to run")
-    for item in items:
-        if "stretch" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")
@@ -31,13 +21,13 @@ def s3():
 
 @pytest.fixture(scope="session")
 def kerr4():
-    return kerr(KerrParams(4))
+    return kerr(4)
 
 
 @pytest.fixture(scope="session")
 def schwarzschild4():
     """Kerr D=4 at a=0: a diagonal metric whose nabla R is nonzero."""
-    return kerr(KerrParams(4)).substitute("a", 0)
+    return kerr(4).substitute("a", 0)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ it walks all D**n assignments too, but applies the production abbreviation
 filter, so its output is the reference for the production sparse join
 entry for entry.  Products are formed canonically, one ``*`` and one ``+``
 at a time, as the reference for the production sums that group raw
-products by denominator.
+products by denominator.  ``normalize`` and
+``riemann_independent_nonzero_count`` are helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ import random
 from fractions import Fraction
 
 from curvinv.contraction import detect_abbreviable_pairs
-from curvinv.expr import Expr, SymbolEnv, balanced_sum
-from curvinv.tensor import LOWER, Metric, TensorField, _repaired_pairs
+from curvinv.expr import (
+    Expr,
+    SymbolEnv,
+    SymbolicError,
+    UnknownSymbolError,
+    balanced_sum,
+)
+from curvinv.tensor import LOWER, Metric, TensorField
 
 
 def adjugate_inverse(g: Metric):
@@ -150,8 +157,10 @@ def _lookup(grid, key):
 
 
 def full_contract_slot(field, slot, rows, new_char, counter):
-    """``tensor._contract_slot`` forming every product at every output key,
-    each one tallied on ``counter``."""
+    """``tensor.raise_index`` forming every product at every output key,
+    each one tallied on ``counter``.  ``rows`` are a metric's sparse rows
+    and ``new_char`` the slot's new variance, so with the metric's own rows
+    and ``LOWER`` it lowers the slot."""
     accumulated = {}
     for key, value in field.components.items():
         e = key[slot]
@@ -163,17 +172,9 @@ def full_contract_slot(field, slot, rows, new_char, counter):
                 counter.mults += 1
             prior = accumulated.get(out_key)
             accumulated[out_key] = product if prior is None else prior + product
-    variance = list(field.variance)
-    variance[slot] = new_char
-    variance = tuple(variance)
-    antisym, mixed = _repaired_pairs(field, slot, variance)
+    variance = field.variance[:slot] + (new_char,) + field.variance[slot + 1 :]
     return TensorField(
-        field.env,
-        field.dim,
-        variance,
-        accumulated,
-        antisym_pairs=antisym,
-        mixed_pairs=mixed,
+        field.env, field.dim, variance, accumulated, antisym_pairs=field.antisym_pairs
     )
 
 
@@ -210,6 +211,66 @@ def full_covariant_derivative(t, gamma):
         accumulated,
         antisym_pairs=t.antisym_pairs,
     )
+
+
+def normalize(env: SymbolEnv, tree) -> Expr:
+    """Canonicalize a raw expression tree.
+
+    A tree is an integer, a symbol name (``"r"``, ``"sin(theta)"``), an
+    already-canonical :class:`Expr`, or a tuple ``(op, *args)`` with op one
+    of ``+ - * / ** neg``.  Equal inputs (as rational functions modulo the
+    Pythagorean identity) normalize to identical values; the map is
+    idempotent.
+    """
+    if isinstance(tree, Expr):
+        if tree.env != env:
+            raise UnknownSymbolError("expression belongs to a different environment")
+        return tree
+    if isinstance(tree, int):
+        return env.integer(tree)
+    if isinstance(tree, str):
+        return env.symbol(tree)
+    if isinstance(tree, tuple) and tree:
+        op = tree[0]
+        if op == "**":
+            if len(tree) != 3 or not isinstance(tree[2], int):
+                raise SymbolicError("power needs an integer exponent: %r" % (tree,))
+            return normalize(env, tree[1]) ** tree[2]
+        args = [normalize(env, a) for a in tree[1:]]
+        if op == "+":
+            out = env.zero()
+            for a in args:
+                out = out + a
+            return out
+        if op == "-":
+            if len(args) == 1:
+                return -args[0]
+            out = args[0]
+            for a in args[1:]:
+                out = out - a
+            return out
+        if op == "neg" and len(args) == 1:
+            return -args[0]
+        if op == "*":
+            out = env.one()
+            for a in args:
+                out = out * a
+            return out
+        if op == "/" and len(args) == 2:
+            return args[0] / args[1]
+        raise SymbolicError("malformed expression node %r" % (tree,))
+    raise SymbolicError("unsupported expression leaf %r" % (tree,))
+
+
+def riemann_independent_nonzero_count(field: TensorField) -> int:
+    """Number of distinct nonzero components modulo the pair antisymmetries
+    and the pair-exchange symmetry."""
+    reps = set()
+    for a, b, c, d in field.components:
+        p = (a, b) if a <= b else (b, a)
+        q = (c, d) if c <= d else (d, c)
+        reps.add((p, q) if p <= q else (q, p))
+    return len(reps)
 
 
 def field_to_grid(field, env: SymbolEnv):

@@ -74,12 +74,13 @@ class TestRun:
             outputs.add(json.loads(out)["expression"])
         assert len(outputs) == 1
 
-    def test_large_preset_gated(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--metric", "kerr", "--dim", "4", "--invariant", "I_1"
-        )
-        assert code == 2
-        assert "allow-large" in err
+    def test_i1_preset_not_gated(self, capsys, deadline):
+        with deadline(5):
+            code, out, _ = run_cli(
+                capsys, "run", "--metric", "flat", "--dim", "4", "--invariant", "I_1"
+            )
+        assert code == 0
+        assert "invariant: 0" in out
 
     def test_custom_spec(self, capsys):
         code, out, _ = run_cli(

@@ -15,11 +15,10 @@ from curvinv.expr import (
     _clear_sines_from_denominator,
     _sine_reduce,
     balanced_sum,
-    normalize,
 )
 from curvinv.pipeline import run_invariant
 
-from oracles import agree_at_random_points
+from oracles import agree_at_random_points, normalize
 
 
 def test_env_rejects_duplicate_names():

@@ -1,6 +1,6 @@
 import pytest
 
-from curvinv.metrics import KerrParams, flat, kerr, metric_by_name, sphere_metric
+from curvinv.metrics import flat, kerr, metric_by_name, sphere_metric
 from curvinv.pipeline import run_invariant
 from curvinv.tensor import TensorError, riemann_lowered
 
@@ -53,7 +53,7 @@ class TestSphere:
 class TestKerr:
     def test_rejects_dim_below_four(self):
         with pytest.raises(TensorError):
-            kerr(KerrParams(3))
+            kerr(3)
 
     def test_d4_has_no_sphere_block(self, kerr4):
         assert kerr4.env.coordinates == ("t", "r", "theta", "phi")
@@ -77,7 +77,7 @@ class TestKerr:
 
     def test_cross_term_is_only_off_diagonal(self, kerr4):
         for dim in (4, 6):
-            g = kerr4 if dim == 4 else kerr(KerrParams(6))
+            g = kerr4 if dim == 4 else kerr(6)
             for (a, b), value in g.components.items():
                 if a != b:
                     assert {a, b} == {0, 3}
@@ -104,19 +104,19 @@ class TestKerr:
         # r, theta, spin, mass plus the D-5 polar angles: D-1 variables
         # once polar angles exist (D >= 5); at D=4 all four base symbols
         # appear with no angles to drop.
-        assert self._variables_used(kerr(KerrParams(4))) == {"r", "theta", "a", "mu"}
+        assert self._variables_used(kerr(4)) == {"r", "theta", "a", "mu"}
         for dim in (5, 6, 8):
-            assert len(self._variables_used(kerr(KerrParams(dim)))) == dim - 1
+            assert len(self._variables_used(kerr(dim))) == dim - 1
 
     def test_d5_metric_symbols(self):
-        g = kerr(KerrParams(5))
+        g = kerr(5)
         assert g.env.coordinates == ("t", "r", "theta", "phi", "chi1")
         # chi1 carries no trig pair and never appears in a component
         assert "chi1" not in g.env.trig_pairs
         assert self._variables_used(g) == {"r", "theta", "a", "mu"}
 
     def test_sphere_block_prefactor(self):
-        g = kerr(KerrParams(6))
+        g = kerr(6)
         env = g.env
         r, c = env.symbol("r"), env.cos("theta")
         block = r ** 2 * c ** 2

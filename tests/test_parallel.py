@@ -41,10 +41,7 @@ def _dummy_plan(n):
     return ContractionPlan(
         sum_index_array=tuple((i,) for i in range(n)),
         multiplier=1,
-        abbreviated_pairs=frozenset(),
-        product_count=n,
         dim=2,
-        label_count=1,
     )
 
 
@@ -167,10 +164,7 @@ class TestExecute:
         poisoned = ContractionPlan(
             sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
             multiplier=plan.multiplier,
-            abbreviated_pairs=plan.abbreviated_pairs,
-            product_count=plan.product_count + 1,
             dim=plan.dim,
-            label_count=plan.label_count,
         )
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=2))

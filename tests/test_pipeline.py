@@ -3,7 +3,7 @@ import pytest
 from curvinv import pipeline, tensor
 from curvinv.cli import PRESETS
 from curvinv.expr import SymbolEnv
-from curvinv.metrics import KerrParams, kerr, sphere_metric
+from curvinv.metrics import kerr, sphere_metric
 from curvinv.parallel import RunConfig
 from curvinv.tensor import Metric
 
@@ -42,7 +42,7 @@ def test_schwarzschild_ic_closed_form(schwarzschild4):
 def test_tangherlini_kretschmann_closed_form(dim):
     # (D-1)(D-2)^2(D-3) mu^2 / r^(2(D-1)) for f = 1 - mu/r^(D-3)
     # (Tangherlini 1963; e.g. Emparan and Reall, Living Rev. Rel. 11, 6, 2008)
-    g = kerr(KerrParams(dim)).substitute("a", 0)
+    g = kerr(dim).substitute("a", 0)
     env = g.env
     r, mu = env.symbol("r"), env.symbol("mu")
     expected = (dim - 1) * (dim - 2) ** 2 * (dim - 3) * mu ** 2 / r ** (2 * (dim - 1))
