@@ -36,7 +36,6 @@ from .parallel import (
 from .pipeline import build_factor_tensors, run_invariant
 from .tensor import (
     Metric,
-    OpCounter,
     SingularMetricError,
     TensorError,
     TensorField,

@@ -6,7 +6,8 @@ Two subcommands share the metric/invariant selection flags:
     curvinv count --metric kerr --dim 4 --invariant I_1 --enumerate
 
 ``run`` executes the full pipeline and prints the canonical invariant with
-its statistics; ``count`` prints the analytic worst-case product count and
+its statistics; ``count`` builds the metric, so it rejects the inputs
+``run`` rejects, and prints the analytic worst-case product count and
 related figures without evaluating anything (unless --enumerate asks for
 the realized assignment count).
 """
@@ -138,6 +139,10 @@ def _cmd_run(args) -> int:
 def _cmd_count(args) -> int:
     spec_text = _spec_text(args)
     spec = parse_spec(spec_text)
+    # Built even without --enumerate, so count rejects the inputs run does.
+    metric = metric_with_substitutions(
+        args.metric, args.dim, _parse_substitutions(args.substitutions)
+    )
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     factor = pair_exchange_reduction_factor(args.dim)
     payload = {
@@ -151,9 +156,6 @@ def _cmd_count(args) -> int:
         "pair_exchange_factor": [factor.numerator, factor.denominator],
     }
     if args.enumerate_:
-        metric = metric_with_substitutions(
-            args.metric, args.dim, _parse_substitutions(args.substitutions)
-        )
         tensors, raise_mults = build_factor_tensors(metric, spec)
         plan = enumerate_indices(spec, tensors, args.dim)
         payload["enumerated_products"] = plan.product_count

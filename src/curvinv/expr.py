@@ -26,10 +26,12 @@ keyed by a Python grevlex function otherwise (``leading_expv`` in
 one common sign, so mapping them back and re-applying the grevlex sign rule
 gives exactly the grevlex ``cancel`` result.
 
-Sums of products go through :class:`RawSum`, which canonicalises once per
-distinct denominator rather than once per ``*`` and ``+``.  Each product's
-numerator and denominator are multiplied out raw, and the raw numerators
-are added up per raw denominator, which is exact polynomial arithmetic.
+Every sum of products in the package goes through :class:`RawSum`: the
+tensor builders, the parcel sum and the free-index contraction.  It
+canonicalises once per distinct denominator rather than once per ``*``
+and ``+``.  Each product's numerator and denominator are multiplied out
+raw, and the raw numerators are added up per raw denominator, which is
+exact polynomial arithmetic.
 So each group's numerator over its denominator is exactly the group's sum
 of products as a rational function, and the groups together are the whole
 sum.  Canonical forms are unique, so ``Expr.make`` of each group and the

@@ -3,14 +3,18 @@ the parcel pool, and assemble reports.
 
 Raised tensors are cached per metric by (derivative order, raised slots),
 so a slot raising shared between factors, or between runs on one metric,
-is performed once and counted once per run; the product statistic P is
+is performed once and counted once per run.  The product statistic P is
 the enumerated product count plus the nonzero multiplications of the
-literal raisings, whether computed or filled by antisymmetry.
+literal raisings.  Raising computes only part of those products and fills
+the rest by antisymmetry, so their number is worked out from the input:
+one per stored component and nonzero entry of the inverse-metric row its
+raised index selects.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,7 +27,7 @@ from .metrics import metric_by_name
 from .parallel import RunConfig, RunReport, execute
 from .tensor import (
     Metric,
-    OpCounter,
+    TensorError,
     UPPER,
     christoffel,
     covariant_derivative,
@@ -34,8 +38,7 @@ from .tensor import (
 
 # Per metric instance (metrics are immutable): the connection, the lowered
 # Riemann field followed by its covariant derivatives, and the raised
-# fields keyed by (derivative order, raised slots), each with the
-# multiplications its raising counted.
+# fields keyed by (derivative order, raised slots).
 _base_fields = weakref.WeakKeyDictionary()
 
 
@@ -68,6 +71,7 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
         o: _lowered_field(metric, o) for o in {f.derivative_order for f in spec.factors}
     }
     ginv = metric.inverse()
+    row_nnz = Counter(a for a, _ in ginv.components)
     _, _, raised_cache = _metric_cache(metric)
     used = {}
     tensors = []
@@ -79,12 +83,10 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
                 continue
             raised = raised + (slot,)
             key = (f.derivative_order, raised)
-            cached = raised_cache.get(key)
-            if cached is None:
-                counter = OpCounter()
-                cached = raise_index(current, slot, ginv, counter), counter.mults
-                raised_cache[key] = cached
-            current, used[key] = cached
+            used[key] = sum(row_nnz[k[slot]] for k in current.components)
+            if key not in raised_cache:
+                raised_cache[key] = raise_index(current, slot, ginv)
+            current = raised_cache[key]
         tensors.append(current)
     return tensors, sum(used.values())
 
@@ -121,7 +123,14 @@ def run_invariant(
 
 
 def metric_with_substitutions(name: str, dim: int, substitutions) -> Metric:
+    """The named metric with each (parameter, exact rational) pair fixed in
+    turn.  A parameter fixed twice is rejected: the second value would
+    silently change nothing."""
     metric = metric_by_name(name, dim)
+    fixed = set()
     for sym, value in substitutions:
+        if sym in fixed:
+            raise TensorError("parameter %r is set more than once" % sym)
+        fixed.add(sym)
         metric = metric.substitute(sym, value)
     return metric

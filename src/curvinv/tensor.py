@@ -9,7 +9,8 @@ A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) on which the
 tensor is antisymmetric.  Whether swapping a pair's indices negates a
 component follows from the variance alone: it does when both slots share
 a variance, and those pairs are the field's ``oriented_pairs``.  The
-constructor rejects a store that breaks them.  Raising and the covariant
+constructor rejects a store that breaks them.  The slot contraction
+(index raising, and lowering the first slot of Riemann) and the covariant
 derivative use them to save work: they compute only the output keys
 oriented on every such pair, ``key[p] < key[p+1]``, and fill each swapped
 key with the negated value.  Canonical forms are unique, so the filled
@@ -20,17 +21,16 @@ The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
 ``gamma.component((a, b, c))`` needs no index sorting.
 
-Christoffel symbols, both stages of Riemann and the covariant derivative
-build each component as a sum of products of canonical components, and
-sum them in an ``expr.RawSum``: the products stay raw, grouped by
-denominator, and each group is canonicalised once.  The component is the
-same canonical expression that summing canonical products gives.  Raising
-keeps summing canonical products (see ``raise_index``).
+Every builder (Christoffel symbols, both stages of Riemann, the slot
+contraction and the covariant derivative) forms each component as a sum
+of products of canonical components, and sums them in an
+``expr.RawSum``: the products stay raw, grouped by denominator, and each
+group is canonicalised once.  The component is the same canonical
+expression that summing canonical products gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .expr import Expr, RawSum, SymbolEnv
@@ -46,15 +46,6 @@ class SingularMetricError(TensorError):
 
 UPPER = "u"
 LOWER = "l"
-
-
-@dataclass
-class OpCounter:
-    """Accumulates the nonzero scalar multiplications of the literal index
-    raising: one per (stored component, inverse-metric row entry) pair,
-    whether the product is computed or its key is filled by antisymmetry."""
-
-    mults: int = 0
 
 
 class Metric:
@@ -298,15 +289,15 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
     """All-lower Riemann tensor, antisymmetric in slots (0,1) and (2,3).
 
     Built from R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
-    + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, then lowered with the
-    metric.  Only c < d is computed; the (2,3) swap fills the rest.  The
-    (0,1) antisymmetry is left to emerge from the computation so tests can
-    verify it independently.  ``gamma`` is the metric's connection when the
-    caller already has it; otherwise it is built here.
-
-    Both stages sum raw products grouped by denominator (``expr.RawSum``):
-    the derivative and Gamma Gamma terms of each R^a_bcd, then the
-    products g_ae R^e_bcd of each lowered component.
+    + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, whose derivative and
+    Gamma Gamma terms are summed raw, grouped by denominator
+    (``expr.RawSum``).  Only c < d is computed; the (2,3) swap fills the
+    rest.  Slot 0 is then lowered with the metric's rows by the same slot
+    contraction that raising uses, again for c < d only.  The (0,1)
+    antisymmetry is not used to save work: it emerges from the computation,
+    and declaring it on the result makes the constructor verify it.
+    ``gamma`` is the metric's connection when the caller already has it;
+    otherwise it is built here.
     """
     dim, env = g.dim, g.env
     if gamma is None:
@@ -346,27 +337,16 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
                     if not value.is_zero:
                         up[(a, b, c, d)] = value
 
-    g_rows = g.rows()
-    components = {}
-    for a in range(dim):
-        row = g_rows[a]
-        for b in range(dim):
-            for c in range(dim):
-                for d in range(c + 1, dim):
-                    total = RawSum(env)
-                    for e, g_ae in row:
-                        value = up.get((e, b, c, d))
-                        if value is not None:
-                            total.add_product((g_ae, value))
-                    value = total.value()
-                    if not value.is_zero:
-                        components[(a, b, c, d)] = value
-                        components[(a, b, d, c)] = -value
+    cd = frozenset({(2, 3)})
+    mixed = TensorField(
+        env, dim, (UPPER, LOWER, LOWER, LOWER), _mirrored(up, cd), antisym_pairs=cd
+    )
+    lowered = _contract_slot(mixed, 0, g.rows(), LOWER)
     return TensorField(
         env,
         dim,
         (LOWER, LOWER, LOWER, LOWER),
-        components,
+        lowered.components,
         antisym_pairs=frozenset({(0, 1), (2, 3)}),
     )
 
@@ -379,52 +359,44 @@ def _rows(dim: int, components: Mapping) -> list:
     return rows
 
 
-def raise_index(
-    t: TensorField, slot: int, g_inv: TensorField, counter: Optional[OpCounter] = None
-) -> TensorField:
+def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
     """Contract ``slot`` with the inverse metric, flipping it to upper
-    variance.  The output keeps the input's antisymmetric pairs.
-
-    Only output keys oriented on the output's oriented pairs are computed;
-    their swapped keys are filled by negation.  ``counter`` still tallies
-    every product of two nonzero components of the literal raising, one per
-    stored component and inverse-metric row entry, computed or filled; the
-    tally feeds the run statistic that also counts the enumerated sum
-    products.
-
-    Unlike the other builders, this sums canonical products rather than
-    grouping raw products by denominator (``expr.RawSum``): a raised
-    component sums only a few products, one per metric row entry, so there
-    are few GCDs to save.  Grouped raising, timed on a 2-vCPU VM over three
-    alternating runs of the raisings of Kerr D=4 I_b at a=1 and S^6 I_2, was
-    neutral on Kerr (0.47-0.74 s canonical, 0.45-0.65 s grouped) and slower
-    on S^6 (0.15-0.24 s canonical, 0.19-0.26 s grouped).
-    """
+    variance.  The output keeps the input's antisymmetric pairs."""
     if not 0 <= slot < t.rank:
         raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
     if t.variance[slot] != LOWER:
         raise TensorError("slot %d is already upper" % slot)
-    variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
-    oriented = _same_variance(t.antisym_pairs, variance)
-    rows = _rows(g_inv.dim, g_inv.components)
-    accumulated = {}
+    return _contract_slot(t, slot, _rows(g_inv.dim, g_inv.components), UPPER)
+
+
+def _contract_slot(t: TensorField, slot: int, rows: list, variance: str) -> TensorField:
+    """Contract ``slot`` with the sparse rows of a rank-2 field, the slot
+    taking the given variance: out[..k..] = sum of rows[e][k] t[..e..].
+
+    The output keeps the input's antisymmetric pairs.  Only keys oriented
+    on its oriented pairs are computed, each summing its products raw,
+    grouped by denominator (``expr.RawSum``); the swapped keys are filled
+    by negation.
+    """
+    out_variance = t.variance[:slot] + (variance,) + t.variance[slot + 1 :]
+    pairs = _same_variance(t.antisym_pairs, out_variance)
+    sums = {}
     for key, value in t.components.items():
-        e = key[slot]
-        if counter is not None:
-            counter.mults += len(rows[e])
         prefix, suffix = key[:slot], key[slot + 1 :]
-        for k, weight in rows[e]:
+        for k, weight in rows[key[slot]]:
             out_key = prefix + (k,) + suffix
-            if not _oriented(out_key, oriented):
+            if not _oriented(out_key, pairs):
                 continue
-            product = weight * value
-            prior = accumulated.get(out_key)
-            accumulated[out_key] = product if prior is None else prior + product
+            total = sums.get(out_key)
+            if total is None:
+                total = sums[out_key] = RawSum(t.env)
+            total.add_product((weight, value))
+    accumulated = {key: total.value() for key, total in sums.items()}
     return TensorField(
         t.env,
         t.dim,
-        variance,
-        _mirrored(accumulated, oriented),
+        out_variance,
+        _mirrored(accumulated, pairs),
         antisym_pairs=t.antisym_pairs,
     )
 

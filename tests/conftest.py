@@ -47,6 +47,16 @@ def quartic2d():
 
 
 @pytest.fixture(scope="session")
+def offdiag3d():
+    """-dt**2 + 2 r dt dw + dr**2 + r**2 dw**2: nonzero Riemann and an
+    off-diagonal inverse metric, so raised components sum several products;
+    cheap enough for the every-key oracles."""
+    env = SymbolEnv(coordinates=("t", "r", "w"))
+    r, one = env.symbol("r"), env.one()
+    return Metric(env, 3, {(0, 0): -one, (0, 2): r, (1, 1): one, (2, 2): r ** 2})
+
+
+@pytest.fixture(scope="session")
 def trig_env():
     return SymbolEnv(
         coordinates=("r", "theta"),

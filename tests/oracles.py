@@ -156,26 +156,27 @@ def _lookup(grid, key):
     return node
 
 
-def full_contract_slot(field, slot, rows, new_char, counter):
-    """``tensor.raise_index`` forming every product at every output key,
-    each one tallied on ``counter``.  ``rows`` are a metric's sparse rows
-    and ``new_char`` the slot's new variance, so with the metric's own rows
-    and ``LOWER`` it lowers the slot."""
+def full_contract_slot(field, slot, rows, new_char):
+    """``tensor.raise_index`` forming every product at every output key.
+    Returns the field and the number of products formed.  ``rows`` are a
+    metric's sparse rows and ``new_char`` the slot's new variance, so with
+    the metric's own rows and ``LOWER`` it lowers the slot."""
     accumulated = {}
+    mults = 0
     for key, value in field.components.items():
         e = key[slot]
         prefix, suffix = key[:slot], key[slot + 1 :]
         for k, weight in rows[e]:
             out_key = prefix + (k,) + suffix
             product = weight * value
-            if counter is not None:
-                counter.mults += 1
+            mults += 1
             prior = accumulated.get(out_key)
             accumulated[out_key] = product if prior is None else prior + product
     variance = field.variance[:slot] + (new_char,) + field.variance[slot + 1 :]
-    return TensorField(
+    out = TensorField(
         field.env, field.dim, variance, accumulated, antisym_pairs=field.antisym_pairs
     )
+    return out, mults
 
 
 def full_covariant_derivative(t, gamma):

@@ -139,8 +139,36 @@ class TestRun:
         assert out == ""
         assert err.startswith("error:") and "parameter" in err
 
+    def test_repeated_substitution_rejected(self, capsys):
+        # the second value would silently change nothing
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--metric", "kerr", "--dim", "4",
+            "--invariant", "I_a", "--set", "a=1", "--set", "a=2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'a'" in err
+
 
 class TestCount:
+    @pytest.mark.parametrize(
+        "dim, substitutions",
+        [("2", ()), ("4", ("--set", "r=1"))],
+    )
+    def test_rejects_what_run_rejects(self, capsys, dim, substitutions):
+        # no Kerr metric in D=2, and only parameters may be fixed
+        for command in ("run", "count"):
+            code, out, err = run_cli(
+                capsys,
+                command,
+                "--metric", "kerr", "--dim", dim, "--invariant", "I_a", *substitutions,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_i1_worst_case(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--metric", "kerr", "--dim", "4", "--invariant", "I_1"

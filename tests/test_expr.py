@@ -475,3 +475,5 @@ def test_kerr4_kretschmann_closed_form(kerr4):
     expected = 12 * mu ** 2 * numerator / rho2 ** 6
     report = run_invariant(kerr4, "R(+a,+b,-c,-d) R(+c,+d,-a,-b)")
     assert report.invariant == expected
+    # The only tier-1 raising over an off-diagonal inverse metric (g^t phi).
+    assert (report.raise_mults, report.product_count, report.P) == (256, 20, 276)

@@ -5,7 +5,7 @@ from curvinv.cli import PRESETS
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import kerr, sphere_metric
 from curvinv.parallel import RunConfig
-from curvinv.tensor import Metric
+from curvinv.tensor import Metric, TensorError
 
 
 def test_one_connection_per_derivative_run(monkeypatch):
@@ -80,3 +80,10 @@ def test_raised_fields_cached_per_metric(monkeypatch):
     assert second.raise_mults > 0
     for name in ("expression", "P", "T", "multiplier", "product_count", "raise_mults"):
         assert getattr(second, name) == getattr(first, name)
+
+
+def test_parameter_fixed_at_most_once():
+    # a second value for a would silently change nothing
+    pipeline.metric_with_substitutions("kerr", 4, [("a", 1), ("mu", 2)])
+    with pytest.raises(TensorError, match="'a'"):
+        pipeline.metric_with_substitutions("kerr", 4, [("a", 1), ("mu", 2), ("a", 2)])
