@@ -21,7 +21,6 @@ from .expr import (
     SymbolEnv,
     SymbolicError,
     UnknownSymbolError,
-    balanced_sum,
 )
 from .metrics import flat, kerr, metric_by_name, sphere_metric
 from .parallel import (

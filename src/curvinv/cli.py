@@ -107,20 +107,11 @@ def _spec_text(args) -> str:
 
 
 def _cmd_run(args) -> int:
-    spec_text = _spec_text(args)
-    spec = parse_spec(spec_text)
-    if spec.free_labels:
-        print(
-            "error: free indices produce a tensor, not a scalar; "
-            "use the contract_free API",
-            file=sys.stderr,
-        )
-        return 2
     metric = metric_with_substitutions(
         args.metric, args.dim, _parse_substitutions(args.substitutions)
     )
     cfg = RunConfig(workers=args.workers, parcels_per_worker=args.parcels)
-    report = run_invariant(metric, spec_text, cfg, metric_name=args.metric)
+    report = run_invariant(metric, _spec_text(args), cfg, metric_name=args.metric)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:

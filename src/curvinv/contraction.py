@@ -88,7 +88,7 @@ def parse_spec(text: str) -> InvariantSpec:
     factors = []
     label_names = []
     free_names = set()
-    seen_counts = {}
+    seen_variances = {}  # label -> variance of each slot it sits on
     for token in tokens:
         m = _FACTOR_RE.match(token)
         if not m:
@@ -111,10 +111,10 @@ def parse_spec(text: str) -> InvariantSpec:
             name, var, free = _parse_slot(token_slot)
             labels.append(name)
             variance.append(var)
-            if name not in seen_counts:
-                seen_counts[name] = 0
+            if name not in seen_variances:
+                seen_variances[name] = []
                 label_names.append(name)
-            seen_counts[name] += 1
+            seen_variances[name].append(var)
             if free:
                 free_names.add(name)
         factors.append(
@@ -126,14 +126,20 @@ def parse_spec(text: str) -> InvariantSpec:
                 antisym_pairs=BASE_ANTISYM[base],
             )
         )
-    for name, count in seen_counts.items():
+    for name, variances in seen_variances.items():
         if name in free_names:
-            if count != 1:
+            if len(variances) != 1:
                 raise SpecError("free label %r must appear exactly once" % name)
-        elif count != 2:
+        elif len(variances) != 2:
             raise SpecError(
                 "label %r appears %d times; contracted labels appear exactly twice"
-                % (name, count)
+                % (name, len(variances))
+            )
+        elif variances[0] == variances[1]:
+            # a sum over two upper (or two lower) slots is not a contraction
+            raise SpecError(
+                "contracted label %r must be upper on one slot and lower on the other"
+                % name
             )
     return InvariantSpec(
         factors=tuple(factors),
@@ -330,7 +336,8 @@ def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     """Group the joined assignments by their free labels and sum each
     group's products, giving a field over the free slots (rank 0 when no
     label is free).  Each free key sums its products raw, grouped by
-    denominator (``expr.RawSum``)."""
+    denominator (``expr.RawSum``), with the abbreviation multiplier as
+    each product's coefficient."""
     _check_tensors(spec, tensors, dim)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
@@ -344,9 +351,7 @@ def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
         key = tuple(entry[i] for i in free_ids)
         if key not in sums:
             sums[key] = RawSum(env)
-        sums[key].add_product(evaluator.factors(entry))
+        sums[key].add_product(evaluator.factors(entry), multiplier)
     # Keys in odometer order; TensorField drops components that cancel to zero.
-    components = {
-        key: sums[key].value() * multiplier for key in sorted(sums, key=lambda k: k[::-1])
-    }
+    components = {key: sums[key].value() for key in sorted(sums, key=lambda k: k[::-1])}
     return TensorField(env, dim, variance, components)

@@ -27,18 +27,16 @@ one common sign, so mapping them back and re-applying the grevlex sign rule
 gives exactly the grevlex ``cancel`` result.
 
 Every sum of products in the package goes through :class:`RawSum`: the
-tensor builders, the parcel sum and the free-index contraction.  It
-canonicalises once per distinct denominator rather than once per ``*``
-and ``+``.  Each product's numerator and denominator are multiplied out
-raw, and the raw numerators are added up per raw denominator, which is
-exact polynomial arithmetic.
-So each group's numerator over its denominator is exactly the group's sum
-of products as a rational function, and the groups together are the whole
-sum.  Canonical forms are unique, so ``Expr.make`` of each group and the
-canonical sum of the groups give, byte for byte, the expression that
-summing the canonical products one by one gives.  The components of a
-tensor share few denominators (72 products of Kerr D=4 I_b at a=1 have 9),
-so most GCDs are never run.
+tensor builders, the parcel sum, the merge of the parcel partials and the
+free-index contraction.  It canonicalises once per sum rather than once
+per ``*`` and ``+``.  Each product's numerator and denominator are
+multiplied out raw, and the raw numerators are added up per raw
+denominator.  The groups are then brought over their least common
+denominator, and one ``Expr.make`` cancels the result.  All of this is
+exact polynomial arithmetic, so the raw quotient is the sum of the
+products as a rational function.  Canonical forms are unique, so that one
+``Expr.make`` gives, byte for byte, the expression that summing the
+canonical products one by one gives.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from sympy import Symbol
@@ -77,13 +75,18 @@ def _ring_for(gen_names: tuple, order=grevlex):
     return ring(symbols, ZZ, order)[0]
 
 
-def _cancel(env: "SymbolEnv", num, den):
-    """``num.cancel(den)`` in the env's grevlex ring, with the GCD run in
-    the lex twin ring (see the module docstring)."""
+def _cofactors(env: "SymbolEnv", p, q):
+    """``p`` and ``q`` divided by their GCD, in the env's grevlex ring; the
+    GCD runs in the lex twin ring (see the module docstring)."""
     R = env.ring
     L = _ring_for(env.gen_names, lex)
-    _, num, den = L.dtype(num).cofactors(L.dtype(den))
-    num, den = R.dtype(num), R.dtype(den)
+    _, p, q = L.dtype(p).cofactors(L.dtype(q))
+    return R.dtype(p), R.dtype(q)
+
+
+def _cancel(env: "SymbolEnv", num, den):
+    """``num.cancel(den)`` in the env's grevlex ring."""
+    num, den = _cofactors(env, num, den)
     if den.LC < 0:
         return -num, -den
     return num, den
@@ -118,7 +121,7 @@ class SymbolEnv:
                 "trig pairs must attach to coordinates, got %s" % sorted(unknown)
             )
 
-    @property
+    @cached_property
     def gen_names(self) -> tuple:
         names = list(self.parameters) + list(self.coordinates)
         for x in self.coordinates:
@@ -137,7 +140,8 @@ class SymbolEnv:
         except ValueError:
             raise UnknownSymbolError("unknown symbol %r" % name) from None
 
-    def trig_indices(self) -> list:
+    @cached_property
+    def trig_indices(self) -> tuple:
         """(sin, cos) generator index pairs, in coordinate order."""
         pairs = []
         base = len(self.parameters) + len(self.coordinates)
@@ -146,7 +150,7 @@ class SymbolEnv:
             if x in self.trig_pairs:
                 pairs.append((base + 2 * k, base + 2 * k + 1))
                 k += 1
-        return pairs
+        return tuple(pairs)
 
     # Convenience constructors -------------------------------------------
 
@@ -177,7 +181,7 @@ class SymbolEnv:
 def _sine_reduce(env: SymbolEnv, p):
     """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
     R = env.ring
-    for si, ci in env.trig_indices():
+    for si, ci in env.trig_indices:
         if not p or p.degree(R.gens[si]) < 2:
             continue
         one_minus_c2 = R.one - R.gens[ci] ** 2
@@ -218,7 +222,7 @@ def _clear_sines_from_denominator(env: SymbolEnv, num, den):
     # into A**2 - B**2*(1 - cos**2); once a sine symbol is cleared, later
     # conjugations cannot reintroduce it.
     R = env.ring
-    for si, ci in env.trig_indices():
+    for si, ci in env.trig_indices:
         s = R.gens[si]
         if den.degree(s) < 1:
             continue
@@ -524,8 +528,8 @@ class RawSum:
     It maps each raw denominator polynomial (the product of the factors'
     denominators) to the sum of its raw numerators.  Groups are dict keys,
     so two denominators share a group only when they are equal as
-    polynomials.  :meth:`value` runs one ``Expr.make`` per group and adds
-    the groups with :func:`balanced_sum`; the result is the canonical sum
+    polynomials.  :meth:`value` brings the groups over their least common
+    denominator and runs one ``Expr.make``; the result is the canonical sum
     (see the module docstring).
     """
 
@@ -535,9 +539,9 @@ class RawSum:
         self.env = env
         self._groups = {}
 
-    def add_product(self, values: Iterable[Expr], sign: int = 1) -> None:
-        """Add ``sign`` (+1 or -1) times the product of ``values``, raw; a
-        zero factor adds nothing."""
+    def add_product(self, values: Iterable[Expr], coefficient: int = 1) -> None:
+        """Add the integer ``coefficient`` times the product of ``values``,
+        raw; a zero factor adds nothing."""
         num = den = None
         for v in values:
             if not v.num:
@@ -546,27 +550,18 @@ class RawSum:
                 num, den = v.num, v.den
             else:
                 num, den = num * v.num, den * v.den
-        if sign < 0:
-            num = -num
+        if coefficient != 1:
+            num = num * coefficient
         prior = self._groups.get(den)
         self._groups[den] = num if prior is None else prior + num
 
     def value(self) -> Expr:
         """The canonical sum; zero when nothing was added."""
-        groups = (Expr.make(self.env, num, den) for den, num in self._groups.items())
-        return balanced_sum([g for g in groups if g.num], self.env.zero())
-
-
-def balanced_sum(values, zero: Expr) -> Expr:
-    """Pairwise-tree summation; cheaper than a left fold when many addends
-    share denominators."""
-    layer = list(values)
-    if not layer:
-        return zero
-    while len(layer) > 1:
-        layer = [
-            layer[i] + layer[i + 1] if i + 1 < len(layer) else layer[i]
-            for i in range(0, len(layer), 2)
-        ]
-    return layer[0]
-
+        groups = [(num, den) for den, num in self._groups.items() if num]
+        if not groups:
+            return self.env.zero()
+        num, den = groups[0]
+        for n, d in groups[1:]:
+            a, b = _cofactors(self.env, den, d)
+            num, den = num * b + n * a, den * b
+        return Expr.make(self.env, num, den)

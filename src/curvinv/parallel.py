@@ -5,9 +5,10 @@ parcels for n workers.  Each parcel is one task of a
 ``concurrent.futures.ProcessPoolExecutor``, so a worker takes the next
 parcel as it goes idle.  A task multiplies each entry's components raw,
 sums the products grouped by denominator (``expr.RawSum``) and returns the
-parcel's canonical partial sum; the coordinator adds the partials in parcel
-order.  Canonical forms are unique, so the multiplier-scaled sum is the
-same expression for every worker and parcel count and any scheduling order.
+parcel's canonical partial sum.  The coordinator merges the partials in one
+more ``RawSum``, each with the abbreviation multiplier as its coefficient.
+Canonical forms are unique, so the result is the same expression for every
+worker and parcel count and any scheduling order.
 
 The pool forks its workers, so they inherit the factor tensors and the
 assignment list instead of receiving pickled copies: only parcel bounds go
@@ -27,7 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .contraction import ContractionPlan, InvariantSpec, ProductEvaluator
-from .expr import Expr, RawSum, balanced_sum
+from .expr import Expr, RawSum
 
 
 class WorkerFailure(Exception):
@@ -165,7 +166,7 @@ def execute(
     started = time.perf_counter()
     env = tensors[0].env
     parcels = partition(plan, cfg)
-    partials = []
+    total = RawSum(env)
     stats = {}  # pid -> WorkerStats, in order of the first parcel taken
     if parcels:
         with ProcessPoolExecutor(
@@ -183,13 +184,13 @@ def execute(
                 except Exception as exc:
                     pool.shutdown(cancel_futures=True)
                     raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
-                partials.append(partial)
+                total.add_product((partial,), plan.multiplier)
                 worker = stats.setdefault(pid, WorkerStats(0, 0.0))
                 worker.entries += len(parcel)
                 worker.wall_ms += busy_ms
     per_worker = list(stats.values())
     per_worker += [WorkerStats(0, 0.0) for _ in range(cfg.workers - len(per_worker))]
-    invariant = balanced_sum(partials, env.zero()) * plan.multiplier
+    invariant = total.value()
     wall_ms = (time.perf_counter() - started) * 1000.0
     return RunReport(
         invariant=invariant,

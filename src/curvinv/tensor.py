@@ -24,8 +24,8 @@ The connection (Christoffel symbols) is a ``TensorField`` of variance
 Every builder (Christoffel symbols, both stages of Riemann, the slot
 contraction and the covariant derivative) forms each component as a sum
 of products of canonical components, and sums them in an
-``expr.RawSum``: the products stay raw, grouped by denominator, and each
-group is canonicalised once.  The component is the same canonical
+``expr.RawSum``: the products stay raw, grouped by denominator, and the
+whole sum is canonicalised once.  The component is the same canonical
 expression that summing canonical products gives.
 """
 

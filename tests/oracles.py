@@ -27,7 +27,6 @@ from curvinv.expr import (
     SymbolEnv,
     SymbolicError,
     UnknownSymbolError,
-    balanced_sum,
 )
 from curvinv.tensor import LOWER, Metric, TensorField
 
@@ -204,7 +203,7 @@ def full_covariant_derivative(t, gamma):
                         continue
                     add(prefix + (i,) + suffix + (e,), -(w * value))
     zero = env.zero()
-    accumulated = {key: balanced_sum(parts, zero) for key, parts in pending.items()}
+    accumulated = {key: sum(parts, zero) for key, parts in pending.items()}
     return TensorField(
         env,
         dim,

@@ -112,6 +112,18 @@ class TestRun:
         assert code == 2
         assert "free" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["R(+a,+b,+c,+d) R(+a,+b,+c,+d)", "R(+a,-b,+a,-b)"]
+    )
+    def test_same_variance_contraction_rejected(self, capsys, spec):
+        # summed without the metric, these are not invariants
+        code, out, err = run_cli(
+            capsys, "run", "--metric", "sphere", "--dim", "2", "--spec", spec
+        )
+        assert code == 2
+        assert out == ""
+        assert "upper on one slot and lower on the other" in err
+
     def test_bad_substitution(self, capsys):
         code, _, err = run_cli(
             capsys,

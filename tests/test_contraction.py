@@ -76,6 +76,8 @@ class TestParseSpec:
             "R(+a,+b,+c,+d;+e,+f,+g) R(-a,-b,-c,-d;-e,-f,-g)",  # 3 derivatives
             "",
             "R(+*a,+b,+c,+d) R(-a,-b,-c,-d)",  # free label appearing twice
+            "R(+a,+b,+c,+d) R(+a,+b,+c,+d)",  # contracted labels upper twice
+            "R(+a,-b,+a,-b)",  # a upper twice, b lower twice
         ],
     )
     def test_rejects(self, text):

@@ -14,7 +14,6 @@ from curvinv.expr import (
     UnknownSymbolError,
     _clear_sines_from_denominator,
     _sine_reduce,
-    balanced_sum,
 )
 from curvinv.pipeline import run_invariant
 
@@ -307,25 +306,28 @@ def _factors():
 
 def _products():
     return st.lists(
-        st.tuples(st.lists(_factors(), min_size=1, max_size=3), st.sampled_from([1, -1])),
+        st.tuples(
+            st.lists(_factors(), min_size=1, max_size=3), st.sampled_from([1, -1, 2, -4])
+        ),
         max_size=8,
     )
 
 
 def _canonical_sum(products):
-    terms = []
-    for values, sign in products:
-        product = _env.one()
+    """The products added one at a time with ``Expr``'s own operators."""
+    total = _env.zero()
+    for values, coefficient in products:
+        product = _env.integer(coefficient)
         for v in values:
             product = product * v
-        terms.append(product if sign > 0 else -product)
-    return balanced_sum(terms, _env.zero())
+        total = total + product
+    return total
 
 
 def _raw_sum(products):
     total = RawSum(_env)
-    for values, sign in products:
-        total.add_product(values, sign)
+    for values, coefficient in products:
+        total.add_product(values, coefficient)
     return total.value()
 
 
@@ -334,8 +336,8 @@ def _raw_sum(products):
 def test_raw_sum_equals_canonical_sum(products, cancel_first):
     if cancel_first and products:
         # the first product's group also holds its negation
-        values, sign = products[0]
-        products = products + [(values, -sign)]
+        values, coefficient = products[0]
+        products = products + [(values, -coefficient)]
     assert _raw_sum(products) == _canonical_sum(products)
 
 
@@ -361,6 +363,27 @@ class TestRawSum:
         products = [([x / (x - k), 1 / x], 1), ([1 / (x - k)], -1)]
         assert _raw_sum(products).is_zero
         assert _raw_sum(products + [([k / x], -1)]) == -k / x
+
+    def test_one_make_per_sum(self, monkeypatch):
+        # four groups: (x-k), x(x-k) and (x-k)**2 share a factor, (k+1) is coprime
+        x, k = _env.symbol("x"), _env.symbol("k")
+        products = [
+            ([x / (x - k)], 1),
+            ([1 / x, 1 / (x - k)], -1),
+            ([k / (k + 1)], 1),
+            ([x / (x - k), k / (x - k)], 1),
+        ]
+        expected = _canonical_sum(products)
+        calls = []
+        real = Expr.make.__func__
+
+        def counting(cls, env, num, den):
+            calls.append(1)
+            return real(cls, env, num, den)
+
+        monkeypatch.setattr(Expr, "make", classmethod(counting))
+        assert _raw_sum(products) == expected
+        assert len(calls) == 1
 
 
 # --- cancellation against sympy's grevlex cancel --------------------------------
