@@ -16,7 +16,6 @@ from .contraction import (
 )
 from .expr import (
     DivisionByZeroExpression,
-    EvaluationError,
     Expr,
     SymbolEnv,
     SymbolicError,

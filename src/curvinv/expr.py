@@ -17,14 +17,22 @@ modulo ``sin**2 + cos**2 = 1`` compare equal componentwise.  In particular
 an expression is zero exactly when its numerator is the zero polynomial.
 
 The canonical form is defined by the grevlex ring, but the GCD that
-cancels numerator against denominator runs on copies in a lex-ordered twin
-ring over the same generators.  sympy's heuristic GCD spends almost all of
-its time in trial divisions, and each division step searches for a leading
-term: a plain ``max`` over exponent tuples in a lex ring, but a ``max``
-keyed by a Python grevlex function otherwise (``leading_expv`` in
-``sympy/polys/rings.py``).  Over ZZ the reduced cofactors are unique up to
-one common sign, so mapping them back and re-applying the grevlex sign rule
-gives exactly the grevlex ``cancel`` result.
+cancels numerator against denominator runs on copies in a lex-ordered ring
+over only the generators the two polynomials mention, kept in the env's
+order.  sympy's heuristic GCD spends almost all of its time in trial
+divisions, and each division step searches for a leading term: a plain
+``max`` over exponent tuples in a lex ring, but a ``max`` keyed by a Python
+grevlex function otherwise (``leading_expv`` in ``sympy/polys/rings.py``).
+It also evaluates and divides in every generator of its ring (heugcd:
+Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989), so a generator that
+neither polynomial mentions costs time too; the ring of S^6 has 16
+generators, and a typical denominator mentions one to three.  Leaving
+those generators out changes nothing in the result: each has exponent 0 in
+every monomial, so lex over the rest, in the same relative order, ranks
+the monomials as lex over all generators does.  Over ZZ the reduced
+cofactors are unique up to one common sign, so mapping them back and
+re-applying the grevlex sign rule gives exactly the grevlex ``cancel``
+result.
 
 Every sum of products in the package goes through :class:`RawSum`: the
 tensor builders, the parcel sum, the merge of the parcel partials and the
@@ -45,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from sympy import Symbol
 from sympy.polys.domains import ZZ
@@ -65,10 +73,6 @@ class UnknownSymbolError(SymbolicError):
     """A name that does not exist in the symbol environment."""
 
 
-class EvaluationError(SymbolicError):
-    """Numeric evaluation failed (missing symbol or vanishing denominator)."""
-
-
 @lru_cache(maxsize=None)
 def _ring_for(gen_names: tuple, order=grevlex):
     symbols = [Symbol(name) for name in gen_names]
@@ -76,12 +80,32 @@ def _ring_for(gen_names: tuple, order=grevlex):
 
 
 def _cofactors(env: "SymbolEnv", p, q):
-    """``p`` and ``q`` divided by their GCD, in the env's grevlex ring; the
-    GCD runs in the lex twin ring (see the module docstring)."""
+    """``p`` and ``q`` divided by their GCD, in the env's grevlex ring.
+
+    The GCD runs in a lex ring over only the generators ``p`` or ``q``
+    mentions, in the env's order.  Every other generator has exponent 0 in
+    every monomial, so the cofactors, sign included, are those of lex over
+    all generators (see the module docstring).
+    """
     R = env.ring
-    L = _ring_for(env.gen_names, lex)
-    _, p, q = L.dtype(p).cofactors(L.dtype(q))
-    return R.dtype(p), R.dtype(q)
+    used = [i for i, degs in enumerate(zip(p.degrees(), q.degrees())) if max(degs) > 0]
+    L = _ring_for(tuple(env.gen_names[i] for i in used), lex)
+    _, p, q = L.dtype(_project(p, used)).cofactors(L.dtype(_project(q, used)))
+    return R.dtype(_scatter(p, used, R.ngens)), R.dtype(_scatter(q, used, R.ngens))
+
+
+def _project(p, used):
+    return {tuple(mon[i] for i in used): c for mon, c in p.items()}
+
+
+def _scatter(p, used, ngens):
+    out = {}
+    for mon, c in p.items():
+        full = [0] * ngens
+        for i, e in zip(used, mon):
+            full[i] = e
+        out[tuple(full)] = c
+    return out
 
 
 def _cancel(env: "SymbolEnv", num, den):
@@ -182,7 +206,7 @@ def _sine_reduce(env: SymbolEnv, p):
     """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
     R = env.ring
     for si, ci in env.trig_indices:
-        if not p or p.degree(R.gens[si]) < 2:
+        if not p or p.degree(si) < 2:
             continue
         one_minus_c2 = R.one - R.gens[ci] ** 2
         powers = {}
@@ -224,7 +248,7 @@ def _clear_sines_from_denominator(env: SymbolEnv, num, den):
     R = env.ring
     for si, ci in env.trig_indices:
         s = R.gens[si]
-        if den.degree(s) < 1:
+        if den.degree(si) < 1:
             continue
         a, b = _split_on_sine(R, den, si)
         num = _sine_reduce(env, num * (a - b * s))
@@ -376,38 +400,7 @@ class Expr:
             self.env, dnum * self.den - self.num * dden, self.den * self.den
         )
 
-    # Exact evaluation / substitution ----------------------------------------
-
-    def eval_rational(self, assignment: Mapping) -> Fraction:
-        """Evaluate at exact rational symbol values; raises on a zero denominator.
-
-        The assignment must cover every symbol present (keys are generator
-        display names, e.g. ``"r"`` or ``"sin(theta)"``).
-        """
-        values = self._assignment_vector(assignment)
-        num = _eval_poly(self.num, values)
-        den = _eval_poly(self.den, values)
-        if den == 0:
-            raise EvaluationError("denominator vanishes at the given assignment")
-        return num / den
-
-    def _assignment_vector(self, assignment: Mapping) -> list:
-        names = self.env.gen_names
-        values = [None] * len(names)
-        used = [False] * len(names)
-        for poly in (self.num, self.den):
-            for mon in poly.monoms():
-                for i, e in enumerate(mon):
-                    if e:
-                        used[i] = True
-        for i, name in enumerate(names):
-            if not used[i]:
-                values[i] = Fraction(0)
-                continue
-            if name not in assignment:
-                raise EvaluationError("no value assigned to %r" % name)
-            values[i] = Fraction(assignment[name])
-        return values
+    # Exact substitution ------------------------------------------------------
 
     def substitute(self, name: str, value) -> "Expr":
         """Replace one symbol by an exact rational constant."""
@@ -460,24 +453,12 @@ def _restore_expr(state):
 
 def _env_derivative(env: SymbolEnv, p, coordinate: str):
     R = env.ring
-    result = p.diff(R.gens[env.gen_index(coordinate)])
+    result = p.diff(env.gen_index(coordinate))
     if coordinate in env.trig_pairs:
         si = env.gen_index("sin(%s)" % coordinate)
         ci = env.gen_index("cos(%s)" % coordinate)
-        s, c = R.gens[si], R.gens[ci]
-        result = result + p.diff(s) * c - p.diff(c) * s
+        result = result + p.diff(si) * R.gens[ci] - p.diff(ci) * R.gens[si]
     return result
-
-
-def _eval_poly(p, values: list) -> Fraction:
-    total = Fraction(0)
-    for mon, coeff in p.terms():
-        term = Fraction(int(coeff))
-        for i, e in enumerate(mon):
-            if e:
-                term *= values[i] ** e
-        total += term
-    return total
 
 
 def _subst_poly(R, p, gi: int, value: Fraction):

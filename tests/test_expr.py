@@ -5,19 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympy.polys.orderings import grevlex, lex
+
+from curvinv import expr
 from curvinv.expr import (
     DivisionByZeroExpression,
-    EvaluationError,
     Expr,
     RawSum,
     SymbolEnv,
     UnknownSymbolError,
     _clear_sines_from_denominator,
+    _cofactors,
+    _ring_for,
     _sine_reduce,
 )
 from curvinv.pipeline import run_invariant
 
-from oracles import agree_at_random_points, normalize
+from oracles import EvaluationError, agree_at_random_points, eval_rational, normalize
 
 
 def test_env_rejects_duplicate_names():
@@ -155,23 +159,23 @@ class TestTermCount:
 class TestEvalRational:
     def test_simple(self, trig_env):
         e = trig_env.symbol("r") + trig_env.symbol("a")
-        assert e.eval_rational({"r": 2, "a": 3}) == 5
+        assert eval_rational(e, {"r": 2, "a": 3}) == 5
 
     def test_zero(self, trig_env):
-        assert trig_env.zero().eval_rational({}) == 0
+        assert eval_rational(trig_env.zero(), {}) == 0
 
     def test_fractions(self, trig_env):
         e = trig_env.symbol("mu") / trig_env.symbol("r")
-        assert e.eval_rational({"mu": Fraction(1, 2), "r": Fraction(3, 4)}) == Fraction(2, 3)
+        assert eval_rational(e, {"mu": Fraction(1, 2), "r": Fraction(3, 4)}) == Fraction(2, 3)
 
     def test_missing_symbol(self, trig_env):
         with pytest.raises(EvaluationError):
-            trig_env.symbol("r").eval_rational({})
+            eval_rational(trig_env.symbol("r"), {})
 
     def test_vanishing_denominator(self, trig_env):
         r, a = trig_env.symbol("r"), trig_env.symbol("a")
         with pytest.raises(EvaluationError):
-            (1 / (r - a)).eval_rational({"r": 2, "a": 2})
+            eval_rational(1 / (r - a), {"r": 2, "a": 2})
 
 
 def test_substitute_clears_parameter(trig_env):
@@ -364,6 +368,12 @@ class TestRawSum:
         assert _raw_sum(products).is_zero
         assert _raw_sum(products + [([k / x], -1)]) == -k / x
 
+    def test_integer_denominators(self):
+        one, x = _env.one(), _env.symbol("x")
+        products = [([one / 2], 1), ([one / 3], 1), ([x / 6], 1)]
+        assert _raw_sum(products) == _canonical_sum(products)
+        assert str(_raw_sum(products)) == "(x + 5)/(6)"
+
     def test_one_make_per_sum(self, monkeypatch):
         # four groups: (x-k), x(x-k) and (x-k)**2 share a factor, (k+1) is coprime
         x, k = _env.symbol("x"), _env.symbol("k")
@@ -464,6 +474,28 @@ class TestCancelOracle:
         e = _assert_make_matches_cancel(trig_env, R.zero, r ** 2 - 1)
         assert e.is_zero and e.den == R.one
 
+    def test_no_generators(self, trig_env):
+        R = trig_env.ring
+        e = _assert_make_matches_cancel(trig_env, R(6), R(-4))
+        assert (e.num, e.den) == (R(-3), R(2))
+
+    def test_no_shared_generator(self, trig_env):
+        r, c = _gens(trig_env, "r", "cos(theta)")
+        e = _assert_make_matches_cancel(trig_env, r + 1, c ** 2 - 1)
+        assert (e.num, e.den) == (r + 1, c ** 2 - 1)
+
+    def test_single_generator(self, trig_env):
+        (r,) = _gens(trig_env, "r")
+        e = _assert_make_matches_cancel(trig_env, 2 * (r ** 2 - 1), 4 * (1 - r) * r)
+        assert (e.num, e.den) == (-(r + 1), 2 * r)
+
+    def test_generators_not_a_prefix(self, trig_env):
+        # a and cos(theta) only: the GCD ring skips mu and r in between
+        a, c = _gens(trig_env, "a", "cos(theta)")
+        shared = a * c - 1
+        e = _assert_make_matches_cancel(trig_env, (a - c ** 2) * shared, (a ** 2 + c) * shared ** 2)
+        assert (e.num, e.den) == (a - c ** 2, (a ** 2 + c) * shared)
+
     def test_seeded_random_pairs(self, trig_env):
         rng = random.Random(20261018)
         R = trig_env.ring
@@ -479,6 +511,56 @@ class TestCancelOracle:
             assert e.den.LC > 0
         # both leading-coefficient disagreements between the orders occur
         assert {(False, True), (True, False)} <= signs
+
+
+def _full_ring_cofactors(env, p, q):
+    """Cofactors with the GCD in the lex ring over all of the env's
+    generators, mapped back: the reference for ``_cofactors``, which drops
+    the generators neither input mentions."""
+    L = _ring_for(env.gen_names, lex)
+    _, p, q = L.dtype(p).cofactors(L.dtype(q))
+    return env.ring.dtype(p), env.ring.dtype(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=5))
+def test_cofactors_match_full_ring(trig_env, rng, shared_index):
+    R = trig_env.ring
+    a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+    shared = [R.one, R(-6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, c][shared_index]
+    p = _random_poly(trig_env, rng, sine=True) * shared
+    q = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * shared
+    cofactors = _cofactors(trig_env, p, q)
+    assert all(f.ring is R for f in cofactors)
+    assert cofactors == _full_ring_cofactors(trig_env, p, q)
+
+
+def test_gcd_ring_holds_only_the_generators_present(trig_env, monkeypatch):
+    asked = []
+
+    def recording(gen_names, order=grevlex):
+        if order == lex:
+            asked.append(gen_names)
+        return _ring_for(gen_names, order)
+
+    monkeypatch.setattr(expr, "_ring_for", recording)
+    R = trig_env.ring
+    a, mu, r, s, c = _gens(trig_env, "a", "mu", "r", "sin(theta)", "cos(theta)")
+    pairs = [
+        (R(6), R(-4), ()),
+        (r + 1, c ** 2 - 1, ("r", "cos(theta)")),
+        (r ** 2 - 1, r - 1, ("r",)),
+        ((a - c) * (a * c + 1), a * c + 1, ("a", "cos(theta)")),
+        (mu * s, a * s + c, ("a", "mu", "sin(theta)", "cos(theta)")),
+    ]
+    for p, q, names in pairs:
+        asked.clear()
+        _cofactors(trig_env, p, q)
+        assert asked == [names]
+    # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
+    asked.clear()
+    Expr.make(trig_env, mu * s, a * s + c)
+    assert asked == [("a", "mu", "sin(theta)", "cos(theta)")]
 
 
 def test_kerr4_kretschmann_closed_form(kerr4):

@@ -1,0 +1,52 @@
+"""Byte-identity guard for optimisations that must not change any result.
+
+Each case pins a SHA-1 of ``repr((expression, P, T, multiplier,
+product_count, raise_mults))`` from ``run_invariant`` on one worker.  The
+four families are the ones ``perfbench/reference.py`` checks by value, so a
+digest that moves means the canonical string or a paper statistic changed,
+not merely that a value is wrong.
+
+The digests were computed with every GCD in the lex ring over all of the
+env's generators, before ``expr._cofactors`` ran over only the generators
+its inputs mention; they hold unchanged after it.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from curvinv.cli import PRESETS
+from curvinv.pipeline import metric_with_substitutions, run_invariant
+
+CASES = {
+    "S^3 I_b": (
+        "sphere", 3, (), "I_b", "ccec079f00e44223d9328490315fe92d7359bf68"
+    ),
+    "S^4 I_2": (
+        "sphere", 4, (), "I_2", "794c3fb045b2916559e1872a15f41311b1b2ec3e"
+    ),
+    "Tangherlini D=5 I_c": (
+        "kerr", 5, (("a", Fraction(0)),), "I_c", "a811ab9ea61e6fa6f6ac37a84f0a2c1ef7e99b0e"
+    ),
+    "Kerr D=4 I_b a=1": (
+        "kerr", 4, (("a", Fraction(1)),), "I_b", "5b965fae40d60b9849cb094822edf7f4a372dfed"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_is_byte_identical(case):
+    metric, dim, substitutions, preset, digest = CASES[case]
+    report = run_invariant(
+        metric_with_substitutions(metric, dim, substitutions), PRESETS[preset]
+    )
+    state = (
+        report.expression,
+        report.P,
+        report.T,
+        report.multiplier,
+        report.product_count,
+        report.raise_mults,
+    )
+    assert hashlib.sha1(repr(state).encode()).hexdigest() == digest
