@@ -9,24 +9,26 @@ A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) on which the
 tensor is antisymmetric.  Whether swapping a pair's indices negates a
 component follows from the variance alone: it does when both slots share
 a variance, and those pairs are the field's ``oriented_pairs``.  The
-constructor rejects a store that breaks them.  The slot contraction
-(index raising, and lowering the first slot of Riemann) and the covariant
-derivative use them to save work: they compute only the output keys
-oriented on every such pair, ``key[p] < key[p+1]``, and fill each swapped
-key with the negated value.  Canonical forms are unique, so the filled
-component is exactly the one the full computation would give; keys with
-equal indices on a pair are zero and stay absent.
+constructor rejects a store that breaks them.  Index raising and the
+covariant derivative use them to save work: they compute only the output
+keys oriented on every such pair, ``key[p] < key[p+1]``, and fill each
+swapped key with the negated value.  The Riemann tensor also uses its pair
+exchange R_abcd = R_cdab: it is built from the metric only at its
+independent keys, a < b, c < d and (a, b) <= (c, d), and the other keys
+are filled.  Canonical forms are unique, so a filled component is exactly
+the one the full computation would give; keys with equal indices on a
+pair are zero and stay absent.
 
 The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
 ``gamma.component((a, b, c))`` needs no index sorting.
 
-Every builder (Christoffel symbols, both stages of Riemann, the slot
-contraction and the covariant derivative) forms each component as a sum
-of products of canonical components, and sums them in an
-``expr.RawSum``: the products stay raw, grouped by denominator, and the
-whole sum is canonicalised once.  The component is the same canonical
-expression that summing canonical products gives.
+Every builder (Christoffel symbols, Riemann, raising and the covariant
+derivative) forms each component as a sum of products of canonical
+components, and sums them in an ``expr.RawSum``: the products stay raw,
+grouped by denominator, and the whole sum is canonicalised once.  The
+component is the same canonical expression that summing canonical
+products gives.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ class Metric:
 
     def component(self, a: int, b: int) -> Expr:
         return self.components.get((a, b), self._zero)
-
-    def rows(self) -> list:
-        """Sparse rows: rows()[a] lists (b, g_ab) for nonzero entries."""
-        return _rows(self.dim, self.components)
 
     def inverse(self) -> "TensorField":
         if self._inverse is None:
@@ -250,6 +248,23 @@ def inverse_metric(g: Metric) -> TensorField:
     return TensorField(env, dim, (UPPER, UPPER), components)
 
 
+def _metric_derivatives(g: Metric):
+    """Cached partial derivatives of the metric: ``dg(a, b, x, ...)`` is
+    d_x ... g_ab.  Keys sort the symmetric indices and the commuting
+    derivatives, and each derivative extends the cached one below it."""
+    coords = g.env.coordinates
+    cache = {}
+
+    def dg(a, b, *xs):
+        key = (min(a, b), max(a, b)) + tuple(sorted(xs))
+        if key not in cache:
+            below = dg(a, b, *key[2:-1]) if len(key) > 3 else g.component(a, b)
+            cache[key] = below if below.is_zero else below.diff(coords[key[-1]])
+        return cache[key]
+
+    return dg
+
+
 def christoffel(g: Metric) -> TensorField:
     """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc).
 
@@ -260,15 +275,7 @@ def christoffel(g: Metric) -> TensorField:
     """
     dim, env = g.dim, g.env
     ginv_rows = _rows(dim, g.inverse().components)
-    coords = env.coordinates
-    dg = {}
-
-    def metric_derivative(a, b, x):
-        key = (a, b, x) if a <= b else (b, a, x)
-        if key not in dg:
-            dg[key] = g.component(key[0], key[1]).diff(coords[x])
-        return dg[key]
-
+    dg = _metric_derivatives(g)
     half = env.one() / env.integer(2)
     components = {}
     for a in range(dim):
@@ -276,9 +283,9 @@ def christoffel(g: Metric) -> TensorField:
             for c in range(b, dim):
                 total = RawSum(env)
                 for d, g_ad in ginv_rows[a]:
-                    total.add_product((half, g_ad, metric_derivative(d, c, b)))
-                    total.add_product((half, g_ad, metric_derivative(b, d, c)))
-                    total.add_product((half, g_ad, metric_derivative(b, c, d)), -1)
+                    total.add_product((half, g_ad, dg(d, c, b)))
+                    total.add_product((half, g_ad, dg(b, d, c)))
+                    total.add_product((half, g_ad, dg(b, c, d)), -1)
                 value = total.value()
                 components[(a, b, c)] = value
                 components[(a, c, b)] = value
@@ -286,68 +293,58 @@ def christoffel(g: Metric) -> TensorField:
 
 
 def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorField:
-    """All-lower Riemann tensor, antisymmetric in slots (0,1) and (2,3).
+    """All-lower Riemann tensor, built directly from the metric:
 
-    Built from R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
-    + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, whose derivative and
-    Gamma Gamma terms are summed raw, grouped by denominator
-    (``expr.RawSum``).  Only c < d is computed; the (2,3) swap fills the
-    rest.  Slot 0 is then lowered with the metric's rows by the same slot
-    contraction that raising uses, again for c < d only.  The (0,1)
-    antisymmetry is not used to save work: it emerges from the computation,
-    and declaring it on the result makes the constructor verify it.
-    ``gamma`` is the metric's connection when the caller already has it;
-    otherwise it is built here.
+    R_abcd = (1/2)(d_b d_c g_ad + d_a d_d g_bc - d_a d_c g_bd - d_b d_d g_ac)
+             + sum_e (Gamma^e_bc Gamma_ead - Gamma^e_bd Gamma_eac),
+
+    with the connection of the first kind
+    Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad), one ``RawSum`` per
+    cached component.  Only the independent keys a < b, c < d and
+    (a, b) <= (c, d) are computed, each summing its products raw, grouped by
+    denominator (``expr.RawSum``).  The pair exchange R_cdab = R_abcd puts
+    each value at (a, b, c, d) and (c, d, a, b); the antisymmetries in
+    slots (0,1) and (2,3) fill the other keys by negation.  ``gamma`` is
+    the metric's connection when the caller already has it; otherwise it
+    is built here.
     """
     dim, env = g.dim, g.env
     if gamma is None:
         gamma = christoffel(g)
-    coords = env.coordinates
-    dgamma = {}
+    dg = _metric_derivatives(g)
+    half = env.one() / env.integer(2)
+    first_kind = {}
 
-    def gamma_derivative(a, b, c, x):
-        if b > c:
-            b, c = c, b
-        key = (a, b, c, x)
-        if key not in dgamma:
-            value = gamma.component((a, b, c))
-            dgamma[key] = None if value.is_zero else value.diff(coords[x])
-        return dgamma[key]
+    def gamma_lower(e, a, d):
+        key = (e, min(a, d), max(a, d))
+        if key not in first_kind:
+            total = RawSum(env)
+            total.add_product((half, dg(e, d, a)))
+            total.add_product((half, dg(e, a, d)))
+            total.add_product((half, dg(a, d, e)), -1)
+            first_kind[key] = total.value()
+        return first_kind[key]
 
-    up = {}
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for d in range(c + 1, dim):
-                    total = RawSum(env)
-                    t1 = gamma_derivative(a, d, b, c)
-                    if t1 is not None:
-                        total.add_product((t1,))
-                    t2 = gamma_derivative(a, c, b, d)
-                    if t2 is not None:
-                        total.add_product((t2,), -1)
-                    for e in range(dim):
-                        total.add_product(
-                            (gamma.component((a, c, e)), gamma.component((e, d, b)))
-                        )
-                        total.add_product(
-                            (gamma.component((a, d, e)), gamma.component((e, c, b))), -1
-                        )
-                    value = total.value()
-                    if not value.is_zero:
-                        up[(a, b, c, d)] = value
-
-    cd = frozenset({(2, 3)})
-    mixed = TensorField(
-        env, dim, (UPPER, LOWER, LOWER, LOWER), _mirrored(up, cd), antisym_pairs=cd
-    )
-    lowered = _contract_slot(mixed, 0, g.rows(), LOWER)
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    independent = {}
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i:]:
+            total = RawSum(env)
+            total.add_product((half, dg(a, d, b, c)))
+            total.add_product((half, dg(b, c, a, d)))
+            total.add_product((half, dg(b, d, a, c)), -1)
+            total.add_product((half, dg(a, c, b, d)), -1)
+            for e in range(dim):
+                for x, y, sign in ((c, d, 1), (d, c, -1)):
+                    w = gamma.component((e, b, x))
+                    if not w.is_zero:
+                        total.add_product((w, gamma_lower(e, a, y)), sign)
+            value = total.value()
+            if not value.is_zero:
+                independent[(a, b, c, d)] = independent[(c, d, a, b)] = value
+    antisym = frozenset({(0, 1), (2, 3)})
     return TensorField(
-        env,
-        dim,
-        (LOWER, LOWER, LOWER, LOWER),
-        lowered.components,
-        antisym_pairs=frozenset({(0, 1), (2, 3)}),
+        env, dim, (LOWER,) * 4, _mirrored(independent, antisym), antisym_pairs=antisym
     )
 
 
@@ -361,24 +358,19 @@ def _rows(dim: int, components: Mapping) -> list:
 
 def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
     """Contract ``slot`` with the inverse metric, flipping it to upper
-    variance.  The output keeps the input's antisymmetric pairs."""
-    if not 0 <= slot < t.rank:
-        raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
-    if t.variance[slot] != LOWER:
-        raise TensorError("slot %d is already upper" % slot)
-    return _contract_slot(t, slot, _rows(g_inv.dim, g_inv.components), UPPER)
-
-
-def _contract_slot(t: TensorField, slot: int, rows: list, variance: str) -> TensorField:
-    """Contract ``slot`` with the sparse rows of a rank-2 field, the slot
-    taking the given variance: out[..k..] = sum of rows[e][k] t[..e..].
+    variance: out[..k..] = sum of g^ke t[..e..].
 
     The output keeps the input's antisymmetric pairs.  Only keys oriented
     on its oriented pairs are computed, each summing its products raw,
     grouped by denominator (``expr.RawSum``); the swapped keys are filled
     by negation.
     """
-    out_variance = t.variance[:slot] + (variance,) + t.variance[slot + 1 :]
+    if not 0 <= slot < t.rank:
+        raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
+    if t.variance[slot] != LOWER:
+        raise TensorError("slot %d is already upper" % slot)
+    rows = _rows(g_inv.dim, g_inv.components)
+    out_variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
     pairs = _same_variance(t.antisym_pairs, out_variance)
     sums = {}
     for key, value in t.components.items():

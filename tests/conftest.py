@@ -57,6 +57,29 @@ def offdiag3d():
 
 
 @pytest.fixture(scope="session")
+def warped3d():
+    """v w du**2 + 2 u v du dw + u w dv**2 + u v dw**2: components that
+    depend on two coordinates, so mixed second derivatives of the metric
+    reach every term of the lowered Riemann tensor; cheap enough for the
+    dense oracles."""
+    env = SymbolEnv(coordinates=("u", "v", "w"))
+    u, v, w = env.symbol("u"), env.symbol("v"), env.symbol("w")
+    return Metric(env, 3, {(0, 0): v * w, (0, 2): u * v, (1, 1): u * w, (2, 2): u * v})
+
+
+@pytest.fixture(scope="session")
+def s3_euler():
+    """Unit S^3 in Euler angles, (1/4)(dtheta**2 + dphi**2 + dpsi**2
+    + 2 cos(theta) dphi dpsi): off-diagonal, with a trig coordinate, and
+    of constant curvature 1, so R_abcd = g_ac g_bd - g_ad g_bc."""
+    env = SymbolEnv(coordinates=("theta", "phi", "psi"), trig_pairs=frozenset({"theta"}))
+    quarter = env.one() / env.integer(4)
+    components = {(0, 0): quarter, (1, 1): quarter, (2, 2): quarter}
+    components[(1, 2)] = quarter * env.cos("theta")
+    return Metric(env, 3, components)
+
+
+@pytest.fixture(scope="session")
 def trig_env():
     return SymbolEnv(
         coordinates=("r", "theta"),

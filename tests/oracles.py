@@ -6,12 +6,16 @@ sparse stores and symmetry shortcuts: inversion goes through the adjugate,
 curvature tensors are computed for every index tuple, raising and covariant
 derivatives compute every key rather than one orientation of each
 antisymmetric pair, and invariant sums walk all D**n assignments with no
-abbreviation or zero filtering.  The one exception is ``dense_enumerate``:
-it walks all D**n assignments too, but applies the production abbreviation
-filter, so its output is the reference for the production sparse join
-entry for entry.  Products are formed canonically, one ``*`` and one ``+``
-at a time, as the reference for the production sums that group raw
-products by denominator.  ``normalize``, ``eval_rational`` and
+abbreviation or zero filtering.  The dense Riemann tensor is built mixed,
+R^a_bcd, and then lowered, so the pair exchange and the antisymmetries
+that the production code uses to fill components it never computes are
+checked against a computation that does not assume them.  The one
+exception is ``dense_enumerate``: it walks all D**n assignments too, but
+applies the production abbreviation filter, so its output is the
+reference for the production sparse join entry for entry.  Products are
+formed canonically, one ``*`` and one ``+`` at a time, as the reference
+for the production sums that group raw products by denominator.
+``rows``, ``normalize``, ``eval_rational`` and
 ``riemann_independent_nonzero_count`` are helpers that only the tests use.
 """
 
@@ -153,6 +157,14 @@ def _lookup(grid, key):
     for i in key:
         node = node[i]
     return node
+
+
+def rows(metric: Metric) -> list:
+    """Sparse rows of the metric: rows(metric)[a] lists (b, g_ab) for the
+    nonzero components, by b."""
+    dim = metric.dim
+    grid = [[metric.component(a, b) for b in range(dim)] for a in range(dim)]
+    return [[(b, v) for b, v in enumerate(row) if not v.is_zero] for row in grid]
 
 
 def full_contract_slot(field, slot, rows, new_char):

@@ -2,13 +2,19 @@
 
 Each case pins a SHA-1 of ``repr((expression, P, T, multiplier,
 product_count, raise_mults))`` from ``run_invariant`` on one worker.  The
-four families are the ones ``perfbench/reference.py`` checks by value, so a
-digest that moves means the canonical string or a paper statistic changed,
-not merely that a value is wrong.
+cases come from the families that ``perfbench/reference.py`` checks by
+value (spheres, Tangherlini and Kerr), so a digest that moves means the
+canonical string or a paper statistic changed, not merely that a value is
+wrong.  S^6 I_2 and Tangherlini D=6 I_c are the benchmark's
+``sphere6_I2`` and ``kerr6_Ic_a0`` workloads.
 
-The digests were computed with every GCD in the lex ring over all of the
-env's generators, before ``expr._cofactors`` ran over only the generators
-its inputs mention; they hold unchanged after it.
+The first four digests were computed with every GCD in the lex ring over
+all of the env's generators, before ``expr._cofactors`` ran over only the
+generators its inputs mention; they hold unchanged after it.  The S^6 I_2
+and Tangherlini D=6 I_c digests were computed while Riemann was still
+built as the mixed R^a_bcd and then lowered, before ``riemann_lowered``
+built the all-lower tensor directly at its independent components; all
+six hold unchanged after it.
 """
 
 import hashlib
@@ -31,6 +37,12 @@ CASES = {
     ),
     "Kerr D=4 I_b a=1": (
         "kerr", 4, (("a", Fraction(1)),), "I_b", "5b965fae40d60b9849cb094822edf7f4a372dfed"
+    ),
+    "S^6 I_2": (
+        "sphere", 6, (), "I_2", "f9a97eaa33138cf227836e1dac863336a5f6919d"
+    ),
+    "Tangherlini D=6 I_c": (
+        "kerr", 6, (("a", Fraction(0)),), "I_c", "7b8b9fca58e870995098f766048ee5f482612c64"
     ),
 }
 

@@ -30,6 +30,7 @@ from oracles import (
     full_contract_slot,
     full_covariant_derivative,
     riemann_independent_nonzero_count,
+    rows,
 )
 
 
@@ -122,8 +123,16 @@ class TestRiemann:
         assert R.component((0, 1, 0, 1)) == sin2
         assert riemann_independent_nonzero_count(R) == 1
 
-    def test_matches_dense_oracle(self, s2, quartic2d, s3):
-        for g in (s2, quartic2d, s3):
+    def test_constant_curvature_closed_form(self, s3_euler):
+        g = s3_euler
+        R = riemann_lowered(g)
+        assert R.nnz() > 0
+        for a, b, c, d in itertools.product(range(3), repeat=4):
+            expected = g.component(a, c) * g.component(b, d) - g.component(a, d) * g.component(b, c)
+            assert R.component((a, b, c, d)) == expected
+
+    def test_matches_dense_oracle(self, s2, quartic2d, s3, offdiag3d, s3_euler, warped3d):
+        for g in (s2, quartic2d, s3, offdiag3d, s3_euler, warped3d):
             oracle = dense_riemann_lowered(g)
             R = riemann_lowered(g)
             for key in itertools.product(range(g.dim), repeat=4):
@@ -182,7 +191,7 @@ class TestRaiseLower:
         R = kerr4_riemann
         inv = kerr4.inverse()
         up = raise_index(R, 2, inv)
-        back, _ = full_contract_slot(up, 2, kerr4.rows(), LOWER)
+        back, _ = full_contract_slot(up, 2, rows(kerr4), LOWER)
         assert back.components == R.components
         assert back.variance == R.variance
 
@@ -300,7 +309,7 @@ class TestOrientedMatchesFull:
         for g in (s3, schwarzschild4, quartic2d, offdiag3d):
             R = riemann_lowered(g)
             ginv = g.inverse()
-            up_rows, down_rows = _rows(g.dim, ginv.components), g.rows()
+            up_rows, down_rows = _rows(g.dim, ginv.components), rows(g)
             for chain in self.CHAINS:
                 got = want = R
                 expected = 0
