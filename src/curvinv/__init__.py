@@ -10,7 +10,6 @@ from .contraction import (
     detect_abbreviable_pairs,
     enumerate_indices,
     independent_component_count,
-    pair_exchange_reduction_factor,
     parse_spec,
     worst_case_product_count,
 )

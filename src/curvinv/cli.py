@@ -24,7 +24,6 @@ from .contraction import (
     detect_abbreviable_pairs,
     enumerate_indices,
     independent_component_count,
-    pair_exchange_reduction_factor,
     parse_spec,
     worst_case_product_count,
 )
@@ -135,7 +134,6 @@ def _cmd_count(args) -> int:
         args.metric, args.dim, _parse_substitutions(args.substitutions)
     )
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
-    factor = pair_exchange_reduction_factor(args.dim)
     payload = {
         "metric": args.metric,
         "dim": args.dim,
@@ -144,7 +142,6 @@ def _cmd_count(args) -> int:
         "independent_components": independent_component_count(args.dim),
         "multiplier": multiplier,
         "abbreviated_pairs": sorted(list(p) for p in abbreviated),
-        "pair_exchange_factor": [factor.numerator, factor.denominator],
     }
     if args.enumerate_:
         tensors, raise_mults = build_factor_tensors(metric, spec)
@@ -159,8 +156,6 @@ def _cmd_count(args) -> int:
         print("independent curvature components: %d" % payload["independent_components"])
         print("abbreviation multiplier: %d  pairs: %s"
               % (multiplier, payload["abbreviated_pairs"]))
-        print("pair-exchange reduction (informational): %d/%d"
-              % (factor.numerator, factor.denominator))
         if args.enumerate_:
             print("enumerated products: %d" % payload["enumerated_products"])
             print("raising multiplications: %d" % payload["raising_multiplications"])

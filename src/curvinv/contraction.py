@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import RawSum
 from .tensor import LOWER, UPPER, TensorField
@@ -303,9 +302,6 @@ class ProductEvaluator:
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
     """Upper bound on enumerated products: D per lone label, D(D-1)/2 per
     abbreviated antisymmetric pair, D(D+1)/2 per symmetric derivative pair.
-
-    The additional pair-exchange reduction is reported separately by
-    :func:`pair_exchange_reduction_factor` and never applied here.
     """
     abbreviated, _ = detect_abbreviable_pairs(spec)
     symmetric = symmetric_derivative_pairs(spec)
@@ -317,12 +313,6 @@ def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
         count *= dim * (dim + 1) // 2
     lone = len([name for name in spec.label_names if name not in consumed])
     return count * dim ** lone
-
-
-def pair_exchange_reduction_factor(dim: int) -> Fraction:
-    """Informational reduction available from the pair-exchange symmetry for
-    invariants such as the Kretschmann scalar; not used in enumeration."""
-    return Fraction(2 * dim * (dim - 1), dim * (dim - 1) + 2)
 
 
 def independent_component_count(dim: int) -> int:

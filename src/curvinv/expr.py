@@ -427,28 +427,20 @@ class Expr:
 
     # Pickling (ring elements are rebuilt in the receiving process) -----------
 
-    def __getstate__(self):
+    def __reduce__(self):
         return (
-            self.env,
-            [(m, int(c)) for m, c in self.num.terms()],
-            [(m, int(c)) for m, c in self.den.terms()],
+            _restore_expr,
+            (
+                self.env,
+                [(m, int(c)) for m, c in self.num.terms()],
+                [(m, int(c)) for m, c in self.den.terms()],
+            ),
         )
 
-    def __setstate__(self, state):
-        env, num_terms, den_terms = state
-        self.env = env
-        self.num = env.ring.from_dict(dict(num_terms))
-        self.den = env.ring.from_dict(dict(den_terms))
-        self._hash = None
 
-    def __reduce__(self):
-        return (_restore_expr, (self.__getstate__(),))
-
-
-def _restore_expr(state):
-    e = object.__new__(Expr)
-    e.__setstate__(state)
-    return e
+def _restore_expr(env, num_terms, den_terms):
+    ring = env.ring
+    return Expr(env, ring.from_dict(dict(num_terms)), ring.from_dict(dict(den_terms)))
 
 
 def _env_derivative(env: SymbolEnv, p, coordinate: str):

@@ -1,14 +1,15 @@
 """End-to-end drivers: build the factor tensors an invariant needs, run
 the parcel pool, and assemble reports.
 
-Raised tensors are cached per metric by (derivative order, raised slots),
-so a slot raising shared between factors, or between runs on one metric,
-is performed once and counted once per run.  The product statistic P is
-the enumerated product count plus the nonzero multiplications of the
-literal raisings.  Raising computes only part of those products and fills
-the rest by antisymmetry, so their number is worked out from the input:
-one per stored component and nonzero entry of the inverse-metric row its
-raised index selects.
+Each metric's connection, lowered Riemann tensor, covariant derivatives
+and raised fields are memoised in one place, ``_field``, keyed by
+(derivative order, raised slots), so a field shared between factors, or
+between runs on one metric, is built once and its raising counted once per
+run.  The product statistic P is the enumerated product count plus the
+nonzero multiplications of the literal raisings.  Raising computes only
+part of those products and fills the rest by antisymmetry, so their number
+is worked out from the input: one per stored component and nonzero entry
+of the inverse-metric row its raised index selects.
 """
 
 from __future__ import annotations
@@ -36,26 +37,30 @@ from .tensor import (
 )
 
 
-# Per metric instance (metrics are immutable): the connection, the lowered
-# Riemann field followed by its covariant derivatives, and the raised
-# fields keyed by (derivative order, raised slots).
+# Per metric instance (metrics are immutable): its connection, and the
+# Riemann fields keyed by (derivative order, raised slots).
 _base_fields = weakref.WeakKeyDictionary()
 
 
-def _metric_cache(metric: Metric):
+def _field(metric: Metric, order: int, raised: tuple = ()):
+    """The lowered Riemann tensor's ``order``-th covariant derivative with
+    the slots ``raised`` raised in that order, memoised per metric: each
+    field is built once from the one below it."""
     entry = _base_fields.get(metric)
     if entry is None:
         # One connection serves Riemann and every covariant derivative.
-        gamma = christoffel(metric)
-        entry = _base_fields[metric] = (gamma, [riemann_lowered(metric, gamma)], {})
-    return entry
-
-
-def _lowered_field(metric: Metric, order: int):
-    gamma, fields, _ = _metric_cache(metric)
-    while len(fields) <= order:
-        fields.append(covariant_derivative(fields[-1], gamma))
-    return fields[order]
+        entry = _base_fields[metric] = (christoffel(metric), {})
+    gamma, fields = entry
+    key = (order, raised)
+    if key not in fields:
+        if raised:
+            below = _field(metric, order, raised[:-1])
+            fields[key] = raise_index(below, raised[-1], metric.inverse())
+        elif order:
+            fields[key] = covariant_derivative(_field(metric, order - 1), gamma)
+        else:
+            fields[key] = riemann_lowered(metric, gamma)
+    return fields[key]
 
 
 def build_factor_tensors(metric: Metric, spec: InvariantSpec):
@@ -64,31 +69,22 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
     Returns (tensors, raise_mults) where raise_mults counts the nonzero
     scalar multiplications of the literal raisings, whether their products
     were computed or filled by antisymmetry, once per distinct raising the
-    spec needs.  Raised fields are cached per metric, so a later call on the
+    spec needs.  Fields are memoised per metric, so a later call on the
     same metric reuses them and reports the same count.
     """
-    base = {
-        o: _lowered_field(metric, o) for o in {f.derivative_order for f in spec.factors}
-    }
-    ginv = metric.inverse()
-    row_nnz = Counter(a for a, _ in ginv.components)
-    _, _, raised_cache = _metric_cache(metric)
-    used = {}
     tensors = []
+    below = {}  # raised field's key -> (field it is raised from, slot)
     for f in spec.factors:
-        current = base[f.derivative_order]
-        raised = ()
-        for slot, var in enumerate(f.variance):
-            if var != UPPER:
-                continue
-            raised = raised + (slot,)
-            key = (f.derivative_order, raised)
-            used[key] = sum(row_nnz[k[slot]] for k in current.components)
-            if key not in raised_cache:
-                raised_cache[key] = raise_index(current, slot, ginv)
-            current = raised_cache[key]
-        tensors.append(current)
-    return tensors, sum(used.values())
+        order = f.derivative_order
+        raised = tuple(s for s, v in enumerate(f.variance) if v == UPPER)
+        for i, slot in enumerate(raised):
+            below[(order, raised[: i + 1])] = (_field(metric, order, raised[:i]), slot)
+        tensors.append(_field(metric, order, raised))
+    row_nnz = Counter(a for a, _ in metric.inverse().components)
+    raise_mults = sum(
+        row_nnz[key[slot]] for field, slot in below.values() for key in field.components
+    )
+    return tensors, raise_mults
 
 
 def run_invariant(

@@ -19,6 +19,14 @@ are filled.  Canonical forms are unique, so a filled component is exactly
 the one the full computation would give; keys with equal indices on a
 pair are zero and stay absent.
 
+A ``Metric`` memoises what is derived from it alone, each piece built on
+first use: its inverse (``inverse``), its partial derivatives
+(``derivative``) and its connection of the first kind
+Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad) (``first_kind``).
+``christoffel`` and ``riemann_lowered`` both read them, so each derivative
+and each first-kind sum is computed once per metric.  The fields built
+from a metric are memoised by the pipeline.
+
 The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
 ``gamma.component((a, b, c))`` needs no index sorting.
@@ -62,18 +70,22 @@ class Metric:
         for (a, b), value in components.items():
             if not 0 <= a < dim or not 0 <= b < dim:
                 raise TensorError("metric index out of range: %r" % ((a, b),))
-            if value.is_zero:
-                continue
-            prior = store.get((b, a))
-            if prior is not None and prior != value:
+            transpose = components.get((b, a))
+            if transpose is not None and transpose != value:
                 raise TensorError("metric components must be symmetric")
-            store[(a, b)] = value
-            store[(b, a)] = value
+            if not value.is_zero:
+                store[(a, b)] = store[(b, a)] = value
         self.env = env
         self.dim = dim
         self.components = store
-        self._inverse = None
         self._zero = env.zero()
+        self._half = env.one() / env.integer(2)
+        # Derived data, built on first use.  Plain dicts, not closures over
+        # the metric: a reference cycle would keep the metric alive after the
+        # pipeline's weak cache has let it go.
+        self._inverse = None
+        self._derivatives = {}
+        self._first_kind = {}
 
     def component(self, a: int, b: int) -> Expr:
         return self.components.get((a, b), self._zero)
@@ -82,6 +94,36 @@ class Metric:
         if self._inverse is None:
             self._inverse = inverse_metric(self)
         return self._inverse
+
+    def derivative(self, a: int, b: int, *xs: int) -> Expr:
+        """d_x ... g_ab over the coordinates indexed by ``xs``, memoised.
+
+        Keys sort the symmetric indices and the commuting derivatives, and
+        each derivative extends the one below it.
+        """
+        if not xs:
+            return self.component(a, b)
+        key = (min(a, b), max(a, b)) + tuple(sorted(xs))
+        value = self._derivatives.get(key)
+        if value is None:
+            below = self.derivative(*key[:-1])
+            if not below.is_zero:
+                below = below.diff(self.env.coordinates[key[-1]])
+            value = self._derivatives[key] = below
+        return value
+
+    def first_kind(self, e: int, a: int, d: int) -> Expr:
+        """Connection of the first kind, memoised and symmetric in a, d:
+        Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad), one ``RawSum``."""
+        key = (e, min(a, d), max(a, d))
+        value = self._first_kind.get(key)
+        if value is None:
+            total = RawSum(self.env)
+            total.add_product((self._half, self.derivative(e, d, a)))
+            total.add_product((self._half, self.derivative(e, a, d)))
+            total.add_product((self._half, self.derivative(a, d, e)), -1)
+            value = self._first_kind[key] = total.value()
+        return value
 
     def substitute(self, name: str, value) -> "Metric":
         """Replace a parameter by an exact rational.
@@ -248,47 +290,25 @@ def inverse_metric(g: Metric) -> TensorField:
     return TensorField(env, dim, (UPPER, UPPER), components)
 
 
-def _metric_derivatives(g: Metric):
-    """Cached partial derivatives of the metric: ``dg(a, b, x, ...)`` is
-    d_x ... g_ab.  Keys sort the symmetric indices and the commuting
-    derivatives, and each derivative extends the cached one below it."""
-    coords = g.env.coordinates
-    cache = {}
-
-    def dg(a, b, *xs):
-        key = (min(a, b), max(a, b)) + tuple(sorted(xs))
-        if key not in cache:
-            below = dg(a, b, *key[2:-1]) if len(key) > 3 else g.component(a, b)
-            cache[key] = below if below.is_zero else below.diff(coords[key[-1]])
-        return cache[key]
-
-    return dg
-
-
 def christoffel(g: Metric) -> TensorField:
-    """Gamma^a_bc = (1/2) g^ad (d_b g_dc + d_c g_bd - d_d g_bc).
+    """Gamma^a_bc = g^ad Gamma_dbc, from the metric's connection of the
+    first kind (``Metric.first_kind``).
 
     Only b <= c is computed; the field stores the same value at both
     orientations (a, b, c) and (a, c, b) of the symmetric lower pair.  Each
-    component sums the products (1/2) g^ad d_x g_yz raw, grouped by
-    denominator (``expr.RawSum``).
+    component sums the products g^ad Gamma_dbc raw, grouped by denominator
+    (``expr.RawSum``).
     """
     dim, env = g.dim, g.env
     ginv_rows = _rows(dim, g.inverse().components)
-    dg = _metric_derivatives(g)
-    half = env.one() / env.integer(2)
     components = {}
     for a in range(dim):
         for b in range(dim):
             for c in range(b, dim):
                 total = RawSum(env)
                 for d, g_ad in ginv_rows[a]:
-                    total.add_product((half, g_ad, dg(d, c, b)))
-                    total.add_product((half, g_ad, dg(b, d, c)))
-                    total.add_product((half, g_ad, dg(b, c, d)), -1)
-                value = total.value()
-                components[(a, b, c)] = value
-                components[(a, c, b)] = value
+                    total.add_product((g_ad, g.first_kind(d, b, c)))
+                components[(a, b, c)] = components[(a, c, b)] = total.value()
     return TensorField(env, dim, (UPPER, LOWER, LOWER), components)
 
 
@@ -298,33 +318,20 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
     R_abcd = (1/2)(d_b d_c g_ad + d_a d_d g_bc - d_a d_c g_bd - d_b d_d g_ac)
              + sum_e (Gamma^e_bc Gamma_ead - Gamma^e_bd Gamma_eac),
 
-    with the connection of the first kind
-    Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad), one ``RawSum`` per
-    cached component.  Only the independent keys a < b, c < d and
-    (a, b) <= (c, d) are computed, each summing its products raw, grouped by
-    denominator (``expr.RawSum``).  The pair exchange R_cdab = R_abcd puts
-    each value at (a, b, c, d) and (c, d, a, b); the antisymmetries in
-    slots (0,1) and (2,3) fill the other keys by negation.  ``gamma`` is
-    the metric's connection when the caller already has it; otherwise it
-    is built here.
+    reading the metric derivatives and the connection of the first kind
+    Gamma_ead from the metric's memos (``Metric.derivative`` and
+    ``Metric.first_kind``), which ``christoffel`` fills too.  Only the
+    independent keys a < b, c < d and (a, b) <= (c, d) are computed, each
+    summing its products raw, grouped by denominator (``expr.RawSum``).
+    The pair exchange R_cdab = R_abcd puts each value at (a, b, c, d) and
+    (c, d, a, b); the antisymmetries in slots (0,1) and (2,3) fill the
+    other keys by negation.  ``gamma`` is the metric's connection when the
+    caller already has it; otherwise it is built here.
     """
     dim, env = g.dim, g.env
     if gamma is None:
         gamma = christoffel(g)
-    dg = _metric_derivatives(g)
-    half = env.one() / env.integer(2)
-    first_kind = {}
-
-    def gamma_lower(e, a, d):
-        key = (e, min(a, d), max(a, d))
-        if key not in first_kind:
-            total = RawSum(env)
-            total.add_product((half, dg(e, d, a)))
-            total.add_product((half, dg(e, a, d)))
-            total.add_product((half, dg(a, d, e)), -1)
-            first_kind[key] = total.value()
-        return first_kind[key]
-
+    dg, half = g.derivative, g._half
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     independent = {}
     for i, (a, b) in enumerate(pairs):
@@ -338,7 +345,7 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
                 for x, y, sign in ((c, d, 1), (d, c, -1)):
                     w = gamma.component((e, b, x))
                     if not w.is_zero:
-                        total.add_product((w, gamma_lower(e, a, y)), sign)
+                        total.add_product((w, g.first_kind(e, a, y)), sign)
             value = total.value()
             if not value.is_zero:
                 independent[(a, b, c, d)] = independent[(c, d, a, b)] = value

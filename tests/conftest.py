@@ -5,7 +5,7 @@ import pytest
 
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import kerr, sphere_metric
-from curvinv.pipeline import _lowered_field
+from curvinv.pipeline import _field
 from curvinv.tensor import Metric
 
 
@@ -34,7 +34,7 @@ def schwarzschild4():
 def kerr4_riemann(kerr4):
     """Lowered Riemann tensor of Kerr D=4, built once for every test that
     only reads it; the same object the pipeline caches for ``kerr4``."""
-    return _lowered_field(kerr4, 0)
+    return _field(kerr4, 0)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from curvinv.contraction import (
     detect_abbreviable_pairs,
     enumerate_indices,
     independent_component_count,
-    pair_exchange_reduction_factor,
     parse_spec,
     worst_case_product_count,
 )
@@ -332,10 +331,6 @@ class TestCounts:
     def test_independent_component_count_rejects(self):
         with pytest.raises(ValueError):
             independent_component_count(1)
-
-    def test_pair_exchange_factor(self):
-        f = pair_exchange_reduction_factor(4)
-        assert (f.numerator, f.denominator) == (12, 7)
 
 
 class TestAbbreviationSoundness:

@@ -9,7 +9,7 @@ from curvinv.tensor import Metric, TensorError
 
 
 def test_one_connection_per_derivative_run(monkeypatch):
-    # Riemann and nabla R share the connection that _lowered_field builds.
+    # Riemann and nabla R share the connection that _field builds.
     env = SymbolEnv(coordinates=("r", "w"))
     r = env.symbol("r")
     g = Metric(env, 2, {(0, 0): env.one(), (1, 1): r ** 4})

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from curvinv.contraction import parse_spec
-from curvinv.expr import SymbolEnv
+from curvinv.expr import Expr, SymbolEnv
 from curvinv.metrics import flat
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import (
@@ -96,8 +96,8 @@ class TestChristoffel:
         assert gam.component((1, 0, 1)) == 1 / r
         assert gam.component((0, 1, 1)) == -r
 
-    def test_matches_dense_oracle(self, s2, quartic2d, s3):
-        for g in (s2, quartic2d, s3):
+    def test_matches_dense_oracle(self, s2, quartic2d, s3, offdiag3d, s3_euler, warped3d):
+        for g in (s2, quartic2d, s3, offdiag3d, s3_euler, warped3d):
             oracle = dense_christoffel(g)
             gam = christoffel(g)
             for a in range(g.dim):
@@ -109,6 +109,31 @@ class TestChristoffel:
         gam = christoffel(kerr4)
         for (a, b, c) in gam.components:
             assert gam.component((a, b, c)) == gam.component((a, c, b))
+
+    def test_each_metric_derivative_taken_once(self, monkeypatch, warped3d):
+        # Christoffel and Riemann read one derivative memo on the metric, so
+        # building both takes one Expr.diff per distinct derivative key.
+        g = Metric(warped3d.env, warped3d.dim, warped3d.components)  # empty memos
+        diff, derivative = Expr.diff, Metric.derivative
+        diffs, keys = [], set()
+
+        def counting_diff(self, coordinate):
+            diffs.append(coordinate)
+            return diff(self, coordinate)
+
+        def recording_derivative(self, a, b, *xs):
+            if xs:
+                keys.add((min(a, b), max(a, b)) + tuple(sorted(xs)))
+            return derivative(self, a, b, *xs)
+
+        monkeypatch.setattr(Expr, "diff", counting_diff)
+        monkeypatch.setattr(Metric, "derivative", recording_derivative)
+        riemann_lowered(g, christoffel(g))
+        monkeypatch.undo()
+        # A derivative of an identically zero one is zero without a diff.
+        taken = [key for key in keys if not g.derivative(*key[:-1]).is_zero]
+        assert any(len(key) == 4 for key in taken)
+        assert len(diffs) == len(taken)
 
 
 class TestRiemann:
@@ -387,6 +412,18 @@ def test_metric_symmetry_enforced():
     x = env.symbol("u")
     with pytest.raises(TensorError):
         Metric(env, 2, {(0, 1): x, (1, 0): x + 1, (0, 0): env.one(), (1, 1): env.one()})
+
+
+def test_metric_symmetry_enforced_against_zero():
+    # A zero on one side of the diagonal is a value too: g_01 = 0 with
+    # g_10 = u is not a symmetric metric, whichever is given first.
+    env = SymbolEnv(coordinates=("u", "v"))
+    x, zero, one = env.symbol("u"), env.zero(), env.one()
+    for off in ({(0, 1): zero, (1, 0): x}, {(1, 0): x, (0, 1): zero}):
+        with pytest.raises(TensorError):
+            Metric(env, 2, {(0, 0): one, (1, 1): one, **off})
+    g = Metric(env, 2, {(0, 0): one, (0, 1): zero, (1, 0): zero, (1, 1): one})
+    assert g.components == {(0, 0): one, (1, 1): one}
 
 
 def test_tensor_field_drops_zero_components(s2):
