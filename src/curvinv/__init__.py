@@ -31,6 +31,7 @@ from .parallel import (
     partition,
 )
 from .pipeline import build_factor_tensors, run_invariant
+from .poly import HeuristicGCDFailed
 from .tensor import (
     Metric,
     SingularMetricError,

@@ -16,23 +16,21 @@ Canonical forms are unique: two expressions equal as rational functions
 modulo ``sin**2 + cos**2 = 1`` compare equal componentwise.  In particular
 an expression is zero exactly when its numerator is the zero polynomial.
 
-The canonical form is defined by the grevlex ring, but the GCD that
-cancels numerator against denominator runs on copies in a lex-ordered ring
-over only the generators the two polynomials mention, kept in the env's
-order.  sympy's heuristic GCD spends almost all of its time in trial
-divisions, and each division step searches for a leading term: a plain
-``max`` over exponent tuples in a lex ring, but a ``max`` keyed by a Python
-grevlex function otherwise (``leading_expv`` in ``sympy/polys/rings.py``).
-It also evaluates and divides in every generator of its ring (heugcd:
-Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989), so a generator that
-neither polynomial mentions costs time too; the ring of S^6 has 16
-generators, and a typical denominator mentions one to three.  Leaving
-those generators out changes nothing in the result: each has exponent 0 in
-every monomial, so lex over the rest, in the same relative order, ranks
-the monomials as lex over all generators does.  Over ZZ the reduced
-cofactors are unique up to one common sign, so mapping them back and
-re-applying the grevlex sign rule gives exactly the grevlex ``cancel``
-result.
+Polynomials are :class:`curvinv.poly.Poly` values in the env's ring: dicts
+from exponent tuples to Python ints, ranked by the graded reverse
+lexicographic (grevlex) order that fixes the canonical sign.  The GCD that
+cancels numerator against denominator is ``curvinv.poly.cofactors``, a port
+of sympy's heuristic GCD (heugcd: Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989), and it runs in lex order on projections of the two
+polynomials onto only the generators they mention, kept in the env's
+order.  heugcd evaluates and divides in every generator it is given, so a
+generator that neither polynomial mentions would cost time too; the ring of
+S^6 has 16 generators, and a typical denominator mentions one to three.
+Leaving those generators out changes nothing in the result: each has
+exponent 0 in every monomial, so lex over the rest, in the same relative
+order, ranks the monomials as lex over all generators does.  Over ZZ the
+reduced cofactors are unique up to one common sign, so mapping them back
+and re-applying the grevlex sign rule gives the unique canonical form.
 
 Every sum of products in the package goes through :class:`RawSum`: the
 tensor builders, the parcel sum, the merge of the parcel partials and the
@@ -52,17 +50,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
-from sympy import Symbol
-from sympy.polys.domains import ZZ
-from sympy.polys.orderings import grevlex, lex
-from sympy.polys.rings import ring
-
-
-class SymbolicError(Exception):
-    """Base class for expression-layer failures."""
+from .poly import SymbolicError, cofactors, poly_ring
 
 
 class DivisionByZeroExpression(SymbolicError):
@@ -73,29 +64,25 @@ class UnknownSymbolError(SymbolicError):
     """A name that does not exist in the symbol environment."""
 
 
-@lru_cache(maxsize=None)
-def _ring_for(gen_names: tuple, order=grevlex):
-    symbols = [Symbol(name) for name in gen_names]
-    return ring(symbols, ZZ, order)[0]
-
-
 def _cofactors(env: "SymbolEnv", p, q):
-    """``p`` and ``q`` divided by their GCD, in the env's grevlex ring.
+    """``p`` and ``q`` divided by their GCD, in the env's ring.
 
-    The GCD runs in a lex ring over only the generators ``p`` or ``q``
-    mentions, in the env's order.  Every other generator has exponent 0 in
-    every monomial, so the cofactors, sign included, are those of lex over
-    all generators (see the module docstring).
+    ``poly.cofactors`` runs, in lex order, on the projections of ``p`` and
+    ``q`` onto only the generators either mentions, in the env's order.
+    Every other generator has exponent 0 in every monomial, so the
+    cofactors, sign included, are those of lex over all generators (see
+    the module docstring).  Raises :class:`HeuristicGCDFailed` when the
+    heuristic GCD runs out of evaluation points.
     """
     R = env.ring
     used = [i for i, degs in enumerate(zip(p.degrees(), q.degrees())) if max(degs) > 0]
-    L = _ring_for(tuple(env.gen_names[i] for i in used), lex)
-    _, p, q = L.dtype(_project(p, used)).cofactors(L.dtype(_project(q, used)))
-    return R.dtype(_scatter(p, used, R.ngens)), R.dtype(_scatter(q, used, R.ngens))
+    L = poly_ring(len(used))
+    _, p, q = cofactors(L.from_dict(_project(p, used)), L.from_dict(_project(q, used)))
+    return R.from_dict(_scatter(p, used, R.ngens)), R.from_dict(_scatter(q, used, R.ngens))
 
 
 def _project(p, used):
-    return {tuple(mon[i] for i in used): c for mon, c in p.items()}
+    return {tuple([mon[i] for i in used]): c for mon, c in p.items()}
 
 
 def _scatter(p, used, ngens):
@@ -109,7 +96,8 @@ def _scatter(p, used, ngens):
 
 
 def _cancel(env: "SymbolEnv", num, den):
-    """``num.cancel(den)`` in the env's grevlex ring."""
+    """``num/den`` in lowest terms, the denominator's grevlex leading
+    coefficient positive."""
     num, den = _cofactors(env, num, den)
     if den.LC < 0:
         return -num, -den
@@ -154,9 +142,9 @@ class SymbolEnv:
                 names.append("cos(%s)" % x)
         return tuple(names)
 
-    @property
+    @cached_property
     def ring(self):
-        return _ring_for(self.gen_names)
+        return poly_ring(len(self.gen_names))
 
     def gen_index(self, name: str) -> int:
         try:
@@ -204,9 +192,13 @@ class SymbolEnv:
 
 def _sine_reduce(env: SymbolEnv, p):
     """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
+    if not p or not env.trig_indices:
+        return p
     R = env.ring
+    # rewriting one sine changes the degrees of that sine and its cosine only
+    degrees = p.degrees()
     for si, ci in env.trig_indices:
-        if not p or p.degree(si) < 2:
+        if not p or degrees[si] < 2:
             continue
         one_minus_c2 = R.one - R.gens[ci] ** 2
         powers = {}
@@ -303,8 +295,8 @@ class Expr:
         if self._hash is None:
             state = (
                 self.env,
-                tuple((m, int(c)) for m, c in self.num.terms()),
-                tuple((m, int(c)) for m, c in self.den.terms()),
+                tuple(self.num.terms()),
+                tuple(self.den.terms()),
             )
             self._hash = hash(state)
         return self._hash
@@ -425,17 +417,10 @@ class Expr:
     def __repr__(self) -> str:
         return "Expr(%s)" % self
 
-    # Pickling (ring elements are rebuilt in the receiving process) -----------
+    # Pickling (polynomials are rebuilt in the receiving process) ------------
 
     def __reduce__(self):
-        return (
-            _restore_expr,
-            (
-                self.env,
-                [(m, int(c)) for m, c in self.num.terms()],
-                [(m, int(c)) for m, c in self.den.terms()],
-            ),
-        )
+        return _restore_expr, (self.env, list(self.num.items()), list(self.den.items()))
 
 
 def _restore_expr(env, num_terms, den_terms):

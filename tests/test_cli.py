@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import curvinv
+from curvinv import poly
 from curvinv.cli import PRESETS, main
 
 
@@ -162,6 +167,33 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "'a'" in err
+
+    def test_gcd_failure_is_reported(self, capsys, monkeypatch):
+        # with no evaluation point to try, every heuristic GCD fails
+        monkeypatch.setattr(poly, "HEU_GCD_MAX", 0)
+        code, out, err = run_cli(
+            capsys, "run", "--metric", "sphere", "--dim", "2", "--invariant", "I_a"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "GCD" in err
+
+
+def test_runtime_imports_no_sympy():
+    script = (
+        "import sys\n"
+        "import curvinv.cli\n"
+        "from curvinv.pipeline import metric_with_substitutions\n"
+        "metric_with_substitutions('kerr', 4, [('a', 1)])\n"
+        "loaded = [m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestCount:

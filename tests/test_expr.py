@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympy import Symbol
+from sympy.polys.domains import ZZ
 from sympy.polys.orderings import grevlex, lex
+from sympy.polys.rings import ring
 
 from curvinv import expr
 from curvinv.expr import (
@@ -16,7 +19,6 @@ from curvinv.expr import (
     UnknownSymbolError,
     _clear_sines_from_denominator,
     _cofactors,
-    _ring_for,
     _sine_reduce,
 )
 from curvinv.pipeline import run_invariant
@@ -399,13 +401,21 @@ class TestRawSum:
 # --- cancellation against sympy's grevlex cancel --------------------------------
 
 
+def _sympy_ring(env, order):
+    """sympy's ring over the env's generators, the independent reference."""
+    return ring([Symbol(name) for name in env.gen_names], ZZ, order)[0]
+
+
 def _grevlex_cancel(env, num, den):
-    """Expr.make's sine handling, then ``cancel`` in the env's own grevlex
-    ring: the reference for the GCD that make runs in the lex twin ring."""
+    """Expr.make's sine handling, then sympy's ``cancel`` in a grevlex ring
+    over the env's generators: the reference for the GCD that make runs
+    in lex order over only the generators present."""
     num, den = _clear_sines_from_denominator(
         env, _sine_reduce(env, num), _sine_reduce(env, den)
     )
-    return num.cancel(den)
+    S = _sympy_ring(env, grevlex)
+    num, den = S.from_dict(dict(num)).cancel(S.from_dict(dict(den)))
+    return env.ring.from_dict(dict(num)), env.ring.from_dict(dict(den))
 
 
 def _gens(env, *names):
@@ -423,7 +433,7 @@ def _random_poly(env, rng, sine):
     p = R.zero
     while not p:
         for _ in range(rng.randint(1, 4)):
-            term = R(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]))
+            term = R.ground_new(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]))
             for g in (a, mu, r, c):
                 term *= g ** rng.randint(0, 2)
             if sine and rng.random() < 0.5:
@@ -466,7 +476,7 @@ class TestCancelOracle:
     def test_sine_bearing_denominator(self, trig_env):
         r, s, c = _gens(trig_env, "r", "sin(theta)", "cos(theta)")
         e = _assert_make_matches_cancel(trig_env, c * (r + 1), s * r + c)
-        assert e.den.degree(s) == 0
+        assert e.den.degree(trig_env.gen_index("sin(theta)")) == 0
 
     def test_zero_numerator(self, trig_env):
         R = trig_env.ring
@@ -476,8 +486,8 @@ class TestCancelOracle:
 
     def test_no_generators(self, trig_env):
         R = trig_env.ring
-        e = _assert_make_matches_cancel(trig_env, R(6), R(-4))
-        assert (e.num, e.den) == (R(-3), R(2))
+        e = _assert_make_matches_cancel(trig_env, R.ground_new(6), R.ground_new(-4))
+        assert (e.num, e.den) == (R.ground_new(-3), R.ground_new(2))
 
     def test_no_shared_generator(self, trig_env):
         r, c = _gens(trig_env, "r", "cos(theta)")
@@ -500,7 +510,7 @@ class TestCancelOracle:
         rng = random.Random(20261018)
         R = trig_env.ring
         a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
-        shared = [R.one, R(6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, -(r ** 2) + mu * a]
+        shared = [R.one, R.ground_new(6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, -(r ** 2) + mu * a]
         signs = set()
         for _ in range(60):
             f = rng.choice(shared)
@@ -517,9 +527,9 @@ def _full_ring_cofactors(env, p, q):
     """Cofactors with the GCD in the lex ring over all of the env's
     generators, mapped back: the reference for ``_cofactors``, which drops
     the generators neither input mentions."""
-    L = _ring_for(env.gen_names, lex)
-    _, p, q = L.dtype(p).cofactors(L.dtype(q))
-    return env.ring.dtype(p), env.ring.dtype(q)
+    L = _sympy_ring(env, lex)
+    _, p, q = L.from_dict(dict(p)).cofactors(L.from_dict(dict(q)))
+    return env.ring.from_dict(dict(p)), env.ring.from_dict(dict(q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,7 +537,7 @@ def _full_ring_cofactors(env, p, q):
 def test_cofactors_match_full_ring(trig_env, rng, shared_index):
     R = trig_env.ring
     a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
-    shared = [R.one, R(-6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, c][shared_index]
+    shared = [R.one, R.ground_new(-6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, c][shared_index]
     p = _random_poly(trig_env, rng, sine=True) * shared
     q = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * shared
     cofactors = _cofactors(trig_env, p, q)
@@ -536,18 +546,26 @@ def test_cofactors_match_full_ring(trig_env, rng, shared_index):
 
 
 def test_gcd_ring_holds_only_the_generators_present(trig_env, monkeypatch):
+    # Both polynomials are projected onto the same generators, and the GCD
+    # gets polynomials in exactly that many variables.
     asked = []
+    project = expr._project
+    gcd = expr.cofactors
 
-    def recording(gen_names, order=grevlex):
-        if order == lex:
-            asked.append(gen_names)
-        return _ring_for(gen_names, order)
+    def recording_project(p, used):
+        asked.append(tuple(trig_env.gen_names[i] for i in used))
+        return project(p, used)
 
-    monkeypatch.setattr(expr, "_ring_for", recording)
+    def recording_gcd(f, g):
+        assert f.ring.ngens == g.ring.ngens == len(asked[-1])
+        return gcd(f, g)
+
+    monkeypatch.setattr(expr, "_project", recording_project)
+    monkeypatch.setattr(expr, "cofactors", recording_gcd)
     R = trig_env.ring
     a, mu, r, s, c = _gens(trig_env, "a", "mu", "r", "sin(theta)", "cos(theta)")
     pairs = [
-        (R(6), R(-4), ()),
+        (R.ground_new(6), R.ground_new(-4), ()),
         (r + 1, c ** 2 - 1, ("r", "cos(theta)")),
         (r ** 2 - 1, r - 1, ("r",)),
         ((a - c) * (a * c + 1), a * c + 1, ("a", "cos(theta)")),
@@ -556,11 +574,11 @@ def test_gcd_ring_holds_only_the_generators_present(trig_env, monkeypatch):
     for p, q, names in pairs:
         asked.clear()
         _cofactors(trig_env, p, q)
-        assert asked == [names]
+        assert asked == [names, names]
     # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
     asked.clear()
     Expr.make(trig_env, mu * s, a * s + c)
-    assert asked == [("a", "mu", "sin(theta)", "cos(theta)")]
+    assert asked == [("a", "mu", "sin(theta)", "cos(theta)")] * 2
 
 
 def test_kerr4_kretschmann_closed_form(kerr4):
