@@ -151,8 +151,9 @@ def detect_abbreviable_pairs(spec: InvariantSpec):
     """Label pairs whose summation can be restricted to ordered values.
 
     A pair abbreviates when two factors carry the same two labels, in the
-    same order, on adjacent slot pairs that are both antisymmetric; each
-    abbreviated pair doubles the multiplier.
+    same order, on adjacent antisymmetric slot pairs whose two slots share a
+    variance in each factor (R^a_b is not antisymmetric); each abbreviated
+    pair doubles the multiplier.
     """
     pairs = set()
     factors = spec.factors
@@ -164,6 +165,8 @@ def detect_abbreviable_pairs(spec: InvariantSpec):
                     if fi == fj and i == j:
                         continue
                     if f.labels[i] != g.labels[j] or f.labels[i2] != g.labels[j2]:
+                        continue
+                    if f.variance[i] != f.variance[i2] or g.variance[j] != g.variance[j2]:
                         continue
                     if f.labels[i] in spec.free_labels or f.labels[i2] in spec.free_labels:
                         continue

@@ -21,16 +21,9 @@ from exponent tuples to Python ints, ranked by the graded reverse
 lexicographic (grevlex) order that fixes the canonical sign.  The GCD that
 cancels numerator against denominator is ``curvinv.poly.cofactors``, a port
 of sympy's heuristic GCD (heugcd: Char, Geddes and Gonnet, J. Symbolic
-Comput. 7, 1989), and it runs in lex order on projections of the two
-polynomials onto only the generators they mention, kept in the env's
-order.  heugcd evaluates and divides in every generator it is given, so a
-generator that neither polynomial mentions would cost time too; the ring of
-S^6 has 16 generators, and a typical denominator mentions one to three.
-Leaving those generators out changes nothing in the result: each has
-exponent 0 in every monomial, so lex over the rest, in the same relative
-order, ranks the monomials as lex over all generators does.  Over ZZ the
-reduced cofactors are unique up to one common sign, so mapping them back
-and re-applying the grevlex sign rule gives the unique canonical form.
+Comput. 7, 1989).  Over ZZ the reduced cofactors are unique up to one
+common sign, so re-applying the grevlex sign rule gives the unique
+canonical form.
 
 Every sum of products in the package goes through :class:`RawSum`: the
 tensor builders, the parcel sum, the merge of the parcel partials and the
@@ -64,41 +57,11 @@ class UnknownSymbolError(SymbolicError):
     """A name that does not exist in the symbol environment."""
 
 
-def _cofactors(env: "SymbolEnv", p, q):
-    """``p`` and ``q`` divided by their GCD, in the env's ring.
-
-    ``poly.cofactors`` runs, in lex order, on the projections of ``p`` and
-    ``q`` onto only the generators either mentions, in the env's order.
-    Every other generator has exponent 0 in every monomial, so the
-    cofactors, sign included, are those of lex over all generators (see
-    the module docstring).  Raises :class:`HeuristicGCDFailed` when the
-    heuristic GCD runs out of evaluation points.
-    """
-    R = env.ring
-    used = [i for i, degs in enumerate(zip(p.degrees(), q.degrees())) if max(degs) > 0]
-    L = poly_ring(len(used))
-    _, p, q = cofactors(L.from_dict(_project(p, used)), L.from_dict(_project(q, used)))
-    return R.from_dict(_scatter(p, used, R.ngens)), R.from_dict(_scatter(q, used, R.ngens))
-
-
-def _project(p, used):
-    return {tuple([mon[i] for i in used]): c for mon, c in p.items()}
-
-
-def _scatter(p, used, ngens):
-    out = {}
-    for mon, c in p.items():
-        full = [0] * ngens
-        for i, e in zip(used, mon):
-            full[i] = e
-        out[tuple(full)] = c
-    return out
-
-
-def _cancel(env: "SymbolEnv", num, den):
+def _cancel(num, den):
     """``num/den`` in lowest terms, the denominator's grevlex leading
-    coefficient positive."""
-    num, den = _cofactors(env, num, den)
+    coefficient positive.  Raises :class:`HeuristicGCDFailed` when the
+    heuristic GCD runs out of evaluation points."""
+    _, num, den = cofactors(num, den)
     if den.LC < 0:
         return -num, -den
     return num, den
@@ -194,28 +157,23 @@ def _sine_reduce(env: SymbolEnv, p):
     """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
     if not p or not env.trig_indices:
         return p
-    R = env.ring
     # rewriting one sine changes the degrees of that sine and its cosine only
     degrees = p.degrees()
     for si, ci in env.trig_indices:
-        if not p or degrees[si] < 2:
+        if degrees[si] < 2:
             continue
-        one_minus_c2 = R.one - R.gens[ci] ** 2
-        powers = {}
-        keep = {}
-        rewritten = R.zero
-        for mon, coeff in p.terms():
-            e = mon[si]
-            if e < 2:
-                keep[mon] = coeff
-                continue
-            k, r = divmod(e, 2)
-            if k not in powers:
-                powers[k] = one_minus_c2 ** k
+        out = {}
+        get = out.get
+        for mon, coeff in p.items():
+            # (1 - cos**2)**k is the sum over j of (-1)**j C(k, j) cos**(2j)
+            k, r = divmod(mon[si], 2)
             stripped = list(mon)
             stripped[si] = r
-            rewritten += R.from_dict({tuple(stripped): coeff}) * powers[k]
-        p = R.from_dict(keep) + rewritten
+            for j in range(k + 1):
+                stripped[ci] = mon[ci] + 2 * j
+                key = tuple(stripped)
+                out[key] = get(key, 0) + (-1) ** j * math.comb(k, j) * coeff
+        p = env.ring.from_dict(out)
     return p
 
 
@@ -223,7 +181,7 @@ def _split_on_sine(R, p, si):
     """Write p = A + B*s for the sine generator at index si (degree <= 1)."""
     a = {}
     b = {}
-    for mon, coeff in p.terms():
+    for mon, coeff in p.items():
         if mon[si]:
             stripped = list(mon)
             stripped[si] = 0
@@ -235,15 +193,18 @@ def _split_on_sine(R, p, si):
 
 def _clear_sines_from_denominator(env: SymbolEnv, num, den):
     # Multiplying by the conjugate A - B*s turns the denominator A + B*s
-    # into A**2 - B**2*(1 - cos**2); once a sine symbol is cleared, later
-    # conjugations cannot reintroduce it.
+    # into A**2 - B**2*(1 - cos**2).  Conjugations never bring a sine into
+    # the denominator, so one read of its degrees finds every sine to clear;
+    # a sine can still cancel out along the way, leaving B = 0.
     R = env.ring
+    degrees = den.degrees()
     for si, ci in env.trig_indices:
-        s = R.gens[si]
-        if den.degree(si) < 1:
+        if degrees[si] < 1:
             continue
         a, b = _split_on_sine(R, den, si)
-        num = _sine_reduce(env, num * (a - b * s))
+        if not b:
+            continue
+        num = _sine_reduce(env, num * (a - b * R.gens[si]))
         den = _sine_reduce(env, a * a - b * b * (R.one - R.gens[ci] ** 2))
     return num, den
 
@@ -255,13 +216,12 @@ class Expr:
     build values; the bare constructor trusts its inputs to be canonical.
     """
 
-    __slots__ = ("env", "num", "den", "_hash")
+    __slots__ = ("env", "num", "den")
 
     def __init__(self, env: SymbolEnv, num, den):
         self.env = env
         self.num = num
         self.den = den
-        self._hash = None
 
     @classmethod
     def make(cls, env: SymbolEnv, num, den) -> "Expr":
@@ -273,7 +233,7 @@ class Expr:
             return cls(env, env.ring.zero, env.ring.one)
         den = _sine_reduce(env, den)
         num, den = _clear_sines_from_denominator(env, num, den)
-        num, den = _cancel(env, num, den)
+        num, den = _cancel(num, den)
         return cls(env, num, den)
 
     # Introspection --------------------------------------------------------
@@ -292,14 +252,7 @@ class Expr:
         return self.env == other.env and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            state = (
-                self.env,
-                tuple(self.num.terms()),
-                tuple(self.den.terms()),
-            )
-            self._hash = hash(state)
-        return self._hash
+        return hash((self.env, self.num, self.den))
 
     # Arithmetic ------------------------------------------------------------
 
@@ -441,7 +394,7 @@ def _env_derivative(env: SymbolEnv, p, coordinate: str):
 def _subst_poly(R, p, gi: int, value: Fraction):
     """Substitute gen gi := value; returns (poly, positive int denominator)."""
     acc = {}
-    for mon, coeff in p.terms():
+    for mon, coeff in p.items():
         e = mon[gi]
         stripped = list(mon)
         stripped[gi] = 0
@@ -520,6 +473,6 @@ class RawSum:
             return self.env.zero()
         num, den = groups[0]
         for n, d in groups[1:]:
-            a, b = _cofactors(self.env, den, d)
+            _, a, b = cofactors(den, d)
             num, den = num * b + n * a, den * b
         return Expr.make(self.env, num, den)

@@ -21,6 +21,17 @@ candidate from each integer image by symmetric-remainder interpolation.
 A candidate is accepted only once trial division in lex order shows it
 divides both inputs exactly, so an accepted GCD is always correct; when no
 evaluation point gives one, :class:`HeuristicGCDFailed` is raised.
+
+The GCD runs over only the variables its two inputs mention.  heugcd
+evaluates and divides in every variable it is given, so a variable that
+neither input mentions would cost time too; the ring of S^6 has 16
+variables, and a typical denominator mentions one to three.  Leaving those
+variables out changes nothing in the result: each has exponent 0 in every
+monomial, so lex over the rest, in the same relative order, ranks the
+monomials as lex over all variables does.  The same holds for deflation,
+which divides each variable's exponents by their GCD.  Over ZZ the reduced
+cofactors are unique up to one common sign, which heugcd fixes by the lex
+leading coefficient, so it is the sign of the GCD over all variables.
 """
 
 from __future__ import annotations
@@ -243,14 +254,18 @@ class Poly(dict):
 
 # --- heuristic GCD -----------------------------------------------------------
 #
-# Below, polynomials are plain dicts in lex order over n >= 1 variables.
+# Below, polynomials are plain dicts in lex order; heugcd runs over n >= 1
+# variables.
 
 
 def cofactors(f: Poly, g: Poly):
     """``(h, f/h, g/h)`` with ``h`` the GCD of ``f`` and ``g``.
 
-    Over ZZ the GCD is unique up to sign; the signs are those that sympy's
-    ``cofactors`` gives in a lex-ordered ring.
+    The GCD runs on the projections of ``f`` and ``g`` onto only the
+    variables either mentions, deflated, and the results are mapped back
+    (see the module docstring).  Over ZZ the GCD is unique up to sign; the
+    signs are those that sympy's ``cofactors`` gives in a lex-ordered ring
+    over all of the ring's variables.
     """
     ring = f.ring
     if not f and not g:
@@ -261,14 +276,14 @@ def cofactors(f: Poly, g: Poly):
     if not g:
         h, cff = _gcd_zero(f)
         return h, cff, ring.zero
+    used, J, f, g = _deflate(f, g)
     if len(f) == 1:
-        return tuple(_new(ring, p) for p in _gcd_monom(f, g))
-    if len(g) == 1:
+        h, cff, cfg = _gcd_monom(f, g)
+    elif len(g) == 1:
         h, cfg, cff = _gcd_monom(g, f)
-        return _new(ring, h), _new(ring, cff), _new(ring, cfg)
-    J, f, g = _deflate(f, g)
-    h, cff, cfg = _heugcd(f, g, ring.ngens)
-    return tuple(_new(ring, _inflate(p, J)) for p in (h, cff, cfg))
+    else:
+        h, cff, cfg = _heugcd(f, g, len(used))
+    return tuple(_new(ring, _inflate(p, used, J, ring.ngens)) for p in (h, cff, cfg))
 
 
 def _gcd_zero(g: Poly):
@@ -297,19 +312,31 @@ def _gcd_monom(f: dict, g: dict):
 
 
 def _deflate(f: dict, g: dict):
-    """Substitute x_i**J_i -> x_i, with J_i the GCD of the exponents of x_i."""
-    J = tuple(gcd(*exponents) or 1 for exponents in zip(*f, *g))
+    """``(used, J, f', g')``: ``used`` the indices of the variables either
+    polynomial mentions, ``J`` the GCD of each one's exponents, and ``f'``
+    and ``g'`` over those variables alone with x_i**J_i -> x_i."""
+    J = [gcd(*exponents) for exponents in zip(*f, *g)]
+    used = [i for i, j in enumerate(J) if j]
     if all(j == 1 for j in J):
-        return J, f, g
-    return (J,) + tuple(
-        {tuple([e // j for e, j in zip(m, J)]): c for m, c in p.items()} for p in (f, g)
+        return used, J, f, g
+    J = [J[i] for i in used]
+    pairs = list(zip(used, J))
+    return (used, J) + tuple(
+        {tuple([m[i] // j for i, j in pairs]): c for m, c in p.items()} for p in (f, g)
     )
 
 
-def _inflate(p: dict, J: tuple) -> dict:
-    if all(j == 1 for j in J):
+def _inflate(p: dict, used: list, J: list, ngens: int) -> dict:
+    """Undo :func:`_deflate` on ``p``, back to ``ngens`` variables."""
+    if len(used) == ngens and all(j == 1 for j in J):
         return p
-    return {tuple([e * j for e, j in zip(m, J)]): c for m, c in p.items()}
+    out = {}
+    for m, c in p.items():
+        full = [0] * ngens
+        for i, j, e in zip(used, J, m):
+            full[i] = e * j
+        out[tuple(full)] = c
+    return out
 
 
 def _content(p: dict) -> int:

@@ -30,6 +30,8 @@ I_1 = (
     "R(+i,+g,+j,+h;+k,+l) R(-i,-b,-j,-d;-k,-l)"
 )
 I_2 = "R(+a,+b,+c,+d) R(-a,-e,-f,-g) R(+e,+f,-b,-h) R(+g,+h,-c,-d)"
+# The Kretschmann scalar with the first slot pair of each factor mixed.
+MIXED_KRETSCHMANN = "R(+a,-b,+c,+d) R(-a,+b,-c,-d)"
 
 
 class TestParseSpec:
@@ -94,6 +96,12 @@ class TestAbbreviation:
         pairs, multiplier = detect_abbreviable_pairs(parse_spec(KRETSCHMANN))
         assert pairs == frozenset({("a", "b"), ("c", "d")})
         assert multiplier == 4
+
+    def test_mixed_variance_pair_is_not_abbreviated(self):
+        # R^a_b is not antisymmetric when the inverse metric is off-diagonal
+        pairs, multiplier = detect_abbreviable_pairs(parse_spec(MIXED_KRETSCHMANN))
+        assert pairs == frozenset({("c", "d")})
+        assert multiplier == 2
 
     def test_ricci_like_has_none(self):
         # contraction across non-adjacent slots: nothing abbreviates
@@ -334,16 +342,20 @@ class TestCounts:
 
 
 class TestAbbreviationSoundness:
-    @pytest.mark.parametrize("dim,text", [(2, KRETSCHMANN), (2, I_B), (3, KRETSCHMANN), (3, I_B)])
-    def test_multiplier_times_abbreviated_equals_full(self, dim, text):
-        g = sphere_metric(dim)
+    @pytest.mark.parametrize(
+        "metric,text",
+        [(2, KRETSCHMANN), (2, I_B), (3, KRETSCHMANN), (3, I_B), ("offdiag3d", MIXED_KRETSCHMANN)],
+    )
+    def test_multiplier_times_abbreviated_equals_full(self, request, metric, text):
+        # an int is a sphere's dimension, a string names a metric fixture
+        g = request.getfixturevalue(metric) if isinstance(metric, str) else sphere_metric(metric)
         spec = parse_spec(text)
         tensors, _ = build_factor_tensors(g, spec)
-        plan = enumerate_indices(spec, tensors, dim)
+        plan = enumerate_indices(spec, tensors, g.dim)
         abbreviated = g.env.zero()
         for entry in plan.sum_index_array:
             abbreviated = abbreviated + evaluate_product(spec, entry, tensors)
-        full = brute_force_sum(spec, tensors, dim)
+        full = brute_force_sum(spec, tensors, g.dim)
         assert (abbreviated * plan.multiplier - full).is_zero
 
 

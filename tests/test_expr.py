@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sympy import Symbol
+from sympy import Poly, Symbol, reduced
 from sympy.polys.domains import ZZ
 from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import ring
 
-from curvinv import expr
+from curvinv import poly
 from curvinv.expr import (
     DivisionByZeroExpression,
     Expr,
@@ -18,7 +18,6 @@ from curvinv.expr import (
     SymbolEnv,
     UnknownSymbolError,
     _clear_sines_from_denominator,
-    _cofactors,
     _sine_reduce,
 )
 from curvinv.pipeline import run_invariant
@@ -525,8 +524,8 @@ class TestCancelOracle:
 
 def _full_ring_cofactors(env, p, q):
     """Cofactors with the GCD in the lex ring over all of the env's
-    generators, mapped back: the reference for ``_cofactors``, which drops
-    the generators neither input mentions."""
+    generators, mapped back: the reference for ``poly.cofactors``, which
+    drops the generators neither input mentions."""
     L = _sympy_ring(env, lex)
     _, p, q = L.from_dict(dict(p)).cofactors(L.from_dict(dict(q)))
     return env.ring.from_dict(dict(p)), env.ring.from_dict(dict(q))
@@ -540,45 +539,49 @@ def test_cofactors_match_full_ring(trig_env, rng, shared_index):
     shared = [R.one, R.ground_new(-6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, c][shared_index]
     p = _random_poly(trig_env, rng, sine=True) * shared
     q = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * shared
-    cofactors = _cofactors(trig_env, p, q)
-    assert all(f.ring is R for f in cofactors)
-    assert cofactors == _full_ring_cofactors(trig_env, p, q)
+    _, cff, cfg = poly.cofactors(p, q)
+    assert cff.ring is R and cfg.ring is R
+    assert (cff, cfg) == _full_ring_cofactors(trig_env, p, q)
 
 
-def test_gcd_ring_holds_only_the_generators_present(trig_env, monkeypatch):
-    # Both polynomials are projected onto the same generators, and the GCD
-    # gets polynomials in exactly that many variables.
-    asked = []
-    project = expr._project
-    gcd = expr.cofactors
+# --- sine reduction against sympy's reduction by sin**2 + cos**2 - 1 ------------
 
-    def recording_project(p, used):
-        asked.append(tuple(trig_env.gen_names[i] for i in used))
-        return project(p, used)
+_two_trig_env = SymbolEnv(
+    coordinates=("theta", "phi"), parameters=("a",), trig_pairs=frozenset({"theta", "phi"})
+)
 
-    def recording_gcd(f, g):
-        assert f.ring.ngens == g.ring.ngens == len(asked[-1])
-        return gcd(f, g)
 
-    monkeypatch.setattr(expr, "_project", recording_project)
-    monkeypatch.setattr(expr, "cofactors", recording_gcd)
-    R = trig_env.ring
-    a, mu, r, s, c = _gens(trig_env, "a", "mu", "r", "sin(theta)", "cos(theta)")
-    pairs = [
-        (R.ground_new(6), R.ground_new(-4), ()),
-        (r + 1, c ** 2 - 1, ("r", "cos(theta)")),
-        (r ** 2 - 1, r - 1, ("r",)),
-        ((a - c) * (a * c + 1), a * c + 1, ("a", "cos(theta)")),
-        (mu * s, a * s + c, ("a", "mu", "sin(theta)", "cos(theta)")),
-    ]
-    for p, q, names in pairs:
-        asked.clear()
-        _cofactors(trig_env, p, q)
-        assert asked == [names, names]
-    # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
-    asked.clear()
-    Expr.make(trig_env, mu * s, a * s + c)
-    assert asked == [("a", "mu", "sin(theta)", "cos(theta)")] * 2
+def _sympy_sine_reduce(env, p):
+    """``p`` reduced modulo sin(x)**2 + cos(x)**2 - 1 for every trig pair by
+    sympy, in lex order with the sines ranked first.  The leading terms
+    sin(x)**2 are pairwise coprime, so the relations are a Groebner basis
+    and the remainder is the unique normal form: no sine above degree 1."""
+    symbols = [Symbol(name) for name in env.gen_names]
+    sines = [symbols[si] for si, _ in env.trig_indices]
+    relations = [symbols[si] ** 2 + symbols[ci] ** 2 - 1 for si, ci in env.trig_indices]
+    others = [x for x in symbols if x not in sines]
+    _, remainder = reduced(
+        Poly.from_dict(dict(p), *symbols).as_expr(), relations, *sines, *others, order="lex"
+    )
+    return Poly(remainder, *symbols).as_dict()
+
+
+def _two_trig_polys():
+    # exponents of a, theta, phi, sin(theta), cos(theta), sin(phi), cos(phi)
+    monomials = st.tuples(
+        st.integers(0, 2), st.integers(0, 1), st.just(0),
+        st.integers(0, 7), st.integers(0, 3), st.integers(0, 7), st.integers(0, 3),
+    )
+    return st.dictionaries(monomials, st.integers(-9, 9).filter(bool), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_trig_polys())
+@example({(0, 0, 0, k, 0, 7 - k, 0): k + 1 for k in range(8)})
+@example({(0, 0, 0, 2, 0, 0, 0): 1, (0, 0, 0, 0, 2, 0, 0): 1, (0, 0, 0, 0, 0, 0, 0): -1})
+def test_sine_reduce_matches_sympy(terms):
+    p = _two_trig_env.ring.from_dict(terms)
+    assert dict(_sine_reduce(_two_trig_env, p)) == _sympy_sine_reduce(_two_trig_env, p)
 
 
 def test_kerr4_kretschmann_closed_form(kerr4):

@@ -9,13 +9,13 @@ wrong.  S^6 I_2 and Tangherlini D=6 I_c are the benchmark's
 ``sphere6_I2`` and ``kerr6_Ic_a0`` workloads.
 
 The first four digests were computed with every GCD in the lex ring over
-all of the env's generators, before ``expr._cofactors`` ran over only the
-generators its inputs mention; they hold unchanged after it.  The S^6 I_2
-and Tangherlini D=6 I_c digests were computed while Riemann was still
-built as the mixed R^a_bcd and then lowered, before ``riemann_lowered``
-built the all-lower tensor directly at its independent components; all
-six hold unchanged after it, and after ``curvinv.poly`` replaced sympy's
-polynomial rings and heuristic GCD.
+all of the env's generators, before the GCD (now ``poly.cofactors``) ran
+over only the generators its inputs mention; they hold unchanged after it.
+The S^6 I_2 and Tangherlini D=6 I_c digests were computed while Riemann
+was still built as the mixed R^a_bcd and then lowered, before
+``riemann_lowered`` built the all-lower tensor directly at its independent
+components; all six hold unchanged after it, and after ``curvinv.poly``
+replaced sympy's polynomial rings and heuristic GCD.
 """
 
 import hashlib

@@ -10,6 +10,7 @@ from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import ring
 
 from curvinv import poly
+from curvinv.expr import Expr
 from curvinv.poly import HeuristicGCDFailed, cofactors, poly_ring
 
 
@@ -135,3 +136,45 @@ def test_gcd_failure_is_a_symbolic_error(monkeypatch):
         cofactors((x + y) * (x - 1), (x + y) * (y + 2))
     # the single-term shortcut needs no evaluation point
     assert cofactors(2 * x * y, x + y)[0] == poly_ring(2).one
+
+
+def test_gcd_runs_over_only_the_variables_present(trig_env, monkeypatch):
+    # cofactors hands its GCD step both polynomials over exactly the
+    # variables either mentions: heugcd gets their count, and the
+    # single-term shortcut gets monomials of that length.
+    counts = []
+    heugcd, gcd_monom = poly._heugcd, poly._gcd_monom
+
+    def recording_heugcd(f, g, n):
+        assert all(len(m) == n for m in (*f, *g))
+        counts.append(n)
+        return heugcd(f, g, n)
+
+    def recording_gcd_monom(f, g):
+        (m,) = f
+        assert all(len(mg) == len(m) for mg in g)
+        counts.append(len(m))
+        return gcd_monom(f, g)
+
+    monkeypatch.setattr(poly, "_heugcd", recording_heugcd)
+    monkeypatch.setattr(poly, "_gcd_monom", recording_gcd_monom)
+    R = trig_env.ring
+    a, mu, r, s, c = (
+        R.gens[trig_env.gen_index(name)] for name in ("a", "mu", "r", "sin(theta)", "cos(theta)")
+    )
+    pairs = [
+        (R.ground_new(6), R.ground_new(-4), ()),
+        (r + 1, c ** 2 - 1, ("r", "cos(theta)")),
+        (r ** 2 - 1, r - 1, ("r",)),
+        ((a - c) * (a * c + 1), a * c + 1, ("a", "cos(theta)")),
+        (mu * s, a * s + c, ("a", "mu", "sin(theta)", "cos(theta)")),
+    ]
+    for p, q, names in pairs:
+        counts.clear()
+        cofactors(p, q)
+        # heugcd recurses on one variable fewer each time
+        assert counts[0] == len(names)
+    # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
+    counts.clear()
+    Expr.make(trig_env, mu * s, a * s + c)
+    assert counts[0] == 4
