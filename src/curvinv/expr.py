@@ -17,8 +17,11 @@ modulo ``sin**2 + cos**2 = 1`` compare equal componentwise.  In particular
 an expression is zero exactly when its numerator is the zero polynomial.
 
 Polynomials are :class:`curvinv.poly.Poly` values in the env's ring: dicts
-from exponent tuples to Python ints, ranked by the graded reverse
-lexicographic (grevlex) order that fixes the canonical sign.  The GCD that
+from packed monomials (one int, a fixed-width exponent field per
+generator) to Python ints, ranked by the graded reverse lexicographic
+(grevlex) order that fixes the canonical sign.  This module reads and
+writes exponents through the ring's ``shifts`` and ``masks``, or through
+the exponent tuples of :meth:`~curvinv.poly.Poly.terms`.  The GCD that
 cancels numerator against denominator is ``curvinv.poly.cofactors``, a port
 of sympy's heuristic GCD (heugcd: Char, Geddes and Gonnet, J. Symbolic
 Comput. 7, 1989).  Over ZZ the reduced cofactors are unique up to one
@@ -157,23 +160,27 @@ def _sine_reduce(env: SymbolEnv, p):
     """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
     if not p or not env.trig_indices:
         return p
-    # rewriting one sine changes the degrees of that sine and its cosine only
-    degrees = p.degrees()
+    R = env.ring
+    # A sine's field in the OR of the monomials has a bit above its lowest
+    # set exactly when some exponent of that sine is >= 2; rewriting one
+    # sine changes only the fields of that sine and its cosine.
+    support = p.support()
     for si, ci in env.trig_indices:
-        if degrees[si] < 2:
+        s, mask = R.shifts[si], R.masks[si]
+        if not support & mask & ~(1 << s):
             continue
+        cos2 = 2 << R.shifts[ci]
         out = {}
         get = out.get
         for mon, coeff in p.items():
             # (1 - cos**2)**k is the sum over j of (-1)**j C(k, j) cos**(2j)
-            k, r = divmod(mon[si], 2)
-            stripped = list(mon)
-            stripped[si] = r
+            e = mon & mask
+            k, r = divmod(e >> s, 2)
+            key = mon - e + (r << s)
             for j in range(k + 1):
-                stripped[ci] = mon[ci] + 2 * j
-                key = tuple(stripped)
                 out[key] = get(key, 0) + (-1) ** j * math.comb(k, j) * coeff
-        p = env.ring.from_dict(out)
+                key += cos2
+        p = R.new(out)
     return p
 
 
@@ -181,25 +188,25 @@ def _split_on_sine(R, p, si):
     """Write p = A + B*s for the sine generator at index si (degree <= 1)."""
     a = {}
     b = {}
+    mask = R.masks[si]
     for mon, coeff in p.items():
-        if mon[si]:
-            stripped = list(mon)
-            stripped[si] = 0
-            b[tuple(stripped)] = coeff
+        e = mon & mask
+        if e:
+            b[mon - e] = coeff
         else:
             a[mon] = coeff
-    return R.from_dict(a), R.from_dict(b)
+    return R.new(a), R.new(b)
 
 
 def _clear_sines_from_denominator(env: SymbolEnv, num, den):
     # Multiplying by the conjugate A - B*s turns the denominator A + B*s
     # into A**2 - B**2*(1 - cos**2).  Conjugations never bring a sine into
-    # the denominator, so one read of its degrees finds every sine to clear;
-    # a sine can still cancel out along the way, leaving B = 0.
+    # the denominator, so one OR over its monomials finds every sine to
+    # clear; a sine can still cancel out along the way, leaving B = 0.
     R = env.ring
-    degrees = den.degrees()
+    support = den.support()
     for si, ci in env.trig_indices:
-        if degrees[si] < 1:
+        if not support & R.masks[si]:
             continue
         a, b = _split_on_sine(R, den, si)
         if not b:
@@ -378,7 +385,7 @@ class Expr:
 
 def _restore_expr(env, num_terms, den_terms):
     ring = env.ring
-    return Expr(env, ring.from_dict(dict(num_terms)), ring.from_dict(dict(den_terms)))
+    return Expr(env, ring.new(dict(num_terms)), ring.new(dict(den_terms)))
 
 
 def _env_derivative(env: SymbolEnv, p, coordinate: str):
@@ -394,17 +401,13 @@ def _env_derivative(env: SymbolEnv, p, coordinate: str):
 def _subst_poly(R, p, gi: int, value: Fraction):
     """Substitute gen gi := value; returns (poly, positive int denominator)."""
     acc = {}
+    s, mask = R.shifts[gi], R.masks[gi]
     for mon, coeff in p.items():
-        e = mon[gi]
-        stripped = list(mon)
-        stripped[gi] = 0
-        key = tuple(stripped)
-        acc[key] = acc.get(key, Fraction(0)) + int(coeff) * value ** e
+        e = mon & mask
+        key = mon - e
+        acc[key] = acc.get(key, Fraction(0)) + coeff * value ** (e >> s)
     denom = math.lcm(*(q.denominator for q in acc.values()))
-    cleared = {
-        m: int(q * denom) for m, q in acc.items() if q != 0
-    }
-    return R.from_dict(cleared), denom
+    return R.new({m: int(q * denom) for m, q in acc.items()}), denom
 
 
 def _format_poly(env: SymbolEnv, p) -> str:

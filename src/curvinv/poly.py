@@ -1,15 +1,35 @@
 """Sparse multivariate polynomials over the integers, with a heuristic GCD.
 
-A :class:`Poly` is a dict from exponent tuples to nonzero Python ints; all
-polynomials of one :class:`PolyRing` have exponent tuples of the ring's
-length.  Arithmetic returns new polynomials and never mutates its operands,
-so a polynomial may serve as a dict key (its hash is cached on first use):
+A :class:`Poly` is a dict from monomials to nonzero Python ints.  A
+monomial is one Python int that packs the exponents of the ring's
+variables into fields of :data:`FIELD_BITS` bits, variable 0 in the most
+significant field: in ``n`` variables, x_0**e_0 * ... * x_(n-1)**e_(n-1)
+is the sum of ``e_i << FIELD_BITS * (n - 1 - i)``.  The top bit of every
+field is a guard bit that a monomial keeps clear, so an exponent is at
+most :data:`MAX_EXPONENT`; :attr:`PolyRing.guard` holds the ring's guard
+bits.  Then:
+
+* a product of monomials is their sum: two exponents add up to less than
+  2**FIELD_BITS, so no field carries into the next, and an exponent past
+  MAX_EXPONENT shows as a set guard bit.  Every product checks its
+  monomials against the guard bits (one OR over the inputs bounds them;
+  only when that bound reaches a guard bit is the product itself read)
+  and raises :class:`SymbolicError` rather than keep such a monomial;
+* m is divisible by g exactly when ``d = (m | guard) - g`` keeps every
+  guard bit set, each field borrowing from its own guard bit only; the
+  quotient is then ``d ^ guard``;
+* integer order is lex order, so ``max(p)`` is the lex-leading monomial.
+
+Arithmetic returns new polynomials and never mutates its operands, so a
+polynomial may serve as a dict key (its hash is cached on first use):
 never mutate one after it has been hashed.
 
-:meth:`Poly.terms` and :attr:`Poly.LC` use the graded reverse
+The tuple view is kept where exponents are read one by one:
+:meth:`Poly.terms`, :meth:`Poly.monoms`, :meth:`Poly.degree`,
+:meth:`Poly.degrees` and :meth:`PolyRing.from_dict` speak in exponent
+tuples.  :meth:`Poly.terms` and :attr:`Poly.LC` use the graded reverse
 lexicographic order (grevlex), ranking a monomial by the key
-``(sum(m), reversed(-e for e in m))``.  The GCD uses lex order, which on
-exponent tuples is plain tuple order.
+``(sum(m), reversed(-e for e in m))`` on its exponent tuple.
 
 :func:`cofactors` is the heuristic GCD of Char, Geddes and Gonnet
 (J. Symbolic Comput. 7, 1989), in the form given by Liao and Fateman
@@ -22,25 +42,40 @@ A candidate is accepted only once trial division in lex order shows it
 divides both inputs exactly, so an accepted GCD is always correct; when no
 evaluation point gives one, :class:`HeuristicGCDFailed` is raised.
 
-The GCD runs over only the variables its two inputs mention.  heugcd
-evaluates and divides in every variable it is given, so a variable that
-neither input mentions would cost time too; the ring of S^6 has 16
-variables, and a typical denominator mentions one to three.  Leaving those
-variables out changes nothing in the result: each has exponent 0 in every
-monomial, so lex over the rest, in the same relative order, ranks the
-monomials as lex over all variables does.  The same holds for deflation,
-which divides each variable's exponents by their GCD.  Over ZZ the reduced
-cofactors are unique up to one common sign, which heugcd fixes by the lex
-leading coefficient, so it is the sign of the GCD over all variables.
+The GCD works in place on the packed monomials, over only the fields its
+two inputs use.  heugcd receives the list of ``(shift, J)`` pairs of those
+fields, most significant first, J being the GCD of that variable's
+exponents.  Evaluating at x_i = x reads the exponent as
+``(m >> shift) // J`` and keeps ``m & ((1 << shift) - 1)``, the fields
+below; interpolation writes ``(k * J) << shift`` back.  So no variable
+that neither input mentions is evaluated or divided in (the ring of S^6
+has 16 variables, and a typical denominator mentions one to three), no
+input is copied into a smaller ring, and the results come out in the
+ring's own layout.  None of this changes the result: an unmentioned
+variable has exponent 0 in every monomial, so lex over the rest, in the
+same relative order, ranks the monomials as lex over all variables does,
+and dividing a variable's exponents by J (sympy's deflation) keeps that
+order too.  Over ZZ the reduced cofactors are unique up to one common
+sign, which heugcd fixes by the lex leading coefficient, so it is the sign
+of the GCD over all variables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import struct
+from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, isqrt
+from operator import or_
 
 # Evaluation points tried by heugcd before it gives up.
 HEU_GCD_MAX = 6
+
+# Bits per variable, guard bit included; PolyRing reads fields as 16-bit
+# unsigned shorts.
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class SymbolicError(Exception):
@@ -51,28 +86,13 @@ class HeuristicGCDFailed(SymbolicError):
     """No evaluation point tried by the heuristic GCD recovered the GCD."""
 
 
-def _monomial_ops(n: int):
-    """Monomial product and exact quotient (``None`` when a component
-    would go negative), unrolled for ``n``-tuples: the hot loops call them
-    once per pair of terms."""
-    if not n:
-        return (lambda A, B: ()), (lambda A, B: ())
-    a = ", ".join("a%d" % i for i in range(n))
-    b = ", ".join("b%d" % i for i in range(n))
-    checks = "".join(
-        "    c%d = a%d - b%d\n    if c%d < 0: return None\n" % (i, i, i, i) for i in range(n)
-    )
-    source = (
-        "def mul(A, B):\n    (%s,) = A\n    (%s,) = B\n    return (%s,)\n"
-        "def div(A, B):\n    (%s,) = A\n    (%s,) = B\n%s    return (%s,)\n"
-        % (
-            a, b, ", ".join("a%d + b%d" % (i, i) for i in range(n)),
-            a, b, checks, ", ".join("c%d" % i for i in range(n)),
-        )
-    )
-    namespace = {}
-    exec(source, namespace)
-    return namespace["mul"], namespace["div"]
+def _support(p) -> int:
+    """The OR of the monomials of ``p``."""
+    return reduce(or_, p, 0)
+
+
+def _overflow():
+    return SymbolicError("an exponent exceeds the largest a field holds, %d" % MAX_EXPONENT)
 
 
 @lru_cache(maxsize=None)
@@ -85,44 +105,72 @@ class PolyRing:
     """Constants and constructors for polynomials in ``ngens`` variables.
 
     Get rings from :func:`poly_ring`, so that each size has one instance.
+    ``shifts[i]`` is the bit offset of variable ``i``'s field, ``masks[i]``
+    selects that field, and ``guard`` is the OR of every field's guard bit.
     """
 
-    __slots__ = ("ngens", "zero_monom", "zero", "one", "gens", "monomial_mul", "monomial_div")
+    __slots__ = (
+        "ngens", "shifts", "masks", "guard", "zero", "one", "gens", "_bytes", "_big", "_little",
+    )
 
     def __init__(self, ngens: int):
         self.ngens = ngens
-        self.zero_monom = (0,) * ngens
-        self.monomial_mul, self.monomial_div = _monomial_ops(ngens)
+        self.shifts = tuple(FIELD_BITS * (ngens - 1 - i) for i in range(ngens))
+        self.masks = tuple(_FIELD << s for s in self.shifts)
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        self._bytes = FIELD_BITS // 8 * ngens
+        self._big = struct.Struct(">%dH" % ngens)
+        self._little = struct.Struct("<%dH" % ngens)
         self.zero = _new(self, {})
-        self.one = _new(self, {self.zero_monom: 1})
-        self.gens = tuple(
-            _new(self, {tuple(int(i == j) for j in range(ngens)): 1}) for i in range(ngens)
-        )
+        self.one = _new(self, {0: 1})
+        self.gens = tuple(_new(self, {1 << s: 1}) for s in self.shifts)
 
     def __reduce__(self):
         return poly_ring, (self.ngens,)
 
     def ground_new(self, n: int) -> "Poly":
-        return _new(self, {self.zero_monom: n} if n else {})
+        return _new(self, {0: n} if n else {})
+
+    def exponents(self, m: int) -> tuple:
+        """The exponent tuple of monomial ``m``."""
+        return self._big.unpack(m.to_bytes(self._bytes, "big"))
+
+    def monomial(self, exponents) -> int:
+        """The monomial with this exponent tuple."""
+        if len(exponents) != self.ngens or not all(0 <= e <= MAX_EXPONENT for e in exponents):
+            raise SymbolicError(
+                "exponents %r do not fit %d fields of at most %d"
+                % (tuple(exponents), self.ngens, MAX_EXPONENT)
+            )
+        return int.from_bytes(self._big.pack(*exponents), "big")
 
     def from_dict(self, terms: dict) -> "Poly":
-        """The polynomial with these exponent -> coefficient terms; zero
-        coefficients are dropped."""
-        return _new(self, {m: int(c) for m, c in terms.items() if c})
+        """The polynomial with these exponent tuple -> coefficient terms;
+        zero coefficients are dropped."""
+        return _new(self, {self.monomial(m): int(c) for m, c in terms.items() if c})
+
+    def new(self, terms: dict) -> "Poly":
+        """The polynomial with these monomial -> coefficient terms, monomials
+        packed; zero coefficients are dropped, and an exponent past
+        :data:`MAX_EXPONENT` (a set guard bit) raises :class:`SymbolicError`."""
+        p = _new(self, {m: c for m, c in terms.items() if c})
+        if _support(p) & self.guard:
+            raise _overflow()
+        return p
+
+    def _grevlex_key(self, m: int):
+        # Ascending in this key is descending in grevlex: higher total
+        # degree first, then the smaller exponent of the last variable, and
+        # so on towards the first.  The little-endian read lists the fields
+        # from the last variable to the first.
+        r = self._little.unpack(m.to_bytes(self._bytes, "little"))
+        return -sum(r), r
 
 
 def _new(ring: PolyRing, terms: dict) -> "Poly":
     p = Poly(terms)
     p.ring = ring
     return p
-
-
-def _grevlex_key(monom):
-    return sum(monom), tuple([-e for e in reversed(monom)])
-
-
-def _grevlex_term_key(term):
-    return _grevlex_key(term[0])
 
 
 class Poly(dict):
@@ -140,8 +188,9 @@ class Poly(dict):
     # Ordering ---------------------------------------------------------------
 
     def terms(self) -> list:
-        """(monomial, coefficient) pairs, descending in grevlex."""
-        return sorted(self.items(), key=_grevlex_term_key, reverse=True)
+        """(exponent tuple, coefficient) pairs, descending in grevlex."""
+        ring = self.ring
+        return [(ring.exponents(m), self[m]) for m in sorted(self, key=ring._grevlex_key)]
 
     def monoms(self) -> list:
         return [m for m, _ in self.terms()]
@@ -149,17 +198,24 @@ class Poly(dict):
     @property
     def LC(self) -> int:
         """Leading coefficient in grevlex; 0 for the zero polynomial."""
-        return self[max(self, key=_grevlex_key)] if self else 0
+        return self[min(self, key=self.ring._grevlex_key)] if self else 0
+
+    def support(self) -> int:
+        """The OR of the monomials: a variable's field in it is nonzero
+        exactly when some monomial mentions the variable, and has bit k
+        set exactly when some exponent of the variable does."""
+        return _support(self)
 
     def degree(self, i: int):
         """Highest exponent of variable ``i``; ``-inf`` for zero."""
-        return max([m[i] for m in self]) if self else float("-inf")
+        s = self.ring.shifts[i]
+        return max([m >> s & _FIELD for m in self]) if self else float("-inf")
 
     def degrees(self) -> tuple:
         """:meth:`degree` of every variable."""
         if not self:
             return (float("-inf"),) * self.ring.ngens
-        return tuple(map(max, zip(*self)))
+        return tuple(map(max, zip(*map(self.ring.exponents, self))))
 
     # Arithmetic -------------------------------------------------------------
 
@@ -213,18 +269,20 @@ class Poly(dict):
             self, other = other, self
         if len(other) == 1:
             ((m2, c2),) = other.items()
-            mul = ring.monomial_mul
-            return _new(ring, {mul(m1, m2): c1 * c2 for m1, c1 in self.items()})
-        p = _new(ring, {})
-        get = p.get
-        mul = ring.monomial_mul
-        right = list(other.items())
-        for m1, c1 in self.items():
-            for m2, c2 in right:
-                m = mul(m1, m2)
-                p[m] = get(m, 0) + c1 * c2
-        for m in [m for m, c in p.items() if not c]:
-            del p[m]
+            p = _new(ring, {m1 + m2: c1 * c2 for m1, c1 in self.items()})
+        else:
+            p = _new(ring, {})
+            get = p.get
+            right = list(other.items())
+            for m1, c1 in self.items():
+                for m2, c2 in right:
+                    m = m1 + m2
+                    p[m] = get(m, 0) + c1 * c2
+            for m in [m for m, c in p.items() if not c]:
+                del p[m]
+        # Each field of the inputs' OR bounds that exponent in the inputs.
+        if (_support(self) + _support(other)) & ring.guard and _support(p) & ring.guard:
+            raise _overflow()
         return p
 
     __rmul__ = __mul__
@@ -244,28 +302,29 @@ class Poly(dict):
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in variable ``i``."""
+        s = self.ring.shifts[i]
+        unit = 1 << s
         out = {}
         for m, c in self.items():
-            e = m[i]
+            e = m >> s & _FIELD
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                out[m - unit] = c * e
         return _new(self.ring, out)
 
 
 # --- heuristic GCD -----------------------------------------------------------
 #
-# Below, polynomials are plain dicts in lex order; heugcd runs over n >= 1
-# variables.
+# Below, polynomials are plain dicts of packed monomials in lex order, and
+# ``fields`` lists the (shift, J) pairs heugcd runs over (module docstring).
 
 
 def cofactors(f: Poly, g: Poly):
     """``(h, f/h, g/h)`` with ``h`` the GCD of ``f`` and ``g``.
 
-    The GCD runs on the projections of ``f`` and ``g`` onto only the
-    variables either mentions, deflated, and the results are mapped back
-    (see the module docstring).  Over ZZ the GCD is unique up to sign; the
-    signs are those that sympy's ``cofactors`` gives in a lex-ordered ring
-    over all of the ring's variables.
+    The GCD runs over only the fields either input uses, deflated, in
+    place (see the module docstring).  Over ZZ the GCD is unique up to
+    sign; the signs are those that sympy's ``cofactors`` gives in a
+    lex-ordered ring over all of the ring's variables.
     """
     ring = f.ring
     if not f and not g:
@@ -276,14 +335,13 @@ def cofactors(f: Poly, g: Poly):
     if not g:
         h, cff = _gcd_zero(f)
         return h, cff, ring.zero
-    used, J, f, g = _deflate(f, g)
     if len(f) == 1:
-        h, cff, cfg = _gcd_monom(f, g)
+        h, cff, cfg = _gcd_monom(f, g, ring.guard)
     elif len(g) == 1:
-        h, cfg, cff = _gcd_monom(g, f)
+        h, cfg, cff = _gcd_monom(g, f, ring.guard)
     else:
-        h, cff, cfg = _heugcd(f, g, len(used))
-    return tuple(_new(ring, _inflate(p, used, J, ring.ngens)) for p in (h, cff, cfg))
+        h, cff, cfg = _heugcd(f, g, _fields(f, g, ring.shifts), ring.guard)
+    return _new(ring, h), _new(ring, cff), _new(ring, cfg)
 
 
 def _gcd_zero(g: Poly):
@@ -293,50 +351,37 @@ def _gcd_zero(g: Poly):
     return -g, -g.ring.one
 
 
-def _gcd_monom(f: dict, g: dict):
+def _gcd_monom(f: dict, g: dict, guard: int):
     """GCD and cofactors when ``f`` is a single term."""
     ((mf, cf),) = f.items()
     mh, ch = mf, cf
     for mg, cg in g.items():
-        mh = tuple(map(min, mh, mg))
+        # fields where mh >= mg keep their guard bit in d, and drop to mg
+        d = (mh | guard) - mg
+        t = d & guard
+        mh -= d & (t - (t >> (FIELD_BITS - 1)))
         ch = gcd(ch, cg)
-
-    def quo(m, c):
-        return tuple(a - b for a, b in zip(m, mh)), c // ch
-
     return (
         {mh: ch},
-        dict([quo(mf, cf)]),
-        dict(quo(mg, cg) for mg, cg in g.items()),
+        {mf - mh: cf // ch},
+        {mg - mh: cg // ch for mg, cg in g.items()},
     )
 
 
-def _deflate(f: dict, g: dict):
-    """``(used, J, f', g')``: ``used`` the indices of the variables either
-    polynomial mentions, ``J`` the GCD of each one's exponents, and ``f'``
-    and ``g'`` over those variables alone with x_i**J_i -> x_i."""
-    J = [gcd(*exponents) for exponents in zip(*f, *g)]
-    used = [i for i, j in enumerate(J) if j]
-    if all(j == 1 for j in J):
-        return used, J, f, g
-    J = [J[i] for i in used]
-    pairs = list(zip(used, J))
-    return (used, J) + tuple(
-        {tuple([m[i] // j for i, j in pairs]): c for m, c in p.items()} for p in (f, g)
-    )
-
-
-def _inflate(p: dict, used: list, J: list, ngens: int) -> dict:
-    """Undo :func:`_deflate` on ``p``, back to ``ngens`` variables."""
-    if len(used) == ngens and all(j == 1 for j in J):
-        return p
-    out = {}
-    for m, c in p.items():
-        full = [0] * ngens
-        for i, j, e in zip(used, J, m):
-            full[i] = e * j
-        out[tuple(full)] = c
-    return out
+def _fields(f: dict, g: dict, shifts: tuple) -> list:
+    """``(shift, J)`` of each field ``f`` or ``g`` uses, most significant
+    first, ``J`` the GCD of that variable's exponents."""
+    used = _support(f) | _support(g)
+    fields = []
+    for s in shifts:
+        if used >> s & _FIELD:
+            j = 0
+            for m in chain(f, g):
+                j = gcd(j, m >> s & _FIELD)
+                if j == 1:
+                    break
+            fields.append((s, j))
+    return fields
 
 
 def _content(p: dict) -> int:
@@ -353,8 +398,8 @@ def _lex_lc(p: dict) -> int:
     return p[max(p)]
 
 
-def _heugcd(f: dict, g: dict, n: int):
-    """heugcd of nonzero ``f`` and ``g`` over ``n`` variables."""
+def _heugcd(f: dict, g: dict, fields: list, guard: int):
+    """heugcd of nonzero ``f`` and ``g`` over the ``fields`` they use."""
     common = gcd(_content(f), _content(g))
     f = _quo_ground(f, common)
     g = _quo_ground(g, common)
@@ -368,34 +413,34 @@ def _heugcd(f: dict, g: dict, n: int):
     )
 
     for _ in range(HEU_GCD_MAX):
-        ff = _evaluate_first(f, x, n)
-        gg = _evaluate_first(g, x, n)
+        ff = _evaluate_first(f, x, fields)
+        gg = _evaluate_first(g, x, fields)
         if ff and gg:
-            if n == 1:
+            if len(fields) == 1:
                 h = gcd(ff, gg)
                 cff, cfg = ff // h, gg // h
             else:
-                h, cff, cfg = _heugcd(ff, gg, n - 1)
+                h, cff, cfg = _heugcd(ff, gg, fields[1:], guard)
 
-            h = _interpolate(h, x, n)
+            h = _interpolate(h, x, fields)
             h = _quo_ground(h, _content(h))
-            cff_ = _exquo(f, h)
+            cff_ = _exquo(f, h, guard)
             if cff_ is not None:
-                cfg_ = _exquo(g, h)
+                cfg_ = _exquo(g, h, guard)
                 if cfg_ is not None:
                     return _mul_ground(h, common), cff_, cfg_
 
-            cff = _interpolate(cff, x, n)
-            h = _exquo(f, cff)
+            cff = _interpolate(cff, x, fields)
+            h = _exquo(f, cff, guard)
             if h is not None:
-                cfg_ = _exquo(g, h)
+                cfg_ = _exquo(g, h, guard)
                 if cfg_ is not None:
                     return _mul_ground(h, common), cff, cfg_
 
-            cfg = _interpolate(cfg, x, n)
-            h = _exquo(g, cfg)
+            cfg = _interpolate(cfg, x, fields)
+            h = _exquo(g, cfg, guard)
             if h is not None:
-                cff_ = _exquo(f, h)
+                cff_ = _exquo(f, h, guard)
                 if cff_ is not None:
                     return _mul_ground(h, common), cff_, cfg
 
@@ -410,19 +455,25 @@ def _mul_ground(p: dict, c: int) -> dict:
     return {m: v * c for m, v in p.items()}
 
 
-def _evaluate_first(f: dict, x: int, n: int):
-    """``f`` at x_0 = x: an int when ``n`` is 1, else a dict over the other
-    ``n - 1`` variables."""
-    powers = [1]
-    for _ in range(max(m[0] for m in f)):
-        powers.append(powers[-1] * x)
-    if n == 1:
-        return sum(c * powers[m[0]] for m, c in f.items())
+def _evaluate_first(f: dict, x: int, fields: list):
+    """``f`` at x = ``x`` in the first of ``fields``: an int when that is
+    the only one, else a dict over the fields below it."""
+    s, J = fields[0]
+    # powers[e] = x**(e // J) at every exponent e that is a multiple of J
+    top = max(f) >> s
+    powers = [0] * (top + 1)
+    power = 1
+    for e in range(0, top + 1, J):
+        powers[e] = power
+        power *= x
+    if len(fields) == 1:
+        return sum(c * powers[m >> s] for m, c in f.items())
+    low = (1 << s) - 1
     out = {}
     get = out.get
     for m, c in f.items():
-        rest = m[1:]
-        c = get(rest, 0) + c * powers[m[0]]
+        rest = m & low
+        c = get(rest, 0) + c * powers[m >> s]
         if c:
             out[rest] = c
         else:
@@ -430,22 +481,25 @@ def _evaluate_first(f: dict, x: int, n: int):
     return out
 
 
-def _interpolate(h, x: int, n: int) -> dict:
-    """The polynomial whose coefficients in x_0 are the symmetric base-x
-    digits of ``h`` (an int when ``n`` is 1, else a dict over the other
-    variables), negated if its lex leading coefficient is negative."""
+def _interpolate(h, x: int, fields: list) -> dict:
+    """The polynomial whose coefficients in the first of ``fields`` are the
+    symmetric base-x digits of ``h`` (an int when that is the only field,
+    else a dict over the fields below it), negated if its lex leading
+    coefficient is negative."""
+    s, J = fields[0]
+    step = J << s
     f = {}
     half = x // 2
-    i = 0
-    if n == 1:
+    e = 0
+    if len(fields) == 1:
         while h:
             g = h % x
             if g > half:
                 g -= x
             h = (h - g) // x
             if g:
-                f[(i,)] = g
-            i += 1
+                f[e] = g
+            e += step
     else:
         while h:
             rest = {}
@@ -454,27 +508,33 @@ def _interpolate(h, x: int, n: int) -> dict:
                 if g > half:
                     g -= x
                 if g:
-                    f[(i,) + m] = g
+                    f[e | m] = g
                 c = (c - g) // x
                 if c:
                     rest[m] = c
             h = rest
-            i += 1
+            e += step
+    if e > (MAX_EXPONENT + J) << s:
+        # a digit past the field (the coefficients would need more than
+        # MAX_EXPONENT base-x digits)
+        raise _overflow()
     if _lex_lc(f) < 0:
         return {m: -c for m, c in f.items()}
     return f
 
 
-def _exquo(f: dict, g: dict):
+def _exquo(f: dict, g: dict, guard: int):
     """``f / g`` when nonzero ``g`` divides ``f`` exactly, else ``None``.
 
     Lex division that stops at the first leading term of the running
     remainder that the leading term of ``g`` does not divide: that term
-    would go to the remainder, and no later step can cancel it.
+    would go to the remainder, and no later step can cancel it.  Nor can a
+    remainder term with an exponent past MAX_EXPONENT: every term of an
+    exact division divides ``f``.  ``guard`` holds the ring's guard bits.
     """
+    if len(g) == 1 and g.get(0) == 1:
+        return dict(f)
     gm = max(g)
-    ring = poly_ring(len(gm))
-    mul, div = ring.monomial_mul, ring.monomial_div
     gc = g[gm]
     rest = list(g.items())
     p = dict(f)
@@ -483,13 +543,14 @@ def _exquo(f: dict, g: dict):
     while p:
         m = max(p)
         c = p[m]
-        e = div(m, gm)
-        if e is None or c % gc:
+        e = (m | guard) - gm
+        if m & guard or e & guard != guard or c % gc:
             return None
+        e ^= guard
         c //= gc
         q[e] = c
         for mg, cg in rest:
-            k = mul(mg, e)
+            k = mg + e
             v = get(k, 0) - c * cg
             if v:
                 p[k] = v

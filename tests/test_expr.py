@@ -413,7 +413,7 @@ def _grevlex_cancel(env, num, den):
         env, _sine_reduce(env, num), _sine_reduce(env, den)
     )
     S = _sympy_ring(env, grevlex)
-    num, den = S.from_dict(dict(num)).cancel(S.from_dict(dict(den)))
+    num, den = S.from_dict(dict(num.terms())).cancel(S.from_dict(dict(den.terms())))
     return env.ring.from_dict(dict(num)), env.ring.from_dict(dict(den))
 
 
@@ -422,7 +422,7 @@ def _gens(env, *names):
 
 
 def _lex_lc(p):
-    # lex order on exponent tuples is plain tuple order
+    # lex order on packed monomials is plain integer order
     return p[max(p)]
 
 
@@ -527,7 +527,7 @@ def _full_ring_cofactors(env, p, q):
     generators, mapped back: the reference for ``poly.cofactors``, which
     drops the generators neither input mentions."""
     L = _sympy_ring(env, lex)
-    _, p, q = L.from_dict(dict(p)).cofactors(L.from_dict(dict(q)))
+    _, p, q = L.from_dict(dict(p.terms())).cofactors(L.from_dict(dict(q.terms())))
     return env.ring.from_dict(dict(p)), env.ring.from_dict(dict(q))
 
 
@@ -561,7 +561,8 @@ def _sympy_sine_reduce(env, p):
     relations = [symbols[si] ** 2 + symbols[ci] ** 2 - 1 for si, ci in env.trig_indices]
     others = [x for x in symbols if x not in sines]
     _, remainder = reduced(
-        Poly.from_dict(dict(p), *symbols).as_expr(), relations, *sines, *others, order="lex"
+        Poly.from_dict(dict(p.terms()), *symbols).as_expr(), relations, *sines, *others,
+        order="lex",
     )
     return Poly(remainder, *symbols).as_dict()
 
@@ -581,7 +582,7 @@ def _two_trig_polys():
 @example({(0, 0, 0, 2, 0, 0, 0): 1, (0, 0, 0, 0, 2, 0, 0): 1, (0, 0, 0, 0, 0, 0, 0): -1})
 def test_sine_reduce_matches_sympy(terms):
     p = _two_trig_env.ring.from_dict(terms)
-    assert dict(_sine_reduce(_two_trig_env, p)) == _sympy_sine_reduce(_two_trig_env, p)
+    assert dict(_sine_reduce(_two_trig_env, p).terms()) == _sympy_sine_reduce(_two_trig_env, p)
 
 
 def test_kerr4_kretschmann_closed_form(kerr4):

@@ -15,7 +15,9 @@ The S^6 I_2 and Tangherlini D=6 I_c digests were computed while Riemann
 was still built as the mixed R^a_bcd and then lowered, before
 ``riemann_lowered`` built the all-lower tensor directly at its independent
 components; all six hold unchanged after it, and after ``curvinv.poly``
-replaced sympy's polynomial rings and heuristic GCD.
+replaced sympy's polynomial rings and heuristic GCD.  They also hold after
+``curvinv.poly`` packed each monomial's exponent tuple into one int and
+ran the GCD in place over the packed fields.
 """
 
 import hashlib

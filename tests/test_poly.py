@@ -11,21 +11,19 @@ from sympy.polys.rings import ring
 
 from curvinv import poly
 from curvinv.expr import Expr
-from curvinv.poly import HeuristicGCDFailed, cofactors, poly_ring
+from curvinv.poly import MAX_EXPONENT, HeuristicGCDFailed, SymbolicError, cofactors, poly_ring
 
 
 def _sympy_ring(n, order):
     return ring([Symbol("x%d" % i) for i in range(n)], ZZ, order)[0]
 
 
-def _terms(n, max_terms=5):
-    return st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n), st.integers(-9, 9), max_size=max_terms
-    )
+def _terms(n, max_terms=5, exponents=st.integers(0, 3)):
+    return st.dictionaries(st.tuples(*[exponents] * n), st.integers(-9, 9), max_size=max_terms)
 
 
 def _same(ours, theirs):
-    return ours == dict(theirs)
+    return dict(ours.terms()) == dict(theirs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,22 +57,133 @@ def test_arithmetic_matches_sympy(data):
         assert hash(pf) == hash(pg)
 
 
+def _scaled(R, terms, J):
+    """The polynomial with each exponent of variable i multiplied by J[i]."""
+    out = {}
+    for m, c in terms.items():
+        key = tuple(e * j for e, j in zip(m, J))
+        out[key] = out.get(key, 0) + c
+    return R.from_dict(out)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cofactors_match_sympy_up_to_sign(data):
     n = data.draw(st.integers(0, 5), label="ngens")
     R = poly_ring(n)
     S = _sympy_ring(n, lex)
-    a, b, c = (R.from_dict(data.draw(_terms(n, 4))) for _ in range(3))
+    # J = 0 leaves a variable unmentioned; J > 1 gives heugcd deflated fields
+    J = data.draw(st.tuples(*[st.sampled_from([0, 1, 1, 2, 3])] * n), label="J")
+    a, b, c = (_scaled(R, data.draw(_terms(n, 4)), J) for _ in range(3))
     f, g = a * c, b * c
     ours = cofactors(f, g)
-    theirs = S.from_dict(f).cofactors(S.from_dict(g))
+    theirs = S.from_dict(dict(f.terms())).cofactors(S.from_dict(dict(g.terms())))
     assert all(p.ring is R for p in ours)
     if _same(ours[0], -theirs[0]) and ours[0]:
         theirs = tuple(-p for p in theirs)
     assert all(_same(p, q) for p, q in zip(ours, theirs))
     h, cff, cfg = ours
     assert h * cff == f and h * cfg == g
+
+
+# Exponents that reach the guard bit of a field, and small ones.
+_wide_exponents = st.one_of(
+    st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT), st.integers(0, MAX_EXPONENT)
+)
+
+
+def _fits(sympy_poly):
+    return all(e <= MAX_EXPONENT for m in sympy_poly.itermonoms() for e in m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wide_exponents_match_sympy(data):
+    # Exponents up to the largest a field holds; a result that would need
+    # a larger one raises instead of carrying into the next field.
+    n = data.draw(st.integers(1, 5), label="ngens")
+    R = poly_ring(n)
+    S = _sympy_ring(n, grevlex)
+    f, g = (data.draw(_terms(n, 4, _wide_exponents)) for _ in range(2))
+    pf, pg = R.from_dict(f), R.from_dict(g)
+    sf, sg = S.from_dict(f), S.from_dict(g)
+
+    assert _same(pf + pg, sf + sg)
+    assert _same(pf - pg, sf - sg)
+    for ours, theirs in ((lambda: pf * pg, sf * sg), (lambda: pg * pf, sg * sf)):
+        if _fits(theirs):
+            assert _same(ours(), theirs)
+        else:
+            with pytest.raises(SymbolicError):
+                ours()
+    e = data.draw(st.integers(0 if pf else 1, 3), label="exponent")
+    if _fits(sf ** e):
+        assert _same(pf ** e, sf ** e)
+    else:
+        with pytest.raises(SymbolicError):
+            pf ** e
+    for i in range(n):
+        assert _same(pf.diff(i), sf.diff(S.gens[i]))
+        assert pf.degree(i) == sf.degree(S.gens[i])
+    assert pf.degrees() == sf.degrees()
+    assert pf.terms() == sf.terms()
+    assert pf.LC == sf.LC
+
+
+def test_fields_next_to_the_guard_bit():
+    R = poly_ring(3)
+    x, y, z = R.gens
+    top = MAX_EXPONENT
+    # products that fill a field exactly, beside full and empty fields
+    assert (x ** (top - 1) * y ** top * x).terms() == [((top, top, 0), 1)]
+    assert (y ** top * z ** (top - 5) * (x + z ** 5)).terms() == [
+        ((0, top, top), 1), ((1, top, top - 5), 1)
+    ]
+    assert (x ** top).diff(0).terms() == [((top - 1, 0, 0), top)]
+    # exact quotients that empty a full field, or leave one full
+    full = R.from_dict({(top, top, top): 1})
+    for divisor, quotient in (
+        (x ** top, (0, top, top)), (y ** top, (top, 0, top)), (z ** top, (top, top, 0)),
+        (z, (top, top, top - 1)), (full, (0, 0, 0)),
+    ):
+        assert R.new(poly._exquo(full, divisor, R.guard)).terms() == [(quotient, 1)]
+    # a field that would go negative beside a full one does not borrow from it
+    assert poly._exquo(x ** top, y, R.guard) is None
+    assert poly._exquo(x ** top * z ** top, y * z, R.guard) is None
+    assert poly._exquo(y ** top, y ** top * z, R.guard) is None
+    # the single-term shortcut's field-wise minimum
+    h, cff, cfg = cofactors(x ** top * y, x * y ** top + z ** top)
+    assert (h, cff, cfg) == (R.one, x ** top * y, x * y ** top + z ** top)
+    h, cff, cfg = cofactors(x ** top * y * z ** 3, x * y ** top * z ** top + x ** 2 * z ** 2)
+    assert (h, cff, cfg) == (x * z ** 2, x ** (top - 1) * y * z, y ** top * z ** (top - 2) + x)
+    # heugcd interpolating at full fields
+    shared = x ** top + y ** (top - 1) * z
+    h, cff, cfg = cofactors(shared * y, shared * (z + 1))
+    assert (h, cff, cfg) == (shared, y, z + 1)
+
+
+def test_field_overflow_raises(trig_env):
+    R = poly_ring(2)
+    x, y = R.gens
+    top = MAX_EXPONENT
+    with pytest.raises(SymbolicError):
+        x ** top * x
+    with pytest.raises(SymbolicError):
+        (x ** top + y) * (x + y ** top)
+    with pytest.raises(SymbolicError):
+        (x * y) ** (top + 1)
+    with pytest.raises(SymbolicError):
+        R.from_dict({(top + 1, 0): 1})
+    # inside Expr.make: the sine rewrite sin**2 -> 1 - cos**2 ...
+    T = trig_env.ring
+    s, c = (T.gens[trig_env.gen_index(name)] for name in ("sin(theta)", "cos(theta)"))
+    with pytest.raises(SymbolicError):
+        Expr.make(trig_env, s ** 2 * c ** top, T.one)
+    # ... and the conjugate that clears a sine from the denominator
+    with pytest.raises(SymbolicError):
+        Expr.make(trig_env, c ** top, c + c * s)
+    # the largest exponents themselves are fine
+    assert Expr.make(trig_env, c ** top, c * s ** 0).num == c ** (top - 1)
 
 
 def _random_poly(rng, n, terms):
@@ -84,14 +193,16 @@ def _random_poly(rng, n, terms):
     }
 
 
-def _exquo_against_sympy(n, f, g):
+def _exquo_against_sympy(f, g):
     """``poly._exquo(f, g)`` and whether sympy's lex ``div`` leaves a
     remainder; asserts the quotients agree when it does not."""
-    S = _sympy_ring(n, lex)
-    quotient, remainder = S.from_dict(f).div(S.from_dict(g))
-    ours = poly._exquo(f, g)
+    R = f.ring
+    S = _sympy_ring(R.ngens, lex)
+    quotient, remainder = S.from_dict(dict(f.terms())).div(S.from_dict(dict(g.terms())))
+    ours = poly._exquo(f, g, R.guard)
     assert (ours is None) == bool(remainder)
     if ours is not None:
+        ours = R.new(ours)
         assert _same(ours, quotient)
     return ours
 
@@ -114,19 +225,39 @@ def test_exact_division_returns_none_exactly_when_sympy_leaves_a_remainder():
             f = R.from_dict(_random_poly(rng, n, rng.randint(1, 4)))
         if not f:
             continue
-        outcomes.add(_exquo_against_sympy(n, dict(f), dict(g)) is None)
+        outcomes.add(_exquo_against_sympy(f, g) is None)
     assert outcomes == {True, False}
 
 
 def test_divisor_leading_coefficient_not_dividing():
     x, y = poly_ring(2).gens
     # The leading monomials divide, the coefficients 3 and 2 do not.
-    assert _exquo_against_sympy(2, dict(3 * x * y + 1), dict(2 * x + y)) is None
+    assert _exquo_against_sympy(3 * x * y + 1, 2 * x + y) is None
     # Divisible leading term first, then a leading coefficient 1 left over.
-    assert _exquo_against_sympy(2, dict((2 * x + y) * (x + 1) + y), dict(2 * x + y)) is None
-    assert _exquo_against_sympy(2, dict((2 * x + y) * (3 * x + 1)), dict(2 * x + y)) == dict(
-        3 * x + 1
-    )
+    assert _exquo_against_sympy((2 * x + y) * (x + 1) + y, 2 * x + y) is None
+    assert _exquo_against_sympy((2 * x + y) * (3 * x + 1), 2 * x + y) == 3 * x + 1
+
+
+def test_remainder_past_the_field_is_not_exact():
+    # x**k / (x - y**10) leaves the remainder y**(10 k); past MAX_EXPONENT
+    # that is no exact division, and the division stops there.
+    R = poly_ring(2)
+    x, y = R.gens
+    k = MAX_EXPONENT // 10 + 1
+    assert poly._exquo(x ** k, x - y ** 10, R.guard) is None
+    # here the term past the field, x*y**(10 k), still leads with x
+    assert poly._exquo(x ** (k + 1), x - y ** 10, R.guard) is None
+    assert _exquo_against_sympy(x ** 3, x - y ** 10) is None
+
+
+def test_interpolation_past_the_field_raises(monkeypatch):
+    # Unreachable with 15-bit exponents (a digit past the field needs a
+    # coefficient of more than MAX_EXPONENT base-x digits), so the bound is
+    # lowered: the degree-2 candidate no longer fits.
+    x, y = poly_ring(2).gens
+    monkeypatch.setattr(poly, "MAX_EXPONENT", 1)
+    with pytest.raises(SymbolicError):
+        cofactors((x ** 2 + y) * (x - 1), (x ** 2 + y) * (x + 2))
 
 
 def test_gcd_failure_is_a_symbolic_error(monkeypatch):
@@ -139,26 +270,29 @@ def test_gcd_failure_is_a_symbolic_error(monkeypatch):
 
 
 def test_gcd_runs_over_only_the_variables_present(trig_env, monkeypatch):
-    # cofactors hands its GCD step both polynomials over exactly the
-    # variables either mentions: heugcd gets their count, and the
-    # single-term shortcut gets monomials of that length.
-    counts = []
+    # cofactors hands its GCD step the fields either polynomial uses, most
+    # significant first: heugcd recurses over exactly those, and the
+    # single-term shortcut sees monomials in those fields alone.
+    R = trig_env.ring
+    seen = []
     heugcd, gcd_monom = poly._heugcd, poly._gcd_monom
 
-    def recording_heugcd(f, g, n):
-        assert all(len(m) == n for m in (*f, *g))
-        counts.append(n)
-        return heugcd(f, g, n)
+    def used(*polys):
+        return [s for s, mask in zip(R.shifts, R.masks) if any(m & mask for p in polys for m in p)]
 
-    def recording_gcd_monom(f, g):
-        (m,) = f
-        assert all(len(mg) == len(m) for mg in g)
-        counts.append(len(m))
-        return gcd_monom(f, g)
+    def recording_heugcd(f, g, fields, guard):
+        shifts = [s for s, _ in fields]
+        # deeper calls see the fields below, of which an image may lose some
+        assert set(used(f, g)) <= set(shifts)
+        seen.append(shifts)
+        return heugcd(f, g, fields, guard)
+
+    def recording_gcd_monom(f, g, guard):
+        seen.append(used(f, g))
+        return gcd_monom(f, g, guard)
 
     monkeypatch.setattr(poly, "_heugcd", recording_heugcd)
     monkeypatch.setattr(poly, "_gcd_monom", recording_gcd_monom)
-    R = trig_env.ring
     a, mu, r, s, c = (
         R.gens[trig_env.gen_index(name)] for name in ("a", "mu", "r", "sin(theta)", "cos(theta)")
     )
@@ -170,11 +304,10 @@ def test_gcd_runs_over_only_the_variables_present(trig_env, monkeypatch):
         (mu * s, a * s + c, ("a", "mu", "sin(theta)", "cos(theta)")),
     ]
     for p, q, names in pairs:
-        counts.clear()
+        seen.clear()
         cofactors(p, q)
-        # heugcd recurses on one variable fewer each time
-        assert counts[0] == len(names)
+        assert seen[0] == [R.shifts[trig_env.gen_index(name)] for name in names]
     # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
-    counts.clear()
+    seen.clear()
     Expr.make(trig_env, mu * s, a * s + c)
-    assert counts[0] == 4
+    assert len(seen[0]) == 4
