@@ -328,9 +328,9 @@ def independent_component_count(dim: int) -> int:
 def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     """Group the joined assignments by their free labels and sum each
     group's products, giving a field over the free slots (rank 0 when no
-    label is free).  Each free key sums its products raw, grouped by
-    denominator (``expr.RawSum``), with the abbreviation multiplier as
-    each product's coefficient."""
+    label is free).  Each free key sums its products in an
+    ``expr.RawSum``, with the abbreviation multiplier as each product's
+    coefficient."""
     _check_tensors(spec, tensors, dim)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]

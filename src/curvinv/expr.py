@@ -31,14 +31,21 @@ canonical form.
 Every sum of products in the package goes through :class:`RawSum`: the
 tensor builders, the parcel sum, the merge of the parcel partials and the
 free-index contraction.  It canonicalises once per sum rather than once
-per ``*`` and ``+``.  Each product's numerator and denominator are
-multiplied out raw, and the raw numerators are added up per raw
-denominator.  The groups are then brought over their least common
-denominator, and one ``Expr.make`` cancels the result.  All of this is
-exact polynomial arithmetic, so the raw quotient is the sum of the
-products as a rational function.  Canonical forms are unique, so that one
-``Expr.make`` gives, byte for byte, the expression that summing the
-canonical products one by one gives.
+per ``*`` and ``+``.  Only the numerators of a product are multiplied out;
+its denominators stay canonical and name its group.  To bring the groups
+over a common denominator without a GCD, each :class:`SymbolEnv`
+instance keeps a coprime basis of the denominators its sums have met
+(:class:`CoprimeBasis`, factor refinement: Bach, Driscoll and Shallit,
+J. Algorithms 14, 1993; Bernstein, J. Algorithms 54, 2005).  Each
+denominator factors over it as an integer content times basis powers, so
+the least common denominator is a componentwise maximum and each group's
+cofactor a product of cached basis powers.  The sum is then divided
+exactly by basis elements as far as it goes, and one ``Expr.make``
+cancels what is left.  All of this is exact polynomial arithmetic, so
+the raw quotient is the sum of the products as a rational function.
+Canonical forms are unique, so that one ``Expr.make`` gives, byte for
+byte, the expression that summing the canonical products one by one
+gives, whatever the basis looks like.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .poly import SymbolicError, cofactors, poly_ring
+from .poly import SymbolicError, _exquo, cofactors, poly_ring
 
 
 class DivisionByZeroExpression(SymbolicError):
@@ -111,6 +118,18 @@ class SymbolEnv:
     @cached_property
     def ring(self):
         return poly_ring(len(self.gen_names))
+
+    @cached_property
+    def basis(self) -> "CoprimeBasis":
+        """The coprime basis of the denominators this instance's sums have
+        met.  It belongs to the instance, not to its value: an equal env
+        built separately starts its own, and a pickled env arrives without
+        one."""
+        return CoprimeBasis(self.ring)
+
+    def __reduce__(self):
+        # Only the fields travel; the ring and the basis are rebuilt on use.
+        return SymbolEnv, (self.coordinates, self.parameters, self.trig_pairs)
 
     def gen_index(self, name: str) -> int:
         try:
@@ -436,14 +455,127 @@ def _format_poly(env: SymbolEnv, p) -> str:
     return "".join(parts)
 
 
+def _is_constant(p) -> bool:
+    return len(p) == 1 and 0 in p
+
+
+class CoprimeBasis:
+    """A gcd-free basis of denominators, and each denominator's factoring
+    over it.
+
+    ``elements`` are pairwise coprime, primitive polynomials with a
+    positive grevlex leading coefficient.  :meth:`factor` writes a
+    denominator as an integer content times powers of the elements,
+    ``(content, ((index, exponent), ...))``, by exact trial division.  A
+    denominator that the elements do not generate refines the basis:
+    what is left after trial division is split against each element by
+    its GCD until every piece is coprime to the rest.  A refinement that
+    splits an element renumbers the basis and bumps ``generation``;
+    factorings made under an older generation are stale and are
+    recomputed when next asked for.  A refinement that only appends an
+    element coprime to all others leaves every earlier factoring exact.
+    """
+
+    __slots__ = ("ring", "elements", "generation", "_factors", "_powers")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.elements = []
+        self.generation = 0
+        self._factors = {}  # denominator -> (generation, content, vector)
+        self._powers = {}  # element -> [element**0, element**1, ...]
+
+    def factor(self, den) -> tuple:
+        """``(content, vector)`` with ``den`` the content times the product
+        of ``elements[i] ** e`` over the ``(i, e)`` pairs of the vector."""
+        cached = self._factors.get(den)
+        if cached is not None and cached[0] == self.generation:
+            return cached[1], cached[2]
+        while True:
+            content, vector, rest = self._divide(den)
+            if rest is None:
+                break
+            self._refine(rest)
+        self._factors[den] = (self.generation, content, vector)
+        return content, vector
+
+    def factor_product(self, dens) -> tuple:
+        """:meth:`factor` of the product of ``dens``."""
+        if len(dens) == 1:
+            return self.factor(dens[0])
+        content = 1
+        exponents = {}
+        for den in dens:
+            c, vector = self.factor(den)
+            content *= c
+            for i, e in vector:
+                exponents[i] = exponents.get(i, 0) + e
+        return content, tuple(sorted(exponents.items()))
+
+    def power(self, i: int, k: int):
+        """``elements[i] ** k``, cached."""
+        b = self.elements[i]
+        powers = self._powers.get(b)
+        if powers is None:
+            powers = self._powers[b] = [self.ring.one, b]
+        while len(powers) <= k:
+            powers.append(powers[-1] * b)
+        return powers[k]
+
+    def _divide(self, den):
+        """Trial-divide ``den`` by the elements: its content, its vector,
+        and what is left when that is not a unit (else None)."""
+        content = math.gcd(*den.values())
+        p = {m: c // content for m, c in den.items()}
+        guard = self.ring.guard
+        vector = []
+        for i, b in enumerate(self.elements):
+            e = 0
+            while True:
+                q = _exquo(p, b, guard)
+                if q is None:
+                    break
+                p, e = q, e + 1
+            if e:
+                vector.append((i, e))
+        if _is_constant(p):
+            # a unit; -1 when den's sign is not the canonical one
+            return content * p[0], tuple(vector), None
+        return content, tuple(vector), self.ring.new(p)
+
+    def _refine(self, new) -> None:
+        """Make the basis generate ``new`` too (primitive, not a unit)."""
+        elements = self.elements
+        pending = [new]
+        split = False
+        while pending:
+            a = pending.pop()
+            for i, b in enumerate(elements):
+                g, a_rest, b_rest = cofactors(a, b)
+                if not _is_constant(g):
+                    # a = g a_rest and b = g b_rest: b gives way to the pieces
+                    del elements[i]
+                    self._powers.pop(b, None)
+                    split = True
+                    for piece in (g, a_rest, b_rest):
+                        if not _is_constant(piece):
+                            pending.append(-piece if piece.LC < 0 else piece)
+                    break
+            else:
+                elements.append(a)
+        if split:
+            self.generation += 1
+
+
 class RawSum:
     """Accumulator for a sum of products of canonical expressions.
 
-    It maps each raw denominator polynomial (the product of the factors'
-    denominators) to the sum of its raw numerators.  Groups are dict keys,
-    so two denominators share a group only when they are equal as
-    polynomials.  :meth:`value` brings the groups over their least common
-    denominator and runs one ``Expr.make``; the result is the canonical sum
+    It maps the sorted tuple of each product's non-unit canonical
+    denominators to the sum of the raw numerators of that group.  No
+    denominator is multiplied out.  :meth:`value` factors each group over
+    the env's :class:`CoprimeBasis`, brings the groups over their least
+    common denominator, divides the sum exactly by basis elements as far
+    as it goes and runs one ``Expr.make``; the result is the canonical sum
     (see the module docstring).
     """
 
@@ -456,26 +588,79 @@ class RawSum:
     def add_product(self, values: Iterable[Expr], coefficient: int = 1) -> None:
         """Add the integer ``coefficient`` times the product of ``values``,
         raw; a zero factor adds nothing."""
-        num = den = None
+        num = None
+        dens = []
         for v in values:
             if not v.num:
                 return
-            if num is None:
-                num, den = v.num, v.den
-            else:
-                num, den = num * v.num, den * v.den
+            num = v.num if num is None else num * v.num
+            den = v.den
+            if len(den) > 1 or den.get(0) != 1:
+                dens.append(den)
         if coefficient != 1:
             num = num * coefficient
-        prior = self._groups.get(den)
-        self._groups[den] = num if prior is None else prior + num
+        key = tuple(sorted(dens, key=hash)) if len(dens) > 1 else tuple(dens)
+        prior = self._groups.get(key)
+        self._groups[key] = num if prior is None else prior + num
 
     def value(self) -> Expr:
         """The canonical sum; zero when nothing was added."""
-        groups = [(num, den) for den, num in self._groups.items() if num]
+        env = self.env
+        groups = [(dens, num) for dens, num in self._groups.items() if num]
         if not groups:
-            return self.env.zero()
-        num, den = groups[0]
-        for n, d in groups[1:]:
-            _, a, b = cofactors(den, d)
-            num, den = num * b + n * a, den * b
-        return Expr.make(self.env, num, den)
+            return env.zero()
+        basis = env.basis
+        # Factoring may split a basis element, which renumbers the basis:
+        # factor every group again until a pass leaves the basis as it was.
+        while True:
+            generation = basis.generation
+            factored = [basis.factor_product(dens) for dens, _ in groups]
+            if basis.generation == generation:
+                break
+        merged = {}
+        for key, (_, num) in zip(factored, groups):
+            prior = merged.get(key)
+            merged[key] = num if prior is None else prior + num
+        merged = {key: num for key, num in merged.items() if num}
+        if not merged:
+            return env.zero()
+        content = math.lcm(*(c for c, _ in merged))
+        lcd = {}
+        for _, vector in merged:
+            for i, e in vector:
+                if e > lcd.get(i, 0):
+                    lcd[i] = e
+        R = env.ring
+        if len(merged) == 1:
+            (total,) = merged.values()
+        else:
+            total = R.zero
+            for (c, vector), num in merged.items():
+                have = dict(vector)
+                cofactor = R.ground_new(content // c)
+                for i, e in lcd.items():
+                    if e > have.get(i, 0):
+                        cofactor = cofactor * basis.power(i, e - have.get(i, 0))
+                total = total + num * cofactor
+        total = _sine_reduce(env, total)
+        if not total:
+            return env.zero()
+        # Cancel whole basis powers and the integer content by exact
+        # division; Expr.make then cancels what is left.
+        num = total
+        den = R.one
+        for i, e in lcd.items():
+            b = basis.elements[i]
+            while e:
+                q = _exquo(num, b, R.guard)
+                if q is None:
+                    break
+                num, e = q, e - 1
+            if e:
+                den = den * basis.power(i, e)
+        common = math.gcd(content, *num.values())
+        if common > 1:
+            num = {m: c // common for m, c in num.items()}
+        if num is not total:
+            num = R.new(num)
+        return Expr.make(env, num, den * (content // common))

@@ -3,18 +3,22 @@
 The enumerated assignment list is split into m*n near-equal contiguous
 parcels for n workers.  Each parcel is one task of a
 ``concurrent.futures.ProcessPoolExecutor``, so a worker takes the next
-parcel as it goes idle.  A task multiplies each entry's components raw,
-sums the products grouped by denominator (``expr.RawSum``) and returns the
-parcel's canonical partial sum.  The coordinator merges the partials in one
-more ``RawSum``, each with the abbreviation multiplier as its coefficient.
-Canonical forms are unique, so the result is the same expression for every
-worker and parcel count and any scheduling order.
+parcel as it goes idle.  A task multiplies each entry's component
+numerators raw, sums the products grouped by their factors' denominators
+(``expr.RawSum``, which brings the groups together over the env's coprime
+basis of denominators) and returns the parcel's canonical partial sum.
+The coordinator merges the partials in one more ``RawSum``, each with the
+abbreviation multiplier as its coefficient.  Canonical forms are unique,
+so the result is the same expression for every worker and parcel count
+and any scheduling order.
 
-The pool forks its workers, so they inherit the factor tensors and the
-assignment list instead of receiving pickled copies: only parcel bounds go
-out and partial sums come back.  The start method is named because fork is
-not the default everywhere (from Python 3.14 not on Linux either).  A task
-that raises, or a worker that dies without reporting, ends the run in
+The pool forks its workers, so they inherit the factor tensors, the
+assignment list and the env's coprime basis instead of receiving pickled
+copies: only parcel bounds go out and partial sums come back.  The start
+method is named because fork is not the default everywhere (from Python
+3.14 not on Linux either).  At one worker no pool is started: the
+coordinator sums the parcels itself, one after another.  A parcel that
+raises, or a worker that dies without reporting, ends the run in
 WorkerFailure.
 """
 
@@ -136,16 +140,53 @@ def _init_worker(evaluate, env, entries):
     _state = (evaluate, env, entries)
 
 
-def _sum_parcel(start: int, stop: int):
-    """The canonical sum of one parcel's products, with the worker's pid and
-    the milliseconds it took."""
-    evaluate, env, entries = _state
+def _sum_parcel(evaluate, env, entries):
+    """The canonical sum of one parcel's products, with the pid of the
+    process that summed it and the milliseconds it took."""
     began = time.perf_counter()
     products = RawSum(env)
-    for entry in entries[start:stop]:
+    for entry in entries:
         products.add_product(evaluate.factors(entry))
     value = products.value()
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
+
+
+def _sum_worker_parcel(start: int, stop: int):
+    evaluate, env, entries = _state
+    return _sum_parcel(evaluate, env, entries[start:stop])
+
+
+def _in_process(parcels, evaluate, env, entries) -> list:
+    """Each parcel's result, summed in this process, in parcel order."""
+    results = []
+    for parcel in parcels:
+        try:
+            results.append(_sum_parcel(evaluate, env, entries[parcel.start : parcel.stop]))
+        except Exception as exc:
+            raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
+    return results
+
+
+def _on_pool(parcels, workers, evaluate, env, entries) -> list:
+    """Each parcel's result, summed on a pool of forked workers, in parcel
+    order."""
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(parcels)),
+        mp_context=mp.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(evaluate, env, entries),
+    ) as pool:
+        futures = [pool.submit(_sum_worker_parcel, p.start, p.stop) for p in parcels]
+        results = []
+        for parcel, future in zip(parcels, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                raise WorkerFailure("a worker exited without reporting") from exc
+            except Exception as exc:
+                pool.shutdown(cancel_futures=True)
+                raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
+    return results
 
 
 def execute(
@@ -158,7 +199,8 @@ def execute(
     metric_name: str = "",
     spec_text: str = "",
 ) -> RunReport:
-    """Run the parcel pool and merge the partial sums into the invariant.
+    """Sum the parcels, on a pool of forked workers or, at one worker, in
+    this process, and merge the partial sums into the invariant.
 
     The result expression is byte-identical for every (workers, parcels)
     choice; only the per-worker statistics vary.
@@ -169,25 +211,16 @@ def execute(
     total = RawSum(env)
     stats = {}  # pid -> WorkerStats, in order of the first parcel taken
     if parcels:
-        with ProcessPoolExecutor(
-            max_workers=min(cfg.workers, len(parcels)),
-            mp_context=mp.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(ProductEvaluator(spec, tensors), env, plan.sum_index_array),
-        ) as pool:
-            futures = [pool.submit(_sum_parcel, p.start, p.stop) for p in parcels]
-            for parcel, future in zip(parcels, futures):
-                try:
-                    pid, partial, busy_ms = future.result()
-                except BrokenProcessPool as exc:
-                    raise WorkerFailure("a worker exited without reporting") from exc
-                except Exception as exc:
-                    pool.shutdown(cancel_futures=True)
-                    raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
-                total.add_product((partial,), plan.multiplier)
-                worker = stats.setdefault(pid, WorkerStats(0, 0.0))
-                worker.entries += len(parcel)
-                worker.wall_ms += busy_ms
+        run = (ProductEvaluator(spec, tensors), env, plan.sum_index_array)
+        if cfg.workers == 1:
+            results = _in_process(parcels, *run)
+        else:
+            results = _on_pool(parcels, cfg.workers, *run)
+        for parcel, (pid, partial, busy_ms) in zip(parcels, results):
+            total.add_product((partial,), plan.multiplier)
+            worker = stats.setdefault(pid, WorkerStats(0, 0.0))
+            worker.entries += len(parcel)
+            worker.wall_ms += busy_ms
     per_worker = list(stats.values())
     per_worker += [WorkerStats(0, 0.0) for _ in range(cfg.workers - len(per_worker))]
     invariant = total.value()

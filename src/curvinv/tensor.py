@@ -33,9 +33,11 @@ The connection (Christoffel symbols) is a ``TensorField`` of variance
 
 Every builder (Christoffel symbols, Riemann, raising and the covariant
 derivative) forms each component as a sum of products of canonical
-components, and sums them in an ``expr.RawSum``: the products stay raw,
-grouped by denominator, and the whole sum is canonicalised once.  The
-component is the same canonical expression that summing canonical
+components, and sums them in an ``expr.RawSum``: only the numerators of
+the products are multiplied out, the products are grouped by their
+factors' denominators, the groups are brought together over the env's
+coprime basis of denominators, and the whole sum is canonicalised once.
+The component is the same canonical expression that summing canonical
 products gives.
 """
 
@@ -296,8 +298,7 @@ def christoffel(g: Metric) -> TensorField:
 
     Only b <= c is computed; the field stores the same value at both
     orientations (a, b, c) and (a, c, b) of the symmetric lower pair.  Each
-    component sums the products g^ad Gamma_dbc raw, grouped by denominator
-    (``expr.RawSum``).
+    component sums the products g^ad Gamma_dbc in an ``expr.RawSum``.
     """
     dim, env = g.dim, g.env
     ginv_rows = _rows(dim, g.inverse().components)
@@ -322,7 +323,7 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
     Gamma_ead from the metric's memos (``Metric.derivative`` and
     ``Metric.first_kind``), which ``christoffel`` fills too.  Only the
     independent keys a < b, c < d and (a, b) <= (c, d) are computed, each
-    summing its products raw, grouped by denominator (``expr.RawSum``).
+    summing its products in an ``expr.RawSum``.
     The pair exchange R_cdab = R_abcd puts each value at (a, b, c, d) and
     (c, d, a, b); the antisymmetries in slots (0,1) and (2,3) fill the
     other keys by negation.  ``gamma`` is the metric's connection when the
@@ -368,9 +369,8 @@ def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
     variance: out[..k..] = sum of g^ke t[..e..].
 
     The output keeps the input's antisymmetric pairs.  Only keys oriented
-    on its oriented pairs are computed, each summing its products raw,
-    grouped by denominator (``expr.RawSum``); the swapped keys are filled
-    by negation.
+    on its oriented pairs are computed, each summing its products in an
+    ``expr.RawSum``; the swapped keys are filled by negation.
     """
     if not 0 <= slot < t.rank:
         raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
@@ -410,7 +410,7 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
     partial derivatives of oriented components, and connection terms whose
     target key is oriented.  The swapped keys are filled by negation.  Each
     output component sums its partial derivative and connection products
-    raw, grouped by denominator (``expr.RawSum``).
+    in an ``expr.RawSum``.
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")

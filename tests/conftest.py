@@ -1,4 +1,6 @@
+import math
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -88,18 +90,59 @@ def trig_env():
     )
 
 
+# Each phase of a test (set-up, call, tear-down) fails, rather than hangs,
+# once it has run this many seconds; the slowest test takes a few.
+TEST_TIME_LIMIT = 60
+
+
 @contextmanager
 def _deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run ``seconds`` seconds,
+    and again every second after that until the block is left, so code
+    that catches the first one (hypothesis replays a failing example)
+    cannot run on.
+
+    Nested inside another deadline, the earlier of the two applies, and on
+    leaving the block the outer one is armed again with what remains of
+    it.  There is one SIGALRM timer per process, so this is how the
+    per-test limit and the ``deadline`` fixture share it.
+    """
+
     def expire(signum, frame):
+        signal.alarm(1)
         raise TimeoutError("still running after %d s" % seconds)
 
+    began = time.monotonic()
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    outer = signal.alarm(seconds)
+    if outer and outer < seconds:
+        signal.signal(signal.SIGALRM, previous)
+        signal.alarm(outer)
     try:
         yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.alarm(max(1, math.ceil(outer - (time.monotonic() - began))))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    with _deadline(TEST_TIME_LIMIT):
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    with _deadline(TEST_TIME_LIMIT):
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    with _deadline(TEST_TIME_LIMIT):
+        return (yield)
 
 
 @pytest.fixture

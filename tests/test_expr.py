@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from curvinv.expr import (
     _clear_sines_from_denominator,
     _sine_reduce,
 )
+from curvinv.metrics import kerr
 from curvinv.pipeline import run_invariant
 
 from oracles import EvaluationError, agree_at_random_points, eval_rational, normalize
@@ -395,6 +397,106 @@ class TestRawSum:
         monkeypatch.setattr(Expr, "make", classmethod(counting))
         assert _raw_sum(products) == expected
         assert len(calls) == 1
+
+
+# --- the coprime basis that RawSum factors denominators over --------------------
+
+# Denominators that repeat, share and reduce one another, so the basis of
+# a fresh env is refined as they arrive: x**2 then x (a split that keeps
+# the element count), x**2 - 1 against x - 1, x - k against x, integer
+# contents, 1 - cos**2 against 1 + cos, and a sine-bearing divisor that
+# make clears through its conjugate.
+_BASIS_DIVISORS = (
+    1,
+    3,
+    "x",
+    ("**", "x", 2),
+    ("*", 2, ("**", "x", 3)),
+    ("-", 1, ("**", "x", 2)),
+    ("-", 1, "x"),
+    ("*", 6, ("+", 1, "x")),
+    ("*", ("-", "x", "k"), ("**", "x", 2)),
+    ("-", 1, ("**", "cos(t)", 2)),
+    ("+", 1, "cos(t)"),
+    ("+", "x", "sin(t)"),
+)
+
+
+def _basis_products():
+    factor = st.tuples(_trees(1), st.sampled_from(_BASIS_DIVISORS)).map(
+        lambda pair: normalize(_env, ("/", pair[0], pair[1]))
+    )
+    return st.lists(
+        st.tuples(st.lists(factor, min_size=1, max_size=3), st.sampled_from([1, -1, 3])),
+        max_size=6,
+    )
+
+
+def _fresh_env():
+    """An env equal to ``_env`` with its own, empty basis."""
+    return SymbolEnv(
+        coordinates=_env.coordinates, parameters=_env.parameters, trig_pairs=_env.trig_pairs
+    )
+
+
+def _raw_sum_in(env, products):
+    total = RawSum(env)
+    for values, coefficient in products:
+        total.add_product(values, coefficient)
+    return total.value()
+
+
+def _over(divisor, numerator=1):
+    return normalize(_env, ("/", numerator, divisor))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_products(), _basis_products())
+@example(earlier=[], products=[([_over(("**", "x", 2))], 1), ([_over("x")], 1)])
+@example(
+    earlier=[([_over(("**", "x", 2))], 1)],
+    products=[([_over("x")], 1), ([_over(("**", "x", 2)), _over(3)], 1)],
+)
+@example(
+    earlier=[([_over(("-", 1, ("**", "x", 2)))], 1)],
+    products=[([_over(("-", 1, "x"), "x")], 1), ([_over(("-", 1, ("**", "x", 2)))], -1)],
+)
+def test_raw_sum_over_a_growing_basis_equals_canonical_sum(earlier, products):
+    # Each example starts from an empty basis; the earlier sum grows it, so
+    # the second sum meets cached factorings that its own denominators may
+    # make stale, and each sum may refine the basis partway through.
+    env = _fresh_env()
+    assert _raw_sum_in(env, earlier) == _canonical_sum(earlier)
+    assert _raw_sum_in(env, products) == _canonical_sum(products)
+    elements = env.basis.elements
+    for i, b in enumerate(elements):
+        assert b.LC > 0 and math.gcd(*b.values()) == 1
+        for c in elements[i + 1 :]:
+            assert len(poly.cofactors(b, c)[0]) == 1
+
+
+def test_basis_belongs_to_the_env_instance():
+    first, second = kerr(4), kerr(4)
+    assert first.env == second.env
+    assert first.env.basis is not second.env.basis
+    total = RawSum(first.env)
+    total.add_product([first.component(2, 2), first.component(1, 1)])
+    total.value()
+    assert first.env.basis.elements and not second.env.basis.elements
+
+
+def test_basis_is_never_pickled():
+    env = _fresh_env()
+    x, k = env.symbol("x"), env.symbol("k")
+    e = x / (x - k)
+    before = len(pickle.dumps(e))
+    total = RawSum(env)
+    total.add_product([e, 1 / (x ** 2 - 1)])
+    total.add_product([k / x])
+    total.value()
+    assert len(env.basis.elements) >= 3
+    assert len(pickle.dumps(e)) == before
+    assert not pickle.loads(pickle.dumps(e)).env.basis.elements
 
 
 # --- cancellation against sympy's grevlex cancel --------------------------------

@@ -18,6 +18,11 @@ components; all six hold unchanged after it, and after ``curvinv.poly``
 replaced sympy's polynomial rings and heuristic GCD.  They also hold after
 ``curvinv.poly`` packed each monomial's exponent tuple into one int and
 ran the GCD in place over the packed fields.
+
+The Kerr D=4 I_2 and Kerr D=5 I_c digests, both at symbolic a, were
+computed while ``RawSum`` still grouped products by their multiplied-out
+denominator and folded the groups with one GCD each; all eight hold after
+it grouped them over each env's coprime basis of denominators instead.
 """
 
 import hashlib
@@ -46,6 +51,12 @@ CASES = {
     ),
     "Tangherlini D=6 I_c": (
         "kerr", 6, (("a", Fraction(0)),), "I_c", "7b8b9fca58e870995098f766048ee5f482612c64"
+    ),
+    "Kerr D=4 I_2": (
+        "kerr", 4, (), "I_2", "18753834541bdb84a95758529a49700e674343c0"
+    ),
+    "Kerr D=5 I_c": (
+        "kerr", 5, (), "I_c", "a4b7f7878b526e3ef203e6e1eec3f99bc86a6c2b"
     ),
 }
 

@@ -169,6 +169,31 @@ class TestExecute:
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
 
+    def test_one_worker_starts_no_pool(self, s3, monkeypatch):
+        spec, tensors, plan, _ = _plan_for(s3, I_B)
+        expected = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        report = execute(plan, spec, tensors, RunConfig(workers=1, parcels_per_worker=3))
+        assert report.expression == expected.expression
+        assert report.parcels == 3
+        assert len(report.per_worker) == 1
+        assert report.per_worker[0].entries == plan.product_count
+
+    def test_one_worker_failure_names_the_parcel(self, s2, monkeypatch):
+        spec, tensors, plan, _ = _plan_for(s2, KRETSCHMANN)
+        poisoned = ContractionPlan(
+            sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
+            multiplier=plan.multiplier,
+            dim=plan.dim,
+        )
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", None)
+        with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
+            execute(poisoned, spec, tensors, RunConfig(workers=1, parcels_per_worker=2))
+
     def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
         # The worker that looks up the first entry's factors exits without
         # reporting, as under an OOM kill; forked workers inherit the patch.
