@@ -1,20 +1,15 @@
-"""Exact rational-trigonometric expressions over a fixed symbol environment.
+"""Exact rational expressions over a fixed symbol environment.
 
 An expression is a quotient of two multivariate polynomials with integer
-coefficients over the environment's generators: parameters, coordinates,
-and a ``sin(x)``/``cos(x)`` symbol pair for each trigonometric coordinate.
-Every value handed out by this module is in canonical form:
-
-* both polynomials are fully expanded with the single rewrite
-  ``sin(x)**2 -> 1 - cos(x)**2`` applied, so each sine symbol appears at
-  degree <= 1;
-* the denominator is free of sine symbols (cleared by conjugate
-  multiplication), shares no factor with the numerator, and has a positive
-  leading coefficient under the fixed graded monomial order.
+coefficients over the environment's generators: its parameters and its
+coordinates.  Every value handed out by this module is in canonical form:
+the reduced quotient p/q over the integers, both polynomials fully
+expanded, sharing no factor, with the denominator's leading coefficient
+positive under the fixed graded monomial order.
 
 Canonical forms are unique: two expressions equal as rational functions
-modulo ``sin**2 + cos**2 = 1`` compare equal componentwise.  In particular
-an expression is zero exactly when its numerator is the zero polynomial.
+compare equal componentwise.  In particular an expression is zero exactly
+when its numerator is the zero polynomial.
 
 Polynomials are :class:`curvinv.poly.Poly` values in the env's ring: dicts
 from packed monomials (one int, a fixed-width exponent field per
@@ -40,23 +35,25 @@ J. Algorithms 14, 1993; Bernstein, J. Algorithms 54, 2005).  Each
 denominator factors over it as an integer content times basis powers, so
 the least common denominator is a componentwise maximum and each group's
 cofactor a product of cached basis powers.  The sum is then divided
-exactly by basis elements as far as it goes, and one ``Expr.make``
-cancels what is left.  All of this is exact polynomial arithmetic, so
-the raw quotient is the sum of the products as a rational function.
-Canonical forms are unique, so that one ``Expr.make`` gives, byte for
-byte, the expression that summing the canonical products one by one
-gives, whatever the basis looks like.
+exactly by basis elements as far as it goes.  A GCD with each basis
+element left in the denominator, taken over the numerator's coefficients
+in that element's variables, proves the quotient reduced, or else one
+``Expr.make`` cancels what is left.  All of this is exact polynomial
+arithmetic, so the raw quotient is the sum of the products as a rational
+function.  Canonical forms are unique, so the result is, byte for byte,
+the expression that summing the canonical products one by one gives,
+whatever the basis looks like.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .poly import SymbolicError, _exquo, cofactors, poly_ring
+from .poly import SymbolicError, _exquo, _support, cofactors, poly_ring
 
 
 class DivisionByZeroExpression(SymbolicError):
@@ -79,41 +76,24 @@ def _cancel(num, den):
 
 @dataclass(frozen=True)
 class SymbolEnv:
-    """Fixed, ordered universe of symbols an expression may mention.
-
-    ``trig_pairs`` names the coordinates x for which the paired symbols
-    sin(x), cos(x) exist; only those coordinates may appear inside
-    trigonometric functions.
-    """
+    """Fixed, ordered universe of symbols an expression may mention: the
+    parameters, then the coordinates, each one generator of the ring."""
 
     coordinates: tuple
     parameters: tuple = ()
-    trig_pairs: frozenset = frozenset()
 
     def __post_init__(self):
         coords = tuple(self.coordinates)
         params = tuple(self.parameters)
-        trig = frozenset(self.trig_pairs)
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "trig_pairs", trig)
         names = params + coords
         if len(set(names)) != len(names):
             raise UnknownSymbolError("coordinate/parameter names must be unique")
-        unknown = trig - set(coords)
-        if unknown:
-            raise UnknownSymbolError(
-                "trig pairs must attach to coordinates, got %s" % sorted(unknown)
-            )
 
     @cached_property
     def gen_names(self) -> tuple:
-        names = list(self.parameters) + list(self.coordinates)
-        for x in self.coordinates:
-            if x in self.trig_pairs:
-                names.append("sin(%s)" % x)
-                names.append("cos(%s)" % x)
-        return tuple(names)
+        return self.parameters + self.coordinates
 
     @cached_property
     def ring(self):
@@ -129,25 +109,13 @@ class SymbolEnv:
 
     def __reduce__(self):
         # Only the fields travel; the ring and the basis are rebuilt on use.
-        return SymbolEnv, (self.coordinates, self.parameters, self.trig_pairs)
+        return SymbolEnv, (self.coordinates, self.parameters)
 
     def gen_index(self, name: str) -> int:
         try:
             return self.gen_names.index(name)
         except ValueError:
             raise UnknownSymbolError("unknown symbol %r" % name) from None
-
-    @cached_property
-    def trig_indices(self) -> tuple:
-        """(sin, cos) generator index pairs, in coordinate order."""
-        pairs = []
-        base = len(self.parameters) + len(self.coordinates)
-        k = 0
-        for x in self.coordinates:
-            if x in self.trig_pairs:
-                pairs.append((base + 2 * k, base + 2 * k + 1))
-                k += 1
-        return tuple(pairs)
 
     # Convenience constructors -------------------------------------------
 
@@ -158,81 +126,11 @@ class SymbolEnv:
         i = self.gen_index(name)
         return Expr(self, self.ring.gens[i], self.ring.one)
 
-    def sin(self, coordinate: str) -> "Expr":
-        if coordinate not in self.trig_pairs:
-            raise UnknownSymbolError("no trig pair for %r" % coordinate)
-        return self.symbol("sin(%s)" % coordinate)
-
-    def cos(self, coordinate: str) -> "Expr":
-        if coordinate not in self.trig_pairs:
-            raise UnknownSymbolError("no trig pair for %r" % coordinate)
-        return self.symbol("cos(%s)" % coordinate)
-
     def zero(self) -> "Expr":
         return Expr(self, self.ring.zero, self.ring.one)
 
     def one(self) -> "Expr":
         return Expr(self, self.ring.one, self.ring.one)
-
-
-def _sine_reduce(env: SymbolEnv, p):
-    """Rewrite sin(x)**k with k >= 2 to sin(x)**(k%2) * (1-cos(x)**2)**(k//2)."""
-    if not p or not env.trig_indices:
-        return p
-    R = env.ring
-    # A sine's field in the OR of the monomials has a bit above its lowest
-    # set exactly when some exponent of that sine is >= 2; rewriting one
-    # sine changes only the fields of that sine and its cosine.
-    support = p.support()
-    for si, ci in env.trig_indices:
-        s, mask = R.shifts[si], R.masks[si]
-        if not support & mask & ~(1 << s):
-            continue
-        cos2 = 2 << R.shifts[ci]
-        out = {}
-        get = out.get
-        for mon, coeff in p.items():
-            # (1 - cos**2)**k is the sum over j of (-1)**j C(k, j) cos**(2j)
-            e = mon & mask
-            k, r = divmod(e >> s, 2)
-            key = mon - e + (r << s)
-            for j in range(k + 1):
-                out[key] = get(key, 0) + (-1) ** j * math.comb(k, j) * coeff
-                key += cos2
-        p = R.new(out)
-    return p
-
-
-def _split_on_sine(R, p, si):
-    """Write p = A + B*s for the sine generator at index si (degree <= 1)."""
-    a = {}
-    b = {}
-    mask = R.masks[si]
-    for mon, coeff in p.items():
-        e = mon & mask
-        if e:
-            b[mon - e] = coeff
-        else:
-            a[mon] = coeff
-    return R.new(a), R.new(b)
-
-
-def _clear_sines_from_denominator(env: SymbolEnv, num, den):
-    # Multiplying by the conjugate A - B*s turns the denominator A + B*s
-    # into A**2 - B**2*(1 - cos**2).  Conjugations never bring a sine into
-    # the denominator, so one OR over its monomials finds every sine to
-    # clear; a sine can still cancel out along the way, leaving B = 0.
-    R = env.ring
-    support = den.support()
-    for si, ci in env.trig_indices:
-        if not support & R.masks[si]:
-            continue
-        a, b = _split_on_sine(R, den, si)
-        if not b:
-            continue
-        num = _sine_reduce(env, num * (a - b * R.gens[si]))
-        den = _sine_reduce(env, a * a - b * b * (R.one - R.gens[ci] ** 2))
-    return num, den
 
 
 class Expr:
@@ -254,11 +152,8 @@ class Expr:
         """Canonicalize a raw numerator/denominator pair of ring polynomials."""
         if not den:
             raise DivisionByZeroExpression("denominator is the zero expression")
-        num = _sine_reduce(env, num)
         if not num:
             return cls(env, env.ring.zero, env.ring.one)
-        den = _sine_reduce(env, den)
-        num, den = _clear_sines_from_denominator(env, num, den)
         num, den = _cancel(num, den)
         return cls(env, num, den)
 
@@ -300,7 +195,7 @@ class Expr:
             return other
         if self.den == other.den:
             if self.den == self.env.ring.one:
-                # sum of sine-reduced polynomials is canonical as-is
+                # a sum of polynomials is canonical as-is
                 return Expr(self.env, self.num + other.num, self.den)
             return Expr.make(self.env, self.num + other.num, self.den)
         return Expr.make(
@@ -360,11 +255,12 @@ class Expr:
         return Expr.make(self.env, self.num ** exponent, self.den ** exponent)
 
     def diff(self, coordinate: str) -> "Expr":
-        """Partial derivative; sin/cos pairs follow the chain rule."""
+        """Partial derivative by a coordinate (not a parameter)."""
         if coordinate not in self.env.coordinates:
             raise UnknownSymbolError("cannot differentiate by %r" % coordinate)
-        dnum = _env_derivative(self.env, self.num, coordinate)
-        dden = _env_derivative(self.env, self.den, coordinate)
+        i = self.env.gen_index(coordinate)
+        dnum = self.num.diff(i)
+        dden = self.den.diff(i)
         if not dden:
             return Expr.make(self.env, dnum, self.den)
         return Expr.make(
@@ -407,16 +303,6 @@ def _restore_expr(env, num_terms, den_terms):
     return Expr(env, ring.new(dict(num_terms)), ring.new(dict(den_terms)))
 
 
-def _env_derivative(env: SymbolEnv, p, coordinate: str):
-    R = env.ring
-    result = p.diff(env.gen_index(coordinate))
-    if coordinate in env.trig_pairs:
-        si = env.gen_index("sin(%s)" % coordinate)
-        ci = env.gen_index("cos(%s)" % coordinate)
-        result = result + p.diff(si) * R.gens[ci] - p.diff(ci) * R.gens[si]
-    return result
-
-
 def _subst_poly(R, p, gi: int, value: Fraction):
     """Substitute gen gi := value; returns (poly, positive int denominator)."""
     acc = {}
@@ -457,6 +343,31 @@ def _format_poly(env: SymbolEnv, p) -> str:
 
 def _is_constant(p) -> bool:
     return len(p) == 1 and 0 in p
+
+
+def _coprime(p, b) -> bool:
+    """Whether ``p`` and the primitive ``b`` share no factor but a unit.
+
+    A factor of ``b`` mentions only ``b``'s variables, and divides ``p``
+    exactly when it divides each coefficient of ``p`` written as a
+    polynomial in the other variables.  So the GCD is taken with those
+    coefficients, small polynomials in ``b``'s variables, one at a time
+    until it is a unit."""
+    R = b.ring
+    used = _support(b)
+    mask = 0
+    for field in R.masks:
+        if used & field:
+            mask |= field
+    coefficients = {}
+    for m, c in p.items():
+        coefficients.setdefault(m & ~mask, {})[m & mask] = c
+    h = b
+    for coefficient in coefficients.values():
+        h = cofactors(R.new(coefficient), h)[0]
+        if _is_constant(h):
+            return True
+    return False
 
 
 class CoprimeBasis:
@@ -575,8 +486,8 @@ class RawSum:
     denominator is multiplied out.  :meth:`value` factors each group over
     the env's :class:`CoprimeBasis`, brings the groups over their least
     common denominator, divides the sum exactly by basis elements as far
-    as it goes and runs one ``Expr.make``; the result is the canonical sum
-    (see the module docstring).
+    as it goes and cancels what is left, with at most one ``Expr.make``;
+    the result is the canonical sum (see the module docstring).
     """
 
     __slots__ = ("env", "_groups")
@@ -642,13 +553,17 @@ class RawSum:
                     if e > have.get(i, 0):
                         cofactor = cofactor * basis.power(i, e - have.get(i, 0))
                 total = total + num * cofactor
-        total = _sine_reduce(env, total)
         if not total:
             return env.zero()
         # Cancel whole basis powers and the integer content by exact
-        # division; Expr.make then cancels what is left.
+        # division.  What is left of the denominator is an integer coprime
+        # to the numerator's content times powers of pairwise coprime basis
+        # elements, so the numerator is coprime to it when it is coprime to
+        # each of those elements; only when one shares a factor does
+        # Expr.make cancel it.
         num = total
         den = R.one
+        leftover = []
         for i, e in lcd.items():
             b = basis.elements[i]
             while e:
@@ -658,9 +573,16 @@ class RawSum:
                 num, e = q, e - 1
             if e:
                 den = den * basis.power(i, e)
+                leftover.append(b)
         common = math.gcd(content, *num.values())
         if common > 1:
             num = {m: c // common for m, c in num.items()}
         if num is not total:
             num = R.new(num)
-        return Expr.make(env, num, den * (content // common))
+        den = den * (content // common)
+        for b in leftover:
+            if not _coprime(num, b):
+                return Expr.make(env, num, den)
+        # primitive elements with a positive leading coefficient and a
+        # positive content: the denominator is canonical
+        return Expr(env, num, den)

@@ -1,5 +1,13 @@
 """Test-family metrics: flat space, round spheres, and the single-rotation
-Kerr family in arbitrary dimension D >= 4."""
+Kerr family in arbitrary dimension D >= 4.
+
+Each polar angle enters these metrics only through cos**2 and
+sin**2 = 1 - cos**2, so each is replaced by its cosine, x = cos(angle),
+with dangle**2 = dx**2/(1 - x**2).  Every component is then a rational
+function of the coordinates and parameters.  The coordinate keeps the
+name ``cos(theta)`` or ``cos(chiK)``; the invariants are scalars, so they
+come out in the same symbols as in the angular coordinates.
+"""
 
 from __future__ import annotations
 
@@ -19,52 +27,61 @@ def flat(dim: int) -> Metric:
     return Metric(env, dim, components)
 
 
-def sphere_metric(n: int) -> Metric:
-    """Unit round metric on the n-sphere, built by the nested-sine recursion.
+def _polar(k: int) -> str:
+    """Name of the coordinate x_k = cos(chi_k) of the polar angle chi_k."""
+    return "cos(chi%d)" % k
 
-    Coordinates are ordered outermost first (chi_n, ..., chi_1), so the
-    line element reads dchi_n**2 + sin(chi_n)**2 * (dchi_{n-1}**2 + ...);
-    the innermost azimuthal angle chi_1 never appears in a component.
+
+def sphere_metric(n: int) -> Metric:
+    """Unit round metric on the n-sphere, built by the nested recursion
+    dOmega_n**2 = dx_n**2/(1 - x_n**2) + (1 - x_n**2) dOmega_{n-1}**2 with
+    dOmega_1**2 = dchi_1**2.
+
+    Coordinates are ordered outermost first (x_n, ..., x_2, chi_1), where
+    x_k = cos(chi_k) for the polar angles; the azimuthal angle chi_1 never
+    appears in a component.
     """
     if n < 1:
         raise TensorError("sphere dimension must be >= 1")
-    coords = tuple("chi%d" % k for k in range(n, 0, -1))
-    trig = frozenset(coords[:-1])
-    env = SymbolEnv(coordinates=coords, trig_pairs=trig)
+    coords = tuple(_polar(k) for k in range(n, 1, -1)) + ("chi1",)
+    env = SymbolEnv(coordinates=coords)
     components = {}
     running = env.one()
-    for i, x in enumerate(coords):
-        components[(i, i)] = running
-        if i < n - 1:
-            running = running * (env.one() - env.cos(x) ** 2)
+    for i, x in enumerate(coords[:-1]):
+        sin2 = env.one() - env.symbol(x) ** 2
+        components[(i, i)] = running / sin2
+        running = running * sin2
+    components[(n - 1, n - 1)] = running
     return Metric(env, n, components)
 
 
 def kerr(dim: int) -> Metric:
-    """Single-rotation Kerr metric in D dimensions.
+    """Single-rotation Kerr metric in D dimensions, with x = cos(theta):
 
-    Coordinates are (t, r, theta, phi, chi_1, ..., chi_{D-4}); the sphere
-    block r**2 cos(theta)**2 dOmega**2 is absent at D=4.  With the spin a
-    and mass mu as parameters the metric depends on exactly D-1 symbols:
-    r, theta, a, mu, and the D-5 polar angles of the sphere block (the
-    azimuthal chi_1 never appears explicitly).
+        ds**2 = -dt**2 + mu/(r**(D-5) rho2) (dt + a (1 - x**2) dphi)**2
+                + rho2/Delta dr**2 + rho2/(1 - x**2) dx**2
+                + (r**2 + a**2)(1 - x**2) dphi**2 + r**2 x**2 dOmega_{D-4}**2
+
+    where rho2 = r**2 + a**2 x**2 and Delta = r**2 + a**2 - mu/r**(D-5).
+    Coordinates are (t, r, x, phi, chi_1, x_2, ..., x_{D-4}), with the
+    sphere block's coordinates as in :func:`sphere_metric`; the block is
+    absent at D=4.  With the spin a and mass mu as parameters the metric
+    depends on exactly D-1 symbols: r, x, a, mu, and the D-5 polar
+    coordinates x_k of the sphere block.
     """
     if dim < 4:
         raise TensorError("rotating metric needs dim >= 4")
     nchi = dim - 4
-    coords = ("t", "r", "theta", "phi") + tuple("chi%d" % k for k in range(1, nchi + 1))
-    trig = {"theta"} | {"chi%d" % k for k in range(2, nchi + 1)}
-    env = SymbolEnv(
-        coordinates=coords,
-        parameters=("a", "mu"),
-        trig_pairs=frozenset(trig),
+    coords = ("t", "r", "cos(theta)", "phi") + tuple(
+        "chi1" if k == 1 else _polar(k) for k in range(1, nchi + 1)
     )
+    env = SymbolEnv(coordinates=coords, parameters=("a", "mu"))
     r = env.symbol("r")
     a = env.symbol("a")
     mu = env.symbol("mu")
-    cos_theta = env.cos("theta")
-    sin2 = env.one() - cos_theta ** 2
-    rho2 = r ** 2 + a ** 2 * cos_theta ** 2
+    x = env.symbol("cos(theta)")
+    sin2 = env.one() - x ** 2
+    rho2 = r ** 2 + a ** 2 * x ** 2
     r_power = r ** (dim - 5)
     delta = mu / (r_power * rho2)
     psi = rho2 / (r ** 2 + a ** 2 - mu / r_power)
@@ -73,16 +90,17 @@ def kerr(dim: int) -> Metric:
         (0, 0): delta - 1,
         (0, 3): delta * a * sin2,
         (1, 1): psi,
-        (2, 2): rho2,
+        (2, 2): rho2 / sin2,
         (3, 3): (r ** 2 + a ** 2) * sin2 + delta * a ** 2 * sin2 ** 2,
     }
-    block = r ** 2 * cos_theta ** 2
-    running = env.one()
-    for k in range(nchi, 0, -1):
+    running = r ** 2 * x ** 2
+    for k in range(nchi, 1, -1):
         slot = 4 + k - 1
-        components[(slot, slot)] = block * running
-        if k >= 2:
-            running = running * (env.one() - env.cos("chi%d" % k) ** 2)
+        sin2_k = env.one() - env.symbol(_polar(k)) ** 2
+        components[(slot, slot)] = running / sin2_k
+        running = running * sin2_k
+    if nchi:
+        components[(4, 4)] = running
     return Metric(env, dim, components)
 
 

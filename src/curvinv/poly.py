@@ -87,7 +87,8 @@ class HeuristicGCDFailed(SymbolicError):
 
 
 def _support(p) -> int:
-    """The OR of the monomials of ``p``."""
+    """The OR of the monomials of ``p``: a variable's field in it is
+    nonzero exactly when some monomial mentions the variable."""
     return reduce(or_, p, 0)
 
 
@@ -199,12 +200,6 @@ class Poly(dict):
     def LC(self) -> int:
         """Leading coefficient in grevlex; 0 for the zero polynomial."""
         return self[min(self, key=self.ring._grevlex_key)] if self else 0
-
-    def support(self) -> int:
-        """The OR of the monomials: a variable's field in it is nonzero
-        exactly when some monomial mentions the variable, and has bit k
-        set exactly when some exponent of the variable does."""
-        return _support(self)
 
     def degree(self, i: int):
         """Highest exponent of variable ``i``; ``-inf`` for zero."""

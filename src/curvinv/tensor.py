@@ -130,8 +130,8 @@ class Metric:
     def substitute(self, name: str, value) -> "Metric":
         """Replace a parameter by an exact rational.
 
-        Only parameters may be fixed: a coordinate or sin/cos symbol set to
-        a constant before differentiating gives a silently wrong curvature.
+        Only parameters may be fixed: a coordinate set to a constant before
+        differentiating gives a silently wrong curvature.
         """
         if name not in self.env.parameters:
             raise TensorError(

@@ -71,23 +71,22 @@ def warped3d():
 
 @pytest.fixture(scope="session")
 def s3_euler():
-    """Unit S^3 in Euler angles, (1/4)(dtheta**2 + dphi**2 + dpsi**2
-    + 2 cos(theta) dphi dpsi): off-diagonal, with a trig coordinate, and
-    of constant curvature 1, so R_abcd = g_ac g_bd - g_ad g_bc."""
-    env = SymbolEnv(coordinates=("theta", "phi", "psi"), trig_pairs=frozenset({"theta"}))
+    """Unit S^3 in Euler angles with x = cos(theta),
+    (1/4)(dx**2/(1 - x**2) + dphi**2 + dpsi**2 + 2 x dphi dpsi): off-diagonal,
+    with a polar coordinate, and of constant curvature 1, so
+    R_abcd = g_ac g_bd - g_ad g_bc."""
+    env = SymbolEnv(coordinates=("cos(theta)", "phi", "psi"))
     quarter = env.one() / env.integer(4)
-    components = {(0, 0): quarter, (1, 1): quarter, (2, 2): quarter}
-    components[(1, 2)] = quarter * env.cos("theta")
+    x = env.symbol("cos(theta)")
+    components = {(0, 0): quarter / (1 - x ** 2), (1, 1): quarter, (2, 2): quarter}
+    components[(1, 2)] = quarter * x
     return Metric(env, 3, components)
 
 
 @pytest.fixture(scope="session")
-def trig_env():
-    return SymbolEnv(
-        coordinates=("r", "theta"),
-        parameters=("a", "mu"),
-        trig_pairs=frozenset({"theta"}),
-    )
+def polar_env():
+    """The symbols of Kerr D=4's r-x plane, x = cos(theta)."""
+    return SymbolEnv(coordinates=("r", "cos(theta)"), parameters=("a", "mu"))
 
 
 # Each phase of a test (set-up, call, tear-down) fails, rather than hangs,

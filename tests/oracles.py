@@ -228,11 +228,10 @@ def full_covariant_derivative(t, gamma):
 def normalize(env: SymbolEnv, tree) -> Expr:
     """Canonicalize a raw expression tree.
 
-    A tree is an integer, a symbol name (``"r"``, ``"sin(theta)"``), an
+    A tree is an integer, a symbol name (``"r"``, ``"cos(theta)"``), an
     already-canonical :class:`Expr`, or a tuple ``(op, *args)`` with op one
-    of ``+ - * / ** neg``.  Equal inputs (as rational functions modulo the
-    Pythagorean identity) normalize to identical values; the map is
-    idempotent.
+    of ``+ - * / ** neg``.  Equal inputs (as rational functions) normalize
+    to identical values; the map is idempotent.
     """
     if isinstance(tree, Expr):
         if tree.env != env:
@@ -385,7 +384,7 @@ class EvaluationError(SymbolicError):
 def eval_rational(expr: Expr, assignment) -> Fraction:
     """Value of ``expr`` at exact rational symbol values.
 
-    The assignment maps generator display names (``"r"``, ``"sin(theta)"``)
+    The assignment maps generator display names (``"r"``, ``"cos(theta)"``)
     to rationals and must cover every generator ``expr`` mentions; a
     missing one, or a denominator that vanishes, raises EvaluationError.
     """

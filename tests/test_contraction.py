@@ -368,8 +368,10 @@ class TestContractFree:
         env = s2.env
         assert ricci.rank == 2
         assert ricci.variance == ("l", "l")
-        assert ricci.component((0, 0)) == env.one()
-        assert ricci.component((1, 1)) == env.one() - env.cos("chi2") ** 2
+        # R_ab = g_ab on the unit two-sphere
+        assert ricci.component((0, 0)) == s2.component(0, 0)
+        assert ricci.component((1, 1)) == s2.component(1, 1)
+        assert ricci.component((0, 0)) == 1 / (1 - env.symbol("cos(chi2)") ** 2)
         assert ricci.component((0, 1)).is_zero
 
     def test_zero_input_gives_empty_output(self):

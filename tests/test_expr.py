@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sympy import Poly, Symbol, reduced
+from sympy import Symbol
 from sympy.polys.domains import ZZ
 from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import ring
@@ -18,8 +18,6 @@ from curvinv.expr import (
     RawSum,
     SymbolEnv,
     UnknownSymbolError,
-    _clear_sines_from_denominator,
-    _sine_reduce,
 )
 from curvinv.metrics import kerr
 from curvinv.pipeline import run_invariant
@@ -34,75 +32,62 @@ def test_env_rejects_duplicate_names():
         SymbolEnv(coordinates=("r",), parameters=("r",))
 
 
-def test_env_rejects_detached_trig_pair():
-    with pytest.raises(UnknownSymbolError):
-        SymbolEnv(coordinates=("r",), trig_pairs=frozenset({"theta"}))
-
-
 class TestNormalize:
-    def test_pythagorean_rewrite(self, trig_env):
-        s, c = trig_env.sin("theta"), trig_env.cos("theta")
-        assert s * s + c * c == trig_env.one()
-
-    def test_gcd_cancellation(self, trig_env):
-        r, a = trig_env.symbol("r"), trig_env.symbol("a")
+    def test_gcd_cancellation(self, polar_env):
+        r, a = polar_env.symbol("r"), polar_env.symbol("a")
         assert (r * r - a * a) / (r - a) == r + a
 
-    def test_sine_square_expansion(self, trig_env):
-        s, c = trig_env.sin("theta"), trig_env.cos("theta")
-        assert s * s * c == c - c ** 3
-
-    def test_tree_form(self, trig_env):
+    def test_tree_form(self, polar_env):
         tree = ("/", ("-", ("**", "r", 2), ("**", "a", 2)), ("-", "r", "a"))
-        assert normalize(trig_env, tree) == normalize(trig_env, ("+", "r", "a"))
+        assert normalize(polar_env, tree) == normalize(polar_env, ("+", "r", "a"))
 
-    def test_idempotent(self, trig_env):
-        tree = ("*", "sin(theta)", "sin(theta)", ("+", "r", 1))
-        once = normalize(trig_env, tree)
-        assert normalize(trig_env, once) == once
+    def test_idempotent(self, polar_env):
+        tree = ("*", "cos(theta)", "cos(theta)", ("+", "r", 1))
+        once = normalize(polar_env, tree)
+        assert normalize(polar_env, once) == once
 
-    def test_division_by_zero_expression(self, trig_env):
-        s, c = trig_env.sin("theta"), trig_env.cos("theta")
+    def test_division_by_zero_expression(self, polar_env):
+        c = polar_env.symbol("cos(theta)")
         with pytest.raises(DivisionByZeroExpression):
-            trig_env.symbol("r") / (s * s + c * c - 1)
+            polar_env.symbol("r") / ((1 - c) * (1 + c) + c * c - 1)
 
-    def test_unknown_symbol(self, trig_env):
+    def test_unknown_symbol(self, polar_env):
         with pytest.raises(UnknownSymbolError):
-            normalize(trig_env, "bogus")
+            normalize(polar_env, "bogus")
 
-    def test_equal_inputs_identical_canonical_form(self, trig_env):
-        # cos/sin and its sine-free-denominator rewrite must collide
-        s, c = trig_env.sin("theta"), trig_env.cos("theta")
-        one = trig_env.one()
-        assert (one - c * c) / s == s
-        assert c / s == (c * s) / (one - c * c)
+    def test_equal_inputs_identical_canonical_form(self, polar_env):
+        # a quotient and its expansion by a common factor must collide
+        c = polar_env.symbol("cos(theta)")
+        one = polar_env.one()
+        assert (one - c * c) / (one + c) == one - c
+        assert c / (one - c) == (c + c * c) / (one - c * c)
 
 
 class TestArith:
-    def test_add_inverse(self, trig_env):
-        r = trig_env.symbol("r")
+    def test_add_inverse(self, polar_env):
+        r = polar_env.symbol("r")
         assert (r + -r).is_zero
 
-    def test_mul_identity(self, trig_env):
-        e = trig_env.symbol("mu") / trig_env.symbol("r")
-        assert trig_env.one() * e == e
+    def test_mul_identity(self, polar_env):
+        e = polar_env.symbol("mu") / polar_env.symbol("r")
+        assert polar_env.one() * e == e
 
-    def test_mul_cancellation(self, trig_env):
-        r, mu = trig_env.symbol("r"), trig_env.symbol("mu")
+    def test_mul_cancellation(self, polar_env):
+        r, mu = polar_env.symbol("r"), polar_env.symbol("mu")
         assert (mu / r) * r == mu
 
-    def test_pow_negative(self, trig_env):
-        r = trig_env.symbol("r")
-        assert r ** -2 == trig_env.one() / (r * r)
+    def test_pow_negative(self, polar_env):
+        r = polar_env.symbol("r")
+        assert r ** -2 == polar_env.one() / (r * r)
 
-    def test_div_by_zero(self, trig_env):
+    def test_div_by_zero(self, polar_env):
         with pytest.raises(DivisionByZeroExpression):
-            trig_env.one() / trig_env.zero()
+            polar_env.one() / polar_env.zero()
 
-    def test_zero_operand_skips_make(self, trig_env, monkeypatch):
-        r, mu, c = trig_env.symbol("r"), trig_env.symbol("mu"), trig_env.cos("theta")
+    def test_zero_operand_skips_make(self, polar_env, monkeypatch):
+        r, mu, c = (polar_env.symbol(n) for n in ("r", "mu", "cos(theta)"))
         x = mu * (r - c) / (r ** 2 + c ** 2)
-        zero = trig_env.zero()
+        zero = polar_env.zero()
         calls = []
         real = Expr.make.__func__
 
@@ -120,88 +105,83 @@ class TestArith:
 
 
 class TestDiff:
-    def test_power_rule(self, trig_env):
-        r = trig_env.symbol("r")
+    def test_power_rule(self, polar_env):
+        r = polar_env.symbol("r")
         assert (r ** 2).diff("r") == 2 * r
 
-    def test_chain_rule(self, trig_env):
-        s, c = trig_env.sin("theta"), trig_env.cos("theta")
-        assert (c ** 2).diff("theta") == -2 * s * c
-        assert s.diff("theta") == c
-        assert c.diff("theta") == -s
-
-    def test_linearity_on_rho_squared(self, trig_env):
-        r, a = trig_env.symbol("r"), trig_env.symbol("a")
-        c, s = trig_env.cos("theta"), trig_env.sin("theta")
+    def test_linearity_on_rho_squared(self, polar_env):
+        r, a = polar_env.symbol("r"), polar_env.symbol("a")
+        c = polar_env.symbol("cos(theta)")
         rho2 = r ** 2 + a ** 2 * c ** 2
-        assert rho2.diff("theta") == -2 * a ** 2 * s * c
+        assert rho2.diff("cos(theta)") == 2 * a ** 2 * c
+        assert rho2.diff("r") == 2 * r
 
-    def test_quotient_rule(self, trig_env):
-        r, mu = trig_env.symbol("r"), trig_env.symbol("mu")
+    def test_quotient_rule(self, polar_env):
+        r, mu = polar_env.symbol("r"), polar_env.symbol("mu")
         assert (mu / r).diff("r") == -mu / r ** 2
 
-    def test_unknown_coordinate(self, trig_env):
+    def test_unknown_coordinate(self, polar_env):
         with pytest.raises(UnknownSymbolError):
-            trig_env.symbol("r").diff("a")  # parameter, not a coordinate
+            polar_env.symbol("r").diff("a")  # parameter, not a coordinate
 
 
 class TestTermCount:
-    def test_zero(self, trig_env):
-        assert trig_env.zero().term_count() == 0
+    def test_zero(self, polar_env):
+        assert polar_env.zero().term_count() == 0
 
-    def test_three_terms(self, trig_env):
-        r, a = trig_env.symbol("r"), trig_env.symbol("a")
+    def test_three_terms(self, polar_env):
+        r, a = polar_env.symbol("r"), polar_env.symbol("a")
         assert (r + a ** 2 - 3).term_count() == 3
 
-    def test_counts_numerator_only(self, trig_env):
-        r, a = trig_env.symbol("r"), trig_env.symbol("a")
+    def test_counts_numerator_only(self, polar_env):
+        r, a = polar_env.symbol("r"), polar_env.symbol("a")
         e = (r + a) / (r ** 2 + 2 * a + 3)
         assert e.term_count() == 2
 
 
 class TestEvalRational:
-    def test_simple(self, trig_env):
-        e = trig_env.symbol("r") + trig_env.symbol("a")
+    def test_simple(self, polar_env):
+        e = polar_env.symbol("r") + polar_env.symbol("a")
         assert eval_rational(e, {"r": 2, "a": 3}) == 5
 
-    def test_zero(self, trig_env):
-        assert eval_rational(trig_env.zero(), {}) == 0
+    def test_zero(self, polar_env):
+        assert eval_rational(polar_env.zero(), {}) == 0
 
-    def test_fractions(self, trig_env):
-        e = trig_env.symbol("mu") / trig_env.symbol("r")
+    def test_fractions(self, polar_env):
+        e = polar_env.symbol("mu") / polar_env.symbol("r")
         assert eval_rational(e, {"mu": Fraction(1, 2), "r": Fraction(3, 4)}) == Fraction(2, 3)
 
-    def test_missing_symbol(self, trig_env):
+    def test_missing_symbol(self, polar_env):
         with pytest.raises(EvaluationError):
-            eval_rational(trig_env.symbol("r"), {})
+            eval_rational(polar_env.symbol("r"), {})
 
-    def test_vanishing_denominator(self, trig_env):
-        r, a = trig_env.symbol("r"), trig_env.symbol("a")
+    def test_vanishing_denominator(self, polar_env):
+        r, a = polar_env.symbol("r"), polar_env.symbol("a")
         with pytest.raises(EvaluationError):
             eval_rational(1 / (r - a), {"r": 2, "a": 2})
 
 
-def test_substitute_clears_parameter(trig_env):
-    r, a, mu = (trig_env.symbol(n) for n in ("r", "a", "mu"))
-    c = trig_env.cos("theta")
+def test_substitute_clears_parameter(polar_env):
+    r, a, mu = (polar_env.symbol(n) for n in ("r", "a", "mu"))
+    c = polar_env.symbol("cos(theta)")
     delta = mu * r / (r ** 2 + a ** 2 * c ** 2)
     assert delta.substitute("a", 0) == mu / r
     assert delta.substitute("mu", Fraction(1, 2)) == r / (2 * (r ** 2 + a ** 2 * c ** 2))
 
 
-def test_pickle_round_trip(trig_env):
-    s, c = trig_env.sin("theta"), trig_env.cos("theta")
-    e = (c * trig_env.symbol("mu")) / (s * (trig_env.symbol("r") - 1))
+def test_pickle_round_trip(polar_env):
+    c = polar_env.symbol("cos(theta)")
+    e = (c * polar_env.symbol("mu")) / ((1 - c ** 2) * (polar_env.symbol("r") - 1))
     clone = pickle.loads(pickle.dumps(e))
     assert clone == e
     assert str(clone) == str(e)
 
 
-def test_string_form_is_deterministic(trig_env):
-    r, a = trig_env.symbol("r"), trig_env.symbol("a")
-    c = trig_env.cos("theta")
+def test_string_form_is_deterministic(polar_env):
+    r, a = polar_env.symbol("r"), polar_env.symbol("a")
+    c = polar_env.symbol("cos(theta)")
     assert str(r + a) == "a + r"
-    assert str(trig_env.zero()) == "0"
+    assert str(polar_env.zero()) == "0"
     e = (r ** 2 + a ** 2 * c ** 2) / (r - a)
     assert str(e) == str((r ** 2 + a ** 2 * c ** 2) / (r - a))
     assert str(e).count("/") == 1 and "cos(theta)**2" in str(e)
@@ -209,13 +189,11 @@ def test_string_form_is_deterministic(trig_env):
 
 # --- property tests -----------------------------------------------------------
 
-_env = SymbolEnv(coordinates=("x", "t"), parameters=("k",), trig_pairs=frozenset({"t"}))
+_env = SymbolEnv(coordinates=("x", "t"), parameters=("k",))
 
 
 def _leaves():
-    return st.sampled_from(
-        ["x", "k", "sin(t)", "cos(t)"]
-    ) | st.integers(min_value=-4, max_value=4)
+    return st.sampled_from(["x", "k", "t"]) | st.integers(min_value=-4, max_value=4)
 
 
 def _trees(depth):
@@ -261,29 +239,17 @@ def test_diff_product_rule(t1, t2):
     assert (lhs - rhs).is_zero
 
 
-@settings(max_examples=80, deadline=None)
-@given(_trees(3))
-def test_sine_degree_bound(tree):
-    e = _safe_normalize(tree)
-    si = _env.gen_index("sin(t)")
-    for poly in (e.num, e.den):
-        for mon in poly.monoms():
-            assert mon[si] <= 1
-
-
 def test_zero_test_soundness_via_random_points():
     # normalize(e1 - e2) == 0 must coincide with exact agreement at
     # random rational points (10 per pair, fixed seed).
     rng = random.Random(20240817)
-    x, k = _env.symbol("x"), _env.symbol("k")
-    s, c = _env.sin("t"), _env.cos("t")
+    x, k, t = _env.symbol("x"), _env.symbol("k"), _env.symbol("t")
     pairs = [
         (x * (x + k), x ** 2 + k * x, True),
         ((x ** 2 - k ** 2) / (x - k), x + k, True),
-        (s ** 2, 1 - c ** 2, True),
-        ((1 - c ** 2) / s, s, True),
+        ((1 - t ** 2) / (1 + t), 1 - t, True),
         (x + k, x - k, False),
-        (s * c, c, False),
+        (t * x, x, False),
         (x / (x + 1), x, False),
     ]
     for e1, e2, equal in pairs:
@@ -293,15 +259,15 @@ def test_zero_test_soundness_via_random_points():
 
 # --- sums of raw products grouped by denominator ---------------------------------
 
-# Divisors for the factors: repeated, shared, sine-bearing (cleared by make)
-# and cosine-bearing denominators, so products fall into few groups.
+# Divisors for the factors: repeated and shared denominators in one, two
+# and three generators, so products fall into few groups.
 _DIVISORS = (
     1,
     ("-", "x", "k"),
     ("+", ("**", "x", 2), "k"),
-    ("+", 1, "cos(t)"),
-    ("+", "x", "sin(t)"),
-    ("*", ("-", "x", "k"), ("+", 1, "cos(t)")),
+    ("+", 1, "t"),
+    ("+", "x", ("**", "t", 2)),
+    ("*", ("-", "x", "k"), ("+", 1, "t")),
 )
 
 
@@ -352,14 +318,8 @@ class TestRawSum:
     def test_empty_is_zero(self):
         assert RawSum(_env).value() == _env.zero()
 
-    def test_sine_numerators(self):
-        x, k, s = _env.symbol("x"), _env.symbol("k"), _env.sin("t")
-        products = [([s * x / (x - k), s], 1), ([s / (x - k), x * s], 1), ([s], -1)]
-        assert _raw_sum(products) == _canonical_sum(products)
-        assert _raw_sum(products) == 2 * x * (1 - _env.cos("t") ** 2) / (x - k) - s
-
     def test_group_cancelling_to_zero(self):
-        x, k, c = _env.symbol("x"), _env.symbol("k"), _env.cos("t")
+        x, k, c = _env.symbol("x"), _env.symbol("k"), _env.symbol("t")
         left, right = x / (x - k), (c + k) / (x - k)
         products = [([left, right], 1), ([right, left], -1), ([c / (1 + c)], 1)]
         assert _raw_sum(products) == c / (1 + c)
@@ -377,6 +337,18 @@ class TestRawSum:
         assert _raw_sum(products) == _canonical_sum(products)
         assert str(_raw_sum(products)) == "(x + 5)/(6)"
 
+    @staticmethod
+    def _count_makes(monkeypatch):
+        calls = []
+        real = Expr.make.__func__
+
+        def counting(cls, env, num, den):
+            calls.append(1)
+            return real(cls, env, num, den)
+
+        monkeypatch.setattr(Expr, "make", classmethod(counting))
+        return calls
+
     def test_one_make_per_sum(self, monkeypatch):
         # four groups: (x-k), x(x-k) and (x-k)**2 share a factor, (k+1) is coprime
         x, k = _env.symbol("x"), _env.symbol("k")
@@ -387,16 +359,36 @@ class TestRawSum:
             ([x / (x - k), k / (x - k)], 1),
         ]
         expected = _canonical_sum(products)
-        calls = []
-        real = Expr.make.__func__
-
-        def counting(cls, env, num, den):
-            calls.append(1)
-            return real(cls, env, num, den)
-
-        monkeypatch.setattr(Expr, "make", classmethod(counting))
+        calls = self._count_makes(monkeypatch)
         assert _raw_sum(products) == expected
-        assert len(calls) == 1
+        assert len(calls) <= 1
+
+    def test_leftover_elements_coprime_to_the_numerator_skip_make(self, monkeypatch):
+        # x**2 - 1 stays in the denominator and the GCDs with the
+        # numerator's coefficients in k prove the quotient reduced, so no
+        # make runs; in the second sum the coefficient 1 + x of k**0 shares
+        # x + 1 with it, and the coefficient x of k does not
+        env = _fresh_env()
+        x, k = env.symbol("x"), env.symbol("k")
+        one = [([1 / (x ** 2 - 1)], 1), ([k / (x ** 2 - 1)], 2)]
+        two = [([1 / (x ** 2 - 1)], 1), ([x / (x ** 2 - 1)], 1), ([k * x / (x ** 2 - 1)], 1)]
+        expected = ((2 * k + 1) / (x ** 2 - 1), (1 + x + k * x) / (x ** 2 - 1))
+        calls = self._count_makes(monkeypatch)
+        assert (_raw_sum_in(env, one), _raw_sum_in(env, two)) == expected
+        assert calls == []
+
+    def test_leftover_element_sharing_a_factor_falls_back_to_make(self, monkeypatch):
+        # x**2 - 1 is one basis element of a fresh env, which x + 1 does not
+        # divide but shares the factor x + 1 with; in the second sum the
+        # numerator (1 + k)(1 + x) has the factor in each coefficient in k
+        env = _fresh_env()
+        x, k = env.symbol("x"), env.symbol("k")
+        one = [([1 / (x ** 2 - 1)], 1), ([x / (x ** 2 - 1)], 1)]
+        two = one + [([k / (x ** 2 - 1)], 1), ([k * x / (x ** 2 - 1)], 1)]
+        expected = (1 / (x - 1), (1 + k) / (x - 1))
+        calls = self._count_makes(monkeypatch)
+        assert (_raw_sum_in(env, one), _raw_sum_in(env, two)) == expected
+        assert len(calls) == 2
 
 
 # --- the coprime basis that RawSum factors denominators over --------------------
@@ -404,8 +396,7 @@ class TestRawSum:
 # Denominators that repeat, share and reduce one another, so the basis of
 # a fresh env is refined as they arrive: x**2 then x (a split that keeps
 # the element count), x**2 - 1 against x - 1, x - k against x, integer
-# contents, 1 - cos**2 against 1 + cos, and a sine-bearing divisor that
-# make clears through its conjugate.
+# contents, 1 - t**2 against 1 + t, and a divisor in two generators.
 _BASIS_DIVISORS = (
     1,
     3,
@@ -416,9 +407,9 @@ _BASIS_DIVISORS = (
     ("-", 1, "x"),
     ("*", 6, ("+", 1, "x")),
     ("*", ("-", "x", "k"), ("**", "x", 2)),
-    ("-", 1, ("**", "cos(t)", 2)),
-    ("+", 1, "cos(t)"),
-    ("+", "x", "sin(t)"),
+    ("-", 1, ("**", "t", 2)),
+    ("+", 1, "t"),
+    ("+", "x", ("**", "t", 2)),
 )
 
 
@@ -434,9 +425,7 @@ def _basis_products():
 
 def _fresh_env():
     """An env equal to ``_env`` with its own, empty basis."""
-    return SymbolEnv(
-        coordinates=_env.coordinates, parameters=_env.parameters, trig_pairs=_env.trig_pairs
-    )
+    return SymbolEnv(coordinates=_env.coordinates, parameters=_env.parameters)
 
 
 def _raw_sum_in(env, products):
@@ -508,12 +497,9 @@ def _sympy_ring(env, order):
 
 
 def _grevlex_cancel(env, num, den):
-    """Expr.make's sine handling, then sympy's ``cancel`` in a grevlex ring
-    over the env's generators: the reference for the GCD that make runs
-    in lex order over only the generators present."""
-    num, den = _clear_sines_from_denominator(
-        env, _sine_reduce(env, num), _sine_reduce(env, den)
-    )
+    """sympy's ``cancel`` in a grevlex ring over the env's generators: the
+    reference for the GCD that make runs in lex order over only the
+    generators present."""
     S = _sympy_ring(env, grevlex)
     num, den = S.from_dict(dict(num.terms())).cancel(S.from_dict(dict(den.terms())))
     return env.ring.from_dict(dict(num)), env.ring.from_dict(dict(den))
@@ -528,17 +514,15 @@ def _lex_lc(p):
     return p[max(p)]
 
 
-def _random_poly(env, rng, sine):
+def _random_poly(env, rng):
     R = env.ring
-    a, mu, r, c, s = _gens(env, "a", "mu", "r", "cos(theta)", "sin(theta)")
+    a, mu, r, c = _gens(env, "a", "mu", "r", "cos(theta)")
     p = R.zero
     while not p:
         for _ in range(rng.randint(1, 4)):
             term = R.ground_new(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]))
             for g in (a, mu, r, c):
                 term *= g ** rng.randint(0, 2)
-            if sine and rng.random() < 0.5:
-                term *= s
             p += term
     return p
 
@@ -551,73 +535,68 @@ def _assert_make_matches_cancel(env, num, den):
 
 
 class TestCancelOracle:
-    def test_shared_non_monomial_factor(self, trig_env):
-        a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+    def test_shared_non_monomial_factor(self, polar_env):
+        a, mu, r, c = _gens(polar_env, "a", "mu", "r", "cos(theta)")
         rho2 = r ** 2 + a ** 2 * c ** 2
-        e = _assert_make_matches_cancel(trig_env, (r - mu) * rho2 ** 2, (a + r ** 3) * rho2)
+        e = _assert_make_matches_cancel(polar_env, (r - mu) * rho2 ** 2, (a + r ** 3) * rho2)
         assert (e.num, e.den) == ((r - mu) * rho2, a + r ** 3)
 
-    def test_denominator_sign_differs_between_orders(self, trig_env):
-        a, mu, r = _gens(trig_env, "a", "mu", "r")
+    def test_denominator_sign_differs_between_orders(self, polar_env):
+        a, mu, r = _gens(polar_env, "a", "mu", "r")
         negative_grevlex = a - r ** 2  # grevlex leads with r**2, lex with a
         positive_grevlex = r ** 2 - a
         assert negative_grevlex.LC < 0 < _lex_lc(negative_grevlex)
         assert _lex_lc(positive_grevlex) < 0 < positive_grevlex.LC
         for den in (negative_grevlex, positive_grevlex):
-            e = _assert_make_matches_cancel(trig_env, (mu + r) * (r + 1), den * (r + 1))
+            e = _assert_make_matches_cancel(polar_env, (mu + r) * (r + 1), den * (r + 1))
             assert e.den.LC > 0
             assert e.den == positive_grevlex
 
-    def test_common_integer_content(self, trig_env):
-        a, mu, r = _gens(trig_env, "a", "mu", "r")
-        e = _assert_make_matches_cancel(trig_env, 6 * (r + a), -4 * (r - mu))
+    def test_common_integer_content(self, polar_env):
+        a, mu, r = _gens(polar_env, "a", "mu", "r")
+        e = _assert_make_matches_cancel(polar_env, 6 * (r + a), -4 * (r - mu))
         # grevlex breaks the degree tie between mu and r in favour of mu
         assert (e.num, e.den) == (3 * (r + a), 2 * (mu - r))
 
-    def test_sine_bearing_denominator(self, trig_env):
-        r, s, c = _gens(trig_env, "r", "sin(theta)", "cos(theta)")
-        e = _assert_make_matches_cancel(trig_env, c * (r + 1), s * r + c)
-        assert e.den.degree(trig_env.gen_index("sin(theta)")) == 0
-
-    def test_zero_numerator(self, trig_env):
-        R = trig_env.ring
-        (r,) = _gens(trig_env, "r")
-        e = _assert_make_matches_cancel(trig_env, R.zero, r ** 2 - 1)
+    def test_zero_numerator(self, polar_env):
+        R = polar_env.ring
+        (r,) = _gens(polar_env, "r")
+        e = _assert_make_matches_cancel(polar_env, R.zero, r ** 2 - 1)
         assert e.is_zero and e.den == R.one
 
-    def test_no_generators(self, trig_env):
-        R = trig_env.ring
-        e = _assert_make_matches_cancel(trig_env, R.ground_new(6), R.ground_new(-4))
+    def test_no_generators(self, polar_env):
+        R = polar_env.ring
+        e = _assert_make_matches_cancel(polar_env, R.ground_new(6), R.ground_new(-4))
         assert (e.num, e.den) == (R.ground_new(-3), R.ground_new(2))
 
-    def test_no_shared_generator(self, trig_env):
-        r, c = _gens(trig_env, "r", "cos(theta)")
-        e = _assert_make_matches_cancel(trig_env, r + 1, c ** 2 - 1)
+    def test_no_shared_generator(self, polar_env):
+        r, c = _gens(polar_env, "r", "cos(theta)")
+        e = _assert_make_matches_cancel(polar_env, r + 1, c ** 2 - 1)
         assert (e.num, e.den) == (r + 1, c ** 2 - 1)
 
-    def test_single_generator(self, trig_env):
-        (r,) = _gens(trig_env, "r")
-        e = _assert_make_matches_cancel(trig_env, 2 * (r ** 2 - 1), 4 * (1 - r) * r)
+    def test_single_generator(self, polar_env):
+        (r,) = _gens(polar_env, "r")
+        e = _assert_make_matches_cancel(polar_env, 2 * (r ** 2 - 1), 4 * (1 - r) * r)
         assert (e.num, e.den) == (-(r + 1), 2 * r)
 
-    def test_generators_not_a_prefix(self, trig_env):
+    def test_generators_not_a_prefix(self, polar_env):
         # a and cos(theta) only: the GCD ring skips mu and r in between
-        a, c = _gens(trig_env, "a", "cos(theta)")
+        a, c = _gens(polar_env, "a", "cos(theta)")
         shared = a * c - 1
-        e = _assert_make_matches_cancel(trig_env, (a - c ** 2) * shared, (a ** 2 + c) * shared ** 2)
+        e = _assert_make_matches_cancel(polar_env, (a - c ** 2) * shared, (a ** 2 + c) * shared ** 2)
         assert (e.num, e.den) == (a - c ** 2, (a ** 2 + c) * shared)
 
-    def test_seeded_random_pairs(self, trig_env):
+    def test_seeded_random_pairs(self, polar_env):
         rng = random.Random(20261018)
-        R = trig_env.ring
-        a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+        R = polar_env.ring
+        a, mu, r, c = _gens(polar_env, "a", "mu", "r", "cos(theta)")
         shared = [R.one, R.ground_new(6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, -(r ** 2) + mu * a]
         signs = set()
         for _ in range(60):
             f = rng.choice(shared)
-            num = _random_poly(trig_env, rng, sine=True) * f
-            den = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * f
-            e = _assert_make_matches_cancel(trig_env, num, den)
+            num = _random_poly(polar_env, rng) * f
+            den = _random_poly(polar_env, rng) * f
+            e = _assert_make_matches_cancel(polar_env, num, den)
             signs.add((den.LC > 0, _lex_lc(den) > 0))
             assert e.den.LC > 0
         # both leading-coefficient disagreements between the orders occur
@@ -635,56 +614,15 @@ def _full_ring_cofactors(env, p, q):
 
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(min_value=0, max_value=5))
-def test_cofactors_match_full_ring(trig_env, rng, shared_index):
-    R = trig_env.ring
-    a, mu, r, c = _gens(trig_env, "a", "mu", "r", "cos(theta)")
+def test_cofactors_match_full_ring(polar_env, rng, shared_index):
+    R = polar_env.ring
+    a, mu, r, c = _gens(polar_env, "a", "mu", "r", "cos(theta)")
     shared = [R.one, R.ground_new(-6), r ** 2 + a ** 2 * c ** 2, r - a, 1 + mu * c, c][shared_index]
-    p = _random_poly(trig_env, rng, sine=True) * shared
-    q = _random_poly(trig_env, rng, sine=rng.random() < 0.3) * shared
+    p = _random_poly(polar_env, rng) * shared
+    q = _random_poly(polar_env, rng) * shared
     _, cff, cfg = poly.cofactors(p, q)
     assert cff.ring is R and cfg.ring is R
-    assert (cff, cfg) == _full_ring_cofactors(trig_env, p, q)
-
-
-# --- sine reduction against sympy's reduction by sin**2 + cos**2 - 1 ------------
-
-_two_trig_env = SymbolEnv(
-    coordinates=("theta", "phi"), parameters=("a",), trig_pairs=frozenset({"theta", "phi"})
-)
-
-
-def _sympy_sine_reduce(env, p):
-    """``p`` reduced modulo sin(x)**2 + cos(x)**2 - 1 for every trig pair by
-    sympy, in lex order with the sines ranked first.  The leading terms
-    sin(x)**2 are pairwise coprime, so the relations are a Groebner basis
-    and the remainder is the unique normal form: no sine above degree 1."""
-    symbols = [Symbol(name) for name in env.gen_names]
-    sines = [symbols[si] for si, _ in env.trig_indices]
-    relations = [symbols[si] ** 2 + symbols[ci] ** 2 - 1 for si, ci in env.trig_indices]
-    others = [x for x in symbols if x not in sines]
-    _, remainder = reduced(
-        Poly.from_dict(dict(p.terms()), *symbols).as_expr(), relations, *sines, *others,
-        order="lex",
-    )
-    return Poly(remainder, *symbols).as_dict()
-
-
-def _two_trig_polys():
-    # exponents of a, theta, phi, sin(theta), cos(theta), sin(phi), cos(phi)
-    monomials = st.tuples(
-        st.integers(0, 2), st.integers(0, 1), st.just(0),
-        st.integers(0, 7), st.integers(0, 3), st.integers(0, 7), st.integers(0, 3),
-    )
-    return st.dictionaries(monomials, st.integers(-9, 9).filter(bool), max_size=6)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_two_trig_polys())
-@example({(0, 0, 0, k, 0, 7 - k, 0): k + 1 for k in range(8)})
-@example({(0, 0, 0, 2, 0, 0, 0): 1, (0, 0, 0, 0, 2, 0, 0): 1, (0, 0, 0, 0, 0, 0, 0): -1})
-def test_sine_reduce_matches_sympy(terms):
-    p = _two_trig_env.ring.from_dict(terms)
-    assert dict(_sine_reduce(_two_trig_env, p).terms()) == _sympy_sine_reduce(_two_trig_env, p)
+    assert (cff, cfg) == _full_ring_cofactors(polar_env, p, q)
 
 
 def test_kerr4_kretschmann_closed_form(kerr4):
@@ -696,7 +634,7 @@ def test_kerr4_kretschmann_closed_form(kerr4):
     slots per factor instead of four, which keeps this check to seconds.
     """
     env = kerr4.env
-    r, a, mu, c = env.symbol("r"), env.symbol("a"), env.symbol("mu"), env.cos("theta")
+    r, a, mu, c = (env.symbol(n) for n in ("r", "a", "mu", "cos(theta)"))
     rho2 = r ** 2 + a ** 2 * c ** 2
     numerator = (
         r ** 6 - 15 * a ** 2 * r ** 4 * c ** 2 + 15 * a ** 4 * r ** 2 * c ** 4 - a ** 6 * c ** 6

@@ -23,6 +23,13 @@ The Kerr D=4 I_2 and Kerr D=5 I_c digests, both at symbolic a, were
 computed while ``RawSum`` still grouped products by their multiplied-out
 denominator and folded the groups with one GCD each; all eight hold after
 it grouped them over each env's coprime basis of denominators instead.
+
+The Kerr D=7 I_c digest at a=1 was computed while the metrics still used
+the polar angles themselves as coordinates, with sin/cos generator pairs
+and sine reduction in ``Expr.make``; all nine hold with the cosines
+x = cos(angle) as the coordinates.  It is the one case whose metric has
+nested polar angles (theta and the sphere block's chi2, chi3) with the
+rotation on.
 """
 
 import hashlib
@@ -57,6 +64,9 @@ CASES = {
     ),
     "Kerr D=5 I_c": (
         "kerr", 5, (), "I_c", "a4b7f7878b526e3ef203e6e1eec3f99bc86a6c2b"
+    ),
+    "Kerr D=7 I_c a=1": (
+        "kerr", 7, (("a", Fraction(1)),), "I_c", "cb3fbd2c98c861e0a64b9cbdf18d9340ecb5b475"
     ),
 }
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from curvinv.metrics import flat, kerr, metric_by_name, sphere_metric
@@ -30,16 +32,28 @@ class TestSphere:
 
     def test_two_sphere_components(self, s2):
         env = s2.env
-        assert env.coordinates == ("chi2", "chi1")
-        assert s2.component(0, 0) == env.one()
-        assert s2.component(1, 1) == env.one() - env.cos("chi2") ** 2
+        assert env.coordinates == ("cos(chi2)", "chi1")
+        sin2 = env.one() - env.symbol("cos(chi2)") ** 2
+        assert s2.component(0, 0) == 1 / sin2
+        assert s2.component(1, 1) == sin2
+        assert s2.component(0, 1).is_zero
 
     def test_nested_sine_factors(self, s3):
         env = s3.env
-        sin2 = lambda x: env.one() - env.cos(x) ** 2
-        assert s3.component(0, 0) == env.one()
-        assert s3.component(1, 1) == sin2("chi3")
-        assert s3.component(2, 2) == sin2("chi3") * sin2("chi2")
+        assert env.coordinates == ("cos(chi3)", "cos(chi2)", "chi1")
+        sin2 = lambda x: env.one() - env.symbol(x) ** 2
+        assert s3.component(0, 0) == 1 / sin2("cos(chi3)")
+        assert s3.component(1, 1) == sin2("cos(chi3)") / sin2("cos(chi2)")
+        assert s3.component(2, 2) == sin2("cos(chi3)") * sin2("cos(chi2)")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constant_unit_curvature(self, n):
+        g = sphere_metric(n)
+        R = riemann_lowered(g)
+        assert R.nnz() > 0
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            expected = g.component(a, c) * g.component(b, d) - g.component(a, d) * g.component(b, c)
+            assert R.component((a, b, c, d)) == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(TensorError):
@@ -56,16 +70,16 @@ class TestKerr:
             kerr(3)
 
     def test_d4_has_no_sphere_block(self, kerr4):
-        assert kerr4.env.coordinates == ("t", "r", "theta", "phi")
+        assert kerr4.env.coordinates == ("t", "r", "cos(theta)", "phi")
 
     def test_d4_schwarzschild_limit(self, kerr4):
         g = kerr4.substitute("a", 0)
         env = g.env
         r, mu = env.symbol("r"), env.symbol("mu")
-        c = env.cos("theta")
+        c = env.symbol("cos(theta)")
         assert g.component(0, 0) == mu / r - 1
         assert g.component(1, 1) == r / (r - mu)  # 1/(1 - mu/r)
-        assert g.component(2, 2) == r ** 2
+        assert g.component(2, 2) == r ** 2 / (1 - c ** 2)
         assert g.component(3, 3) == r ** 2 * (1 - c ** 2)
         assert g.component(0, 3).is_zero
 
@@ -92,36 +106,37 @@ class TestKerr:
                     for i, e in enumerate(mon):
                         if e:
                             names.add(g.env.gen_names[i])
-        variables = set()
-        for name in names:
-            if name.startswith(("sin(", "cos(")):
-                variables.add(name[4:-1])
-            else:
-                variables.add(name)
-        return variables
+        return names
 
     def test_explicit_variable_count(self):
-        # r, theta, spin, mass plus the D-5 polar angles: D-1 variables
-        # once polar angles exist (D >= 5); at D=4 all four base symbols
-        # appear with no angles to drop.
-        assert self._variables_used(kerr(4)) == {"r", "theta", "a", "mu"}
+        # r, cos(theta), spin, mass plus the D-5 polar coordinates: D-1
+        # variables once polar coordinates exist (D >= 5); at D=4 all four
+        # base symbols appear with none to drop.
+        assert self._variables_used(kerr(4)) == {"r", "cos(theta)", "a", "mu"}
         for dim in (5, 6, 8):
             assert len(self._variables_used(kerr(dim))) == dim - 1
 
+    def test_one_generator_per_symbol(self):
+        # every coordinate and parameter is one generator, and nothing else
+        for dim in (4, 7):
+            assert len(kerr(dim).env.gen_names) == dim + 2
+        assert len(sphere_metric(6).env.gen_names) == 6
+
     def test_d5_metric_symbols(self):
         g = kerr(5)
-        assert g.env.coordinates == ("t", "r", "theta", "phi", "chi1")
-        # chi1 carries no trig pair and never appears in a component
-        assert "chi1" not in g.env.trig_pairs
-        assert self._variables_used(g) == {"r", "theta", "a", "mu"}
+        assert g.env.coordinates == ("t", "r", "cos(theta)", "phi", "chi1")
+        # the azimuthal chi1 never appears in a component
+        assert self._variables_used(g) == {"r", "cos(theta)", "a", "mu"}
 
     def test_sphere_block_prefactor(self):
         g = kerr(6)
         env = g.env
-        r, c = env.symbol("r"), env.cos("theta")
+        assert env.coordinates[4:] == ("chi1", "cos(chi2)")
+        r, c = env.symbol("r"), env.symbol("cos(theta)")
         block = r ** 2 * c ** 2
-        assert g.component(5, 5) == block  # outermost chi2
-        assert g.component(4, 4) == block * (env.one() - env.cos("chi2") ** 2)
+        sin2 = env.one() - env.symbol("cos(chi2)") ** 2
+        assert g.component(5, 5) == block / sin2  # outermost chi2
+        assert g.component(4, 4) == block * sin2
 
     def test_invertible(self, kerr4):
         assert kerr4.inverse().nnz() > 0

@@ -162,7 +162,7 @@ def test_fields_next_to_the_guard_bit():
     assert (h, cff, cfg) == (shared, y, z + 1)
 
 
-def test_field_overflow_raises(trig_env):
+def test_field_overflow_raises(polar_env):
     R = poly_ring(2)
     x, y = R.gens
     top = MAX_EXPONENT
@@ -174,16 +174,19 @@ def test_field_overflow_raises(trig_env):
         (x * y) ** (top + 1)
     with pytest.raises(SymbolicError):
         R.from_dict({(top + 1, 0): 1})
-    # inside Expr.make: the sine rewrite sin**2 -> 1 - cos**2 ...
-    T = trig_env.ring
-    s, c = (T.gens[trig_env.gen_index(name)] for name in ("sin(theta)", "cos(theta)"))
+    # inside Expr's operators, whose raw products Expr.make then cancels
+    c = polar_env.symbol("cos(theta)")
     with pytest.raises(SymbolicError):
-        Expr.make(trig_env, s ** 2 * c ** top, T.one)
-    # ... and the conjugate that clears a sine from the denominator
+        c ** (top + 1)
     with pytest.raises(SymbolicError):
-        Expr.make(trig_env, c ** top, c + c * s)
+        c ** top * c
+    with pytest.raises(SymbolicError):
+        c ** top / (1 / (c + 1))
     # the largest exponents themselves are fine
-    assert Expr.make(trig_env, c ** top, c * s ** 0).num == c ** (top - 1)
+    T = polar_env.ring
+    x = T.gens[polar_env.gen_index("cos(theta)")]
+    assert Expr.make(polar_env, x ** top, x * (x + 1)).num == x ** (top - 1)
+    assert (c ** top / c).num == x ** (top - 1)
 
 
 def _random_poly(rng, n, terms):
@@ -269,11 +272,11 @@ def test_gcd_failure_is_a_symbolic_error(monkeypatch):
     assert cofactors(2 * x * y, x + y)[0] == poly_ring(2).one
 
 
-def test_gcd_runs_over_only_the_variables_present(trig_env, monkeypatch):
+def test_gcd_runs_over_only_the_variables_present(polar_env, monkeypatch):
     # cofactors hands its GCD step the fields either polynomial uses, most
     # significant first: heugcd recurses over exactly those, and the
     # single-term shortcut sees monomials in those fields alone.
-    R = trig_env.ring
+    R = polar_env.ring
     seen = []
     heugcd, gcd_monom = poly._heugcd, poly._gcd_monom
 
@@ -293,21 +296,20 @@ def test_gcd_runs_over_only_the_variables_present(trig_env, monkeypatch):
 
     monkeypatch.setattr(poly, "_heugcd", recording_heugcd)
     monkeypatch.setattr(poly, "_gcd_monom", recording_gcd_monom)
-    a, mu, r, s, c = (
-        R.gens[trig_env.gen_index(name)] for name in ("a", "mu", "r", "sin(theta)", "cos(theta)")
-    )
+    a, mu, r, c = (R.gens[polar_env.gen_index(name)] for name in ("a", "mu", "r", "cos(theta)"))
     pairs = [
         (R.ground_new(6), R.ground_new(-4), ()),
         (r + 1, c ** 2 - 1, ("r", "cos(theta)")),
         (r ** 2 - 1, r - 1, ("r",)),
         ((a - c) * (a * c + 1), a * c + 1, ("a", "cos(theta)")),
-        (mu * s, a * s + c, ("a", "mu", "sin(theta)", "cos(theta)")),
+        (mu * c, a * r + c, ("a", "mu", "r", "cos(theta)")),
     ]
     for p, q, names in pairs:
         seen.clear()
         cofactors(p, q)
-        assert seen[0] == [R.shifts[trig_env.gen_index(name)] for name in names]
-    # make cancels after clearing the sine: mu*s*(c - a*s) over c**2 - a**2*(1 - c**2)
+        assert seen[0] == [R.shifts[polar_env.gen_index(name)] for name in names]
+    # make's GCD runs over the generators either side mentions: a, mu and
+    # cos(theta), not r
     seen.clear()
-    Expr.make(trig_env, mu * s, a * s + c)
-    assert len(seen[0]) == 4
+    Expr.make(polar_env, mu * (a * c + 1), a ** 2 * c ** 2 - 1)
+    assert seen[0] == [R.shifts[polar_env.gen_index(name)] for name in ("a", "mu", "cos(theta)")]

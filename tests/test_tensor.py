@@ -79,14 +79,16 @@ class TestChristoffel:
         assert christoffel(flat(5)).nnz() == 0
 
     def test_unit_sphere_components(self, s2):
-        # coordinates (chi2, chi1) = (polar, azimuthal)
+        # coordinates (x, chi1) = (cos of the polar angle, azimuthal)
         env = s2.env
         gam = christoffel(s2)
-        s, c = env.sin("chi2"), env.cos("chi2")
-        assert gam.component((0, 1, 1)) == -s * c
-        assert gam.component((1, 0, 1)) == c / s
-        assert gam.component((1, 1, 0)) == c / s
-        assert gam.nnz() == 3
+        x = env.symbol("cos(chi2)")
+        sin2 = 1 - x ** 2
+        assert gam.component((0, 0, 0)) == x / sin2
+        assert gam.component((0, 1, 1)) == x * sin2
+        assert gam.component((1, 0, 1)) == -x / sin2
+        assert gam.component((1, 1, 0)) == -x / sin2
+        assert gam.nnz() == 4
 
     def test_polar_radial_component(self):
         env = SymbolEnv(coordinates=("r", "phi"))
@@ -143,9 +145,8 @@ class TestRiemann:
 
     def test_unit_sphere_value(self, s2):
         R = riemann_lowered(s2)
-        env = s2.env
-        sin2 = env.one() - env.cos("chi2") ** 2
-        assert R.component((0, 1, 0, 1)) == sin2
+        # g_xx g_phiphi = 1: the unit sphere's area element is dx dphi
+        assert R.component((0, 1, 0, 1)) == s2.env.one()
         assert riemann_independent_nonzero_count(R) == 1
 
     def test_constant_curvature_closed_form(self, s3_euler):
@@ -226,8 +227,7 @@ class TestRaiseLower:
         t = R
         for slot in range(4):
             t = raise_index(t, slot, inv)
-        sin2 = s2.env.one() - s2.env.cos("chi2") ** 2
-        assert t.component((0, 1, 0, 1)) == 1 / sin2
+        assert t.component((0, 1, 0, 1)) == s2.env.one()
         assert t.antisym_pairs == frozenset({(0, 1), (2, 3)})
         assert t.variance == (UPPER,) * 4
 
