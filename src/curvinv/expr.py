@@ -35,14 +35,18 @@ J. Algorithms 14, 1993; Bernstein, J. Algorithms 54, 2005).  Each
 denominator factors over it as an integer content times basis powers, so
 the least common denominator is a componentwise maximum and each group's
 cofactor a product of cached basis powers.  The sum is then divided
-exactly by basis elements as far as it goes.  A GCD with each basis
-element left in the denominator, taken over the numerator's coefficients
-in that element's variables, proves the quotient reduced, or else one
-``Expr.make`` cancels what is left.  All of this is exact polynomial
-arithmetic, so the raw quotient is the sum of the products as a rational
-function.  Canonical forms are unique, so the result is, byte for byte,
-the expression that summing the canonical products one by one gives,
-whatever the basis looks like.
+exactly by basis elements as far as it goes, so each element left in
+the denominator failed an exact division of the numerator.  When that
+element is certified irreducible (a test run once per element: linear,
+or quadratic with a discriminant that is no square, in a variable in
+which its content is a unit), the failed division proves it coprime to
+the numerator.  Otherwise a GCD with the element, taken over the
+numerator's coefficients in that element's variables, proves it, or
+else one ``Expr.make`` cancels what is left.  All of this is exact
+polynomial arithmetic, so the raw quotient is the sum of the products as
+a rational function.  Canonical forms are unique, so the result is, byte
+for byte, the expression that summing the canonical products one by one
+gives, whatever the basis looks like.
 """
 
 from __future__ import annotations
@@ -345,6 +349,10 @@ def _is_constant(p) -> bool:
     return len(p) == 1 and 0 in p
 
 
+def _is_unit(p) -> bool:
+    return _is_constant(p) and abs(p[0]) == 1
+
+
 def _coprime(p, b) -> bool:
     """Whether ``p`` and the primitive ``b`` share no factor but a unit.
 
@@ -370,6 +378,59 @@ def _coprime(p, b) -> bool:
     return False
 
 
+def _certified_irreducible(b) -> bool:
+    """Whether ``b`` passes a sufficient test of irreducibility over ZZ.
+
+    It passes when, in some variable v, its coefficients (polynomials in
+    the other variables) have a unit GCD, and it is of degree 1 in v, or
+    of degree 2 with a discriminant B**2 - 4AC that is negative or not a
+    perfect square at a fixed integer point.  A linear polynomial has no
+    proper factor of positive degree, and a quadratic one only linear
+    factors, which need a square root of the discriminant; so ``b`` is
+    irreducible over the field of fractions of the other variables, and,
+    its content in v being a unit, over ZZ by Gauss's lemma.  A unit
+    content also makes ``b`` primitive."""
+    R = b.ring
+    used = _support(b)
+    candidates = []
+    for s, field in zip(R.shifts, R.masks):
+        if used & field:
+            degree = max(m & field for m in b) >> s
+            if degree <= 2:
+                candidates.append((degree, s, field))
+    for degree, s, field in sorted(candidates):
+        coefficients = [{} for _ in range(degree + 1)]
+        for m, c in b.items():
+            coefficients[(m & field) >> s][m & ~field] = c
+        content = None
+        for coefficient in coefficients:
+            if coefficient:
+                coefficient = R.new(coefficient)
+                content = coefficient if content is None else cofactors(coefficient, content)[0]
+                if _is_unit(content):
+                    break
+        if not _is_unit(content):
+            continue
+        if degree == 1:
+            return True
+        C, B, A = (_at_point(R, coefficient) for coefficient in coefficients)
+        discriminant = B * B - 4 * A * C
+        if discriminant < 0 or math.isqrt(discriminant) ** 2 != discriminant:
+            return True
+    return False
+
+
+def _at_point(R, p: dict) -> int:
+    """``p`` at the fixed point where variable i is i + 2."""
+    total = 0
+    for m, c in p.items():
+        for i, e in enumerate(R.exponents(m)):
+            if e:
+                c *= (i + 2) ** e
+        total += c
+    return total
+
+
 class CoprimeBasis:
     """A gcd-free basis of denominators, and each denominator's factoring
     over it.
@@ -385,9 +446,13 @@ class CoprimeBasis:
     factorings made under an older generation are stale and are
     recomputed when next asked for.  A refinement that only appends an
     element coprime to all others leaves every earlier factoring exact.
+
+    :meth:`irreducible` tells whether an element passes a sufficient test
+    of irreducibility, run once per element polynomial.  An element that
+    passes and does not divide a polynomial is coprime to it.
     """
 
-    __slots__ = ("ring", "elements", "generation", "_factors", "_powers")
+    __slots__ = ("ring", "elements", "generation", "_factors", "_powers", "_irreducible")
 
     def __init__(self, ring):
         self.ring = ring
@@ -395,6 +460,16 @@ class CoprimeBasis:
         self.generation = 0
         self._factors = {}  # denominator -> (generation, content, vector)
         self._powers = {}  # element -> [element**0, element**1, ...]
+        self._irreducible = {}  # element -> whether it is certified irreducible
+
+    def irreducible(self, b) -> bool:
+        """Whether the element ``b`` is certified irreducible (see
+        ``_certified_irreducible``); False says only that the test did not
+        prove it.  Memoised by the polynomial, so renumbering is harmless."""
+        known = self._irreducible.get(b)
+        if known is None:
+            known = self._irreducible[b] = _certified_irreducible(b)
+        return known
 
     def factor(self, den) -> tuple:
         """``(content, vector)`` with ``den`` the content times the product
@@ -485,9 +560,12 @@ class RawSum:
     denominators to the sum of the raw numerators of that group.  No
     denominator is multiplied out.  :meth:`value` factors each group over
     the env's :class:`CoprimeBasis`, brings the groups over their least
-    common denominator, divides the sum exactly by basis elements as far
-    as it goes and cancels what is left, with at most one ``Expr.make``;
-    the result is the canonical sum (see the module docstring).
+    common denominator and divides the sum exactly by basis elements as
+    far as it goes.  Each element left in the denominator failed that
+    division; it is coprime to the numerator when it is certified
+    irreducible (:meth:`CoprimeBasis.irreducible`), else when
+    ``_coprime`` proves it, and otherwise one ``Expr.make`` cancels what
+    is left.  The result is the canonical sum (see the module docstring).
     """
 
     __slots__ = ("env", "_groups")
@@ -559,7 +637,9 @@ class RawSum:
         # division.  What is left of the denominator is an integer coprime
         # to the numerator's content times powers of pairwise coprime basis
         # elements, so the numerator is coprime to it when it is coprime to
-        # each of those elements; only when one shares a factor does
+        # each of those elements.  Each such element failed its last exact
+        # division, so a certified irreducible one is coprime; any other
+        # is checked by _coprime, and only when one shares a factor does
         # Expr.make cancel it.
         num = total
         den = R.one
@@ -581,7 +661,7 @@ class RawSum:
             num = R.new(num)
         den = den * (content // common)
         for b in leftover:
-            if not _coprime(num, b):
+            if not basis.irreducible(b) and not _coprime(num, b):
                 return Expr.make(env, num, den)
         # primitive elements with a positive leading coefficient and a
         # positive content: the denominator is canonical

@@ -12,17 +12,19 @@ bits.  Then:
 * a product of monomials is their sum: two exponents add up to less than
   2**FIELD_BITS, so no field carries into the next, and an exponent past
   MAX_EXPONENT shows as a set guard bit.  Every product checks its
-  monomials against the guard bits (one OR over the inputs bounds them;
-  only when that bound reaches a guard bit is the product itself read)
-  and raises :class:`SymbolicError` rather than keep such a monomial;
+  monomials against the guard bits (the sum of the inputs' cached
+  supports bounds them; only when that bound reaches a guard bit is the
+  product itself read) and raises :class:`SymbolicError` rather than
+  keep such a monomial;
 * m is divisible by g exactly when ``d = (m | guard) - g`` keeps every
   guard bit set, each field borrowing from its own guard bit only; the
   quotient is then ``d ^ guard``;
 * integer order is lex order, so ``max(p)`` is the lex-leading monomial.
 
 Arithmetic returns new polynomials and never mutates its operands, so a
-polynomial may serve as a dict key (its hash is cached on first use):
-never mutate one after it has been hashed.
+polynomial may serve as a dict key.  Its hash and its support (see
+:func:`_support`) are cached: never mutate one after either has been
+read.
 
 The tuple view is kept where exponents are read one by one:
 :meth:`Poly.terms`, :meth:`Poly.monoms`, :meth:`Poly.degree`,
@@ -87,8 +89,18 @@ class HeuristicGCDFailed(SymbolicError):
 
 
 def _support(p) -> int:
-    """The OR of the monomials of ``p``: a variable's field in it is
-    nonzero exactly when some monomial mentions the variable."""
+    """An int with a field per variable, nonzero exactly when some
+    monomial of ``p`` mentions the variable, and below the guard bit but
+    at least the variable's largest exponent in ``p``.  It is the OR of the
+    monomials, or, for a product, the sum of its factors' supports (see
+    :meth:`Poly.__mul__`).  Cached on a :class:`Poly`, on first use or by
+    the product that built it; computed each time for a plain dict."""
+    if p.__class__ is Poly:
+        try:
+            return p._support
+        except AttributeError:
+            support = p._support = reduce(or_, p, 0)
+            return support
     return reduce(or_, p, 0)
 
 
@@ -177,7 +189,7 @@ def _new(ring: PolyRing, terms: dict) -> "Poly":
 class Poly(dict):
     """Immutable-by-convention sparse polynomial; see the module docstring."""
 
-    __slots__ = ("ring", "_hash")
+    __slots__ = ("ring", "_hash", "_support")
 
     def __hash__(self):
         try:
@@ -275,9 +287,16 @@ class Poly(dict):
                     p[m] = get(m, 0) + c1 * c2
             for m in [m for m, c in p.items() if not c]:
                 del p[m]
-        # Each field of the inputs' OR bounds that exponent in the inputs.
-        if (_support(self) + _support(other)) & ring.guard and _support(p) & ring.guard:
-            raise _overflow()
+        # Each field of the inputs' supports bounds that exponent in the
+        # inputs, so their sum bounds it in the product.  Below the guard
+        # bits it is the product's support: a nonzero product mentions
+        # every variable its factors mention.
+        bound = _support(self) + _support(other)
+        if bound & ring.guard:
+            if _support(p) & ring.guard:
+                raise _overflow()
+        elif p:
+            p._support = bound
         return p
 
     __rmul__ = __mul__

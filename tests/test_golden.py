@@ -30,6 +30,13 @@ and sine reduction in ``Expr.make``; all nine hold with the cosines
 x = cos(angle) as the coordinates.  It is the one case whose metric has
 nested polar angles (theta and the sphere block's chi2, chi3) with the
 rotation on.
+
+The Kerr D=4 I_c digest at a=1 was computed while ``RawSum.value`` still
+proved every basis element left in a sum's denominator coprime to the
+numerator by a GCD, before elements certified irreducible were proved so
+by the exact division that failed; all ten hold after it.  It is the
+rotation-on case whose fields all sit over rho**2 and Delta, the
+elements that certificate covers.
 """
 
 import hashlib
@@ -67,6 +74,9 @@ CASES = {
     ),
     "Kerr D=7 I_c a=1": (
         "kerr", 7, (("a", Fraction(1)),), "I_c", "cb3fbd2c98c861e0a64b9cbdf18d9340ecb5b475"
+    ),
+    "Kerr D=4 I_c a=1": (
+        "kerr", 4, (("a", Fraction(1)),), "I_c", "2d4459990498447027b7ecd43027bfc952cab805"
     ),
 }
 

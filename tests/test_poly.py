@@ -189,6 +189,26 @@ def test_field_overflow_raises(polar_env):
     assert (c ** top / c).num == x ** (top - 1)
 
 
+def test_products_of_cached_supports_still_check_the_guard_bits():
+    R = poly_ring(2)
+    x, y = R.gens
+    top = MAX_EXPONENT
+    half = x ** (top // 2) * x  # a product, whose support __mul__ sets
+    wide = half + x + y  # x's field in its OR, 2**14 + 1, exceeds its degree
+    assert poly._support(wide) == wide._support == R.monomial((top // 2 + 2, 1))
+    assert half._support == R.monomial((top // 2 + 1, 0))
+    with pytest.raises(SymbolicError):
+        half * half
+    with pytest.raises(SymbolicError):
+        wide * half
+    with pytest.raises(SymbolicError):
+        (half * y) * (x ** (top // 2 - 1) * x * x)
+    # supports that reach a guard bit together, over a product that fits
+    product = x ** (top // 2) * wide
+    assert product.terms() == [((top, 0), 1), ((top // 2 + 1, 0), 1), ((top // 2, 1), 1)]
+    assert product._support == R.monomial((top, 1))
+
+
 def _random_poly(rng, n, terms):
     return {
         tuple(rng.randint(0, 3) for _ in range(n)): rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5])
