@@ -22,7 +22,6 @@ from .expr import (
 )
 from .metrics import flat, kerr, metric_by_name, sphere_metric
 from .parallel import (
-    Parcel,
     RunConfig,
     RunReport,
     WorkerFailure,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .expr import RawSum
+from .expr import sum_by_key
 from .tensor import LOWER, UPPER, TensorField
 
 
@@ -326,25 +326,23 @@ def independent_component_count(dim: int) -> int:
 
 
 def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
-    """Group the joined assignments by their free labels and sum each
-    group's products, giving a field over the free slots (rank 0 when no
-    label is free).  Each free key sums its products in an
-    ``expr.RawSum``, with the abbreviation multiplier as each product's
-    coefficient."""
-    _check_tensors(spec, tensors, dim)
-    abbreviated, multiplier = detect_abbreviable_pairs(spec)
+    """Sum the products of ``enumerate_indices``'s assignments per value of
+    the free labels, giving a field over the free slots (rank 0 when no
+    label is free).  Each product, with the abbreviation multiplier as its
+    coefficient, is keyed by its free labels' values and summed by
+    ``expr.sum_by_key``; components come out in odometer order."""
+    plan = enumerate_indices(spec, tensors, dim)
     free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
     # Free labels sit on exactly one slot each.
     slot_variance = {n: v for f in spec.factors for n, v in zip(f.labels, f.variance)}
     variance = tuple(slot_variance[spec.label_names[i]] for i in free_ids)
     evaluator = ProductEvaluator(spec, tensors)
     env = tensors[0].env
-    sums = {}
-    for entry in _join(spec, tensors, dim, abbreviated):
-        key = tuple(entry[i] for i in free_ids)
-        if key not in sums:
-            sums[key] = RawSum(env)
-        sums[key].add_product(evaluator.factors(entry), multiplier)
-    # Keys in odometer order; TensorField drops components that cancel to zero.
-    components = {key: sums[key].value() for key in sorted(sums, key=lambda k: k[::-1])}
+    products = (
+        (tuple(e[i] for i in free_ids), evaluator.factors(e), plan.multiplier)
+        for e in plan.sum_index_array
+    )
+    sums = sum_by_key(env, products)
+    # TensorField drops components that cancel to zero.
+    components = {key: sums[key] for key in sorted(sums, key=lambda k: k[::-1])}
     return TensorField(env, dim, variance, components)

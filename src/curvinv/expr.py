@@ -23,12 +23,15 @@ Comput. 7, 1989).  Over ZZ the reduced cofactors are unique up to one
 common sign, so re-applying the grevlex sign rule gives the unique
 canonical form.
 
-Every sum of products in the package goes through :class:`RawSum`: the
-tensor builders, the parcel sum, the merge of the parcel partials and the
-free-index contraction.  It canonicalises once per sum rather than once
-per ``*`` and ``+``.  Only the numerators of a product are multiplied out;
-its denominators stay canonical and name its group.  To bring the groups
-over a common denominator without a GCD, each :class:`SymbolEnv`
+Every sum of products in the package goes through :class:`RawSum`.  A
+single sum (a Christoffel or Riemann component, the merge of the parcel
+partials) fills one directly; a sum grouped by key (a raised or
+differentiated field, a parcel of the invariant, the free-index
+contraction) goes through :func:`sum_by_key`, one ``RawSum`` per key.  A
+``RawSum`` canonicalises once per sum rather than once per ``*`` and
+``+``.  Only the numerators of a product are multiplied out; its
+denominators stay canonical and name its group.  To bring the groups over
+a common denominator without a GCD, each :class:`SymbolEnv`
 instance keeps a coprime basis of the denominators its sums have met
 (:class:`CoprimeBasis`, factor refinement: Bach, Driscoll and Shallit,
 J. Algorithms 14, 1993; Bernstein, J. Algorithms 54, 2005).  Each
@@ -666,3 +669,16 @@ class RawSum:
         # primitive elements with a positive leading coefficient and a
         # positive content: the denominator is canonical
         return Expr(env, num, den)
+
+
+def sum_by_key(env: SymbolEnv, products: Iterable) -> dict:
+    """The canonical sum of each key's products, from ``(key, factors,
+    coefficient)`` triples: one :class:`RawSum` per key, keys in the order
+    first met.  A key whose products all vanish maps to zero."""
+    sums = {}
+    for key, factors, coefficient in products:
+        total = sums.get(key)
+        if total is None:
+            total = sums[key] = RawSum(env)
+        total.add_product(factors, coefficient)
+    return {key: total.value() for key, total in sums.items()}

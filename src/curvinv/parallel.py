@@ -1,38 +1,43 @@
 """Parcel-parallel summation of enumerated component products.
 
 The enumerated assignment list is split into m*n near-equal contiguous
-parcels for n workers.  Each parcel is one task of a
-``concurrent.futures.ProcessPoolExecutor``, so a worker takes the next
-parcel as it goes idle.  A task multiplies each entry's component
-numerators raw, sums the products grouped by their factors' denominators
-(``expr.RawSum``, which brings the groups together over the env's coprime
-basis of denominators) and returns the parcel's canonical partial sum.
-The coordinator merges the partials in one more ``RawSum``, each with the
-abbreviation multiplier as its coefficient.  Canonical forms are unique,
-so the result is the same expression for every worker and parcel count
-and any scheduling order.
+parcels for n workers: ``range``s of entry positions, each parcel's id
+its place in the list.  One task, ``_sum_parcel``, sums a parcel's
+products in ``expr.sum_by_key`` under one key (numerators multiplied out
+raw, grouped by their factors' denominators, brought together over the
+env's coprime basis of denominators) and returns its canonical partial
+sum.  The coordinator merges the partials in one more ``RawSum``, each
+with the abbreviation multiplier as its coefficient.  Canonical forms are
+unique, so the result is the same expression for every worker and parcel
+count and any scheduling order.
 
-The pool forks its workers, so they inherit the factor tensors, the
-assignment list and the env's coprime basis instead of receiving pickled
-copies: only parcel bounds go out and partial sums come back.  The start
-method is named because fork is not the default everywhere (from Python
-3.14 not on Linux either).  At one worker no pool is started: the
-coordinator sums the parcels itself, one after another.  A parcel that
-raises, or a worker that dies without reporting, ends the run in
-WorkerFailure.
+At one worker the coordinator maps the task over the parcels itself,
+passing it the run's stores directly: no pool starts and no module state
+is set.  On more workers it maps the task over a pool of forked workers,
+so a worker takes the next parcel as it goes idle.  Each worker's
+initializer sets the run's stores as its module state; the workers
+inherit the factor tensors, the assignment list and the env's coprime
+basis instead of receiving pickled copies, so only parcel bounds go out
+and partial sums come back.  The start method is named because fork is
+not the default everywhere (from Python 3.14 not on Linux either).  A
+parcel that raises fails the run with the ``WorkerFailure`` the task
+raises, naming the parcel; a worker that dies without reporting breaks
+the pool, the one other failure.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import repeat
 
 from .contraction import ContractionPlan, InvariantSpec, ProductEvaluator
-from .expr import Expr, RawSum
+from .expr import Expr, RawSum, sum_by_key
 
 
 class WorkerFailure(Exception):
@@ -43,16 +48,6 @@ class WorkerFailure(Exception):
 # Each worker is one process; more than a few per CPU only adds spawn cost,
 # and a mistyped count must not start thousands of processes.
 MAX_WORKERS = 4 * (os.cpu_count() or 1)
-
-
-@dataclass(frozen=True)
-class Parcel:
-    id: int
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass(frozen=True)
@@ -122,71 +117,34 @@ class RunReport:
 
 def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
     """Split the assignment list into at most workers*parcels_per_worker
-    contiguous parcels whose sizes differ by at most one."""
+    contiguous ranges of entry positions whose sizes differ by at most
+    one; a parcel's id is its place in the list."""
     n = len(plan.sum_index_array)
     if n == 0:
         return []
     count = min(cfg.workers * cfg.parcels_per_worker, n)
     bounds = [i * n // count for i in range(count + 1)]
-    return [Parcel(i, bounds[i], bounds[i + 1]) for i in range(count)]
+    return [range(bounds[i], bounds[i + 1]) for i in range(count)]
 
 
-# Set in each worker by _init_worker: (ProductEvaluator, SymbolEnv, entries).
-_state = None
+# The run a forked worker sums parcels of, (ProductEvaluator, SymbolEnv,
+# entries): set in each worker by the pool's initializer, never in the
+# coordinator, so no run's stores outlive it.
+_run = None
 
 
-def _init_worker(evaluate, env, entries):
-    global _state
-    _state = (evaluate, env, entries)
-
-
-def _sum_parcel(evaluate, env, entries):
-    """The canonical sum of one parcel's products, with the pid of the
-    process that summed it and the milliseconds it took."""
+def _sum_parcel(i: int, parcel: range, run=None):
+    """The canonical sum of parcel ``i``'s products, with the pid of the
+    process that summed it and the milliseconds it took.  ``run`` is the
+    run's (evaluator, env, entries), the worker's own when not given."""
+    evaluate, env, entries = run or _run
     began = time.perf_counter()
-    products = RawSum(env)
-    for entry in entries:
-        products.add_product(evaluate.factors(entry))
-    value = products.value()
+    try:
+        entries = entries[parcel.start : parcel.stop]
+        value = sum_by_key(env, (((), evaluate.factors(e), 1) for e in entries))[()]
+    except Exception as exc:
+        raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
-
-
-def _sum_worker_parcel(start: int, stop: int):
-    evaluate, env, entries = _state
-    return _sum_parcel(evaluate, env, entries[start:stop])
-
-
-def _in_process(parcels, evaluate, env, entries) -> list:
-    """Each parcel's result, summed in this process, in parcel order."""
-    results = []
-    for parcel in parcels:
-        try:
-            results.append(_sum_parcel(evaluate, env, entries[parcel.start : parcel.stop]))
-        except Exception as exc:
-            raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
-    return results
-
-
-def _on_pool(parcels, workers, evaluate, env, entries) -> list:
-    """Each parcel's result, summed on a pool of forked workers, in parcel
-    order."""
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(parcels)),
-        mp_context=mp.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(evaluate, env, entries),
-    ) as pool:
-        futures = [pool.submit(_sum_worker_parcel, p.start, p.stop) for p in parcels]
-        results = []
-        for parcel, future in zip(parcels, futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                raise WorkerFailure("a worker exited without reporting") from exc
-            except Exception as exc:
-                pool.shutdown(cancel_futures=True)
-                raise WorkerFailure("parcel %d failed: %r" % (parcel.id, exc)) from exc
-    return results
 
 
 def execute(
@@ -203,8 +161,11 @@ def execute(
     this process, and merge the partial sums into the invariant.
 
     The result expression is byte-identical for every (workers, parcels)
-    choice; only the per-worker statistics vary.
+    choice; only the per-worker statistics vary.  A spec with free labels
+    has no scalar value and is rejected.
     """
+    if spec.free_labels:
+        raise ValueError("execute sums scalars; use contract_free for free labels")
     started = time.perf_counter()
     env = tensors[0].env
     parcels = partition(plan, cfg)
@@ -212,10 +173,20 @@ def execute(
     stats = {}  # pid -> WorkerStats, in order of the first parcel taken
     if parcels:
         run = (ProductEvaluator(spec, tensors), env, plan.sum_index_array)
+        ids = range(len(parcels))
         if cfg.workers == 1:
-            results = _in_process(parcels, *run)
+            results = list(map(_sum_parcel, ids, parcels, repeat(run)))
         else:
-            results = _on_pool(parcels, cfg.workers, *run)
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(cfg.workers, len(parcels)),
+                    mp_context=mp.get_context("fork"),
+                    initializer=setattr,
+                    initargs=(sys.modules[__name__], "_run", run),
+                ) as pool:
+                    results = list(pool.map(_sum_parcel, ids, parcels))
+            except BrokenProcessPool as exc:
+                raise WorkerFailure("a worker exited without reporting") from exc
         for parcel, (pid, partial, busy_ms) in zip(parcels, results):
             total.add_product((partial,), plan.multiplier)
             worker = stats.setdefault(pid, WorkerStats(0, 0.0))

@@ -102,8 +102,6 @@ def run_invariant(
     else:
         spec = spec_or_text
         spec_text = ""
-    if spec.free_labels:
-        raise ValueError("run_invariant computes scalars; use contract_free for free indices")
     cfg = cfg or RunConfig()
     tensors, raise_mults = build_factor_tensors(metric, spec)
     plan = enumerate_indices(spec, tensors, metric.dim)

@@ -31,21 +31,23 @@ The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
 ``gamma.component((a, b, c))`` needs no index sorting.
 
-Every builder (Christoffel symbols, Riemann, raising and the covariant
-derivative) forms each component as a sum of products of canonical
-components, and sums them in an ``expr.RawSum``: only the numerators of
-the products are multiplied out, the products are grouped by their
-factors' denominators, the groups are brought together over the env's
-coprime basis of denominators, and the whole sum is canonicalised once.
-The component is the same canonical expression that summing canonical
-products gives.
+Every builder forms each component as a sum of products of canonical
+components, summed in an ``expr.RawSum``: only the numerators of the
+products are multiplied out, the products are grouped by their factors'
+denominators, the groups are brought together over the env's coprime
+basis of denominators, and the whole sum is canonicalised once.  The
+Christoffel symbols and Riemann fill one ``RawSum`` per component in their
+own loops; raising and the covariant derivative yield every product with
+its output key and hand them to ``expr.sum_by_key``, the one keyed sum
+that the parcel task and ``contract_free`` use too.  The component is the
+same canonical expression that summing canonical products gives.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .expr import Expr, RawSum, SymbolEnv
+from .expr import Expr, RawSum, SymbolEnv, sum_by_key
 
 
 class TensorError(Exception):
@@ -369,8 +371,9 @@ def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
     variance: out[..k..] = sum of g^ke t[..e..].
 
     The output keeps the input's antisymmetric pairs.  Only keys oriented
-    on its oriented pairs are computed, each summing its products in an
-    ``expr.RawSum``; the swapped keys are filled by negation.
+    on its oriented pairs are computed: the products g^ke t[..e..] are
+    keyed by their output key and summed by ``expr.sum_by_key``.  The
+    swapped keys are filled by negation.
     """
     if not 0 <= slot < t.rank:
         raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
@@ -379,18 +382,16 @@ def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
     rows = _rows(g_inv.dim, g_inv.components)
     out_variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
     pairs = _same_variance(t.antisym_pairs, out_variance)
-    sums = {}
-    for key, value in t.components.items():
-        prefix, suffix = key[:slot], key[slot + 1 :]
-        for k, weight in rows[key[slot]]:
-            out_key = prefix + (k,) + suffix
-            if not _oriented(out_key, pairs):
-                continue
-            total = sums.get(out_key)
-            if total is None:
-                total = sums[out_key] = RawSum(t.env)
-            total.add_product((weight, value))
-    accumulated = {key: total.value() for key, total in sums.items()}
+
+    def products():
+        for key, value in t.components.items():
+            prefix, suffix = key[:slot], key[slot + 1 :]
+            for k, weight in rows[key[slot]]:
+                out_key = prefix + (k,) + suffix
+                if _oriented(out_key, pairs):
+                    yield out_key, (weight, value), 1
+
+    accumulated = sum_by_key(t.env, products())
     return TensorField(
         t.env,
         t.dim,
@@ -408,37 +409,32 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
     are taken, so every antisymmetric pair of the input is oriented.  The
     output keeps those pairs, and only keys oriented on them are computed:
     partial derivatives of oriented components, and connection terms whose
-    target key is oriented.  The swapped keys are filled by negation.  Each
-    output component sums its partial derivative and connection products
-    in an ``expr.RawSum``.
+    target key is oriented.  The swapped keys are filled by negation.  The
+    partial derivatives and connection products are keyed by their output
+    key and summed by ``expr.sum_by_key``.
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")
     dim, env = t.dim, t.env
     coords = env.coordinates
     pairs = t.oriented_pairs
-    sums = {}
 
-    def add(key, values, sign=1):
-        total = sums.get(key)
-        if total is None:
-            total = sums[key] = RawSum(env)
-        total.add_product(values, sign)
+    def products():
+        for key, value in t.components.items():
+            if _oriented(key, pairs):
+                for e in range(dim):
+                    yield key + (e,), (value.diff(coords[e]),), 1
+            for s in range(t.rank):
+                f = key[s]
+                prefix, suffix = key[:s], key[s + 1 :]
+                targets = [i for i in range(dim) if _oriented(prefix + (i,) + suffix, pairs)]
+                for e in range(dim):
+                    for i in targets:
+                        w = gamma.component((f, e, i))
+                        if not w.is_zero:
+                            yield prefix + (i,) + suffix + (e,), (w, value), -1
 
-    for key, value in t.components.items():
-        if _oriented(key, pairs):
-            for e in range(dim):
-                add(key + (e,), (value.diff(coords[e]),))
-        for s in range(t.rank):
-            f = key[s]
-            prefix, suffix = key[:s], key[s + 1 :]
-            targets = [i for i in range(dim) if _oriented(prefix + (i,) + suffix, pairs)]
-            for e in range(dim):
-                for i in targets:
-                    w = gamma.component((f, e, i))
-                    if not w.is_zero:
-                        add(prefix + (i,) + suffix + (e,), (w, value), -1)
-    accumulated = {key: total.value() for key, total in sums.items()}
+    accumulated = sum_by_key(env, products())
     return TensorField(
         env,
         dim,

@@ -16,7 +16,7 @@ from curvinv.contraction import (
     worst_case_product_count,
 )
 from curvinv.expr import SymbolEnv
-from curvinv.metrics import flat, sphere_metric
+from curvinv.metrics import flat, kerr, sphere_metric
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import TensorField, raise_index, riemann_lowered
 
@@ -360,19 +360,29 @@ class TestAbbreviationSoundness:
 
 
 class TestContractFree:
-    def test_ricci_of_two_sphere(self, s2):
+    @pytest.mark.parametrize(
+        "builder,dim,scale",
+        [
+            (sphere_metric, 2, 1),
+            (sphere_metric, 3, 2),
+            (sphere_metric, 4, 3),
+            (kerr, 4, 0),
+            (kerr, 5, 0),
+        ],
+        ids=["sphere2", "sphere3", "sphere4", "kerr4", "kerr5"],
+    )
+    def test_ricci_closed_form(self, builder, dim, scale):
+        # R_ab = (n - 1) g_ab on the unit n-sphere; Kerr at symbolic a is
+        # vacuum, so its Ricci tensor vanishes over the rho2 and Delta
+        # denominators of its Riemann tensor
+        g = builder(dim)
         spec = parse_spec("R(+a,-*b,-a,-*d)")
-        R = riemann_lowered(s2)
-        mixed = raise_index(R, 0, s2.inverse())
-        ricci = contract_free(spec, [mixed], 2)
-        env = s2.env
+        mixed = raise_index(riemann_lowered(g), 0, g.inverse())
+        ricci = contract_free(spec, [mixed], dim)
         assert ricci.rank == 2
         assert ricci.variance == ("l", "l")
-        # R_ab = g_ab on the unit two-sphere
-        assert ricci.component((0, 0)) == s2.component(0, 0)
-        assert ricci.component((1, 1)) == s2.component(1, 1)
-        assert ricci.component((0, 0)) == 1 / (1 - env.symbol("cos(chi2)") ** 2)
-        assert ricci.component((0, 1)).is_zero
+        expected = {key: value * scale for key, value in g.components.items() if scale}
+        assert ricci.components == expected
 
     def test_zero_input_gives_empty_output(self):
         g = flat(3)

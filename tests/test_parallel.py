@@ -8,7 +8,6 @@ from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
 from curvinv.metrics import flat, sphere_metric
 from curvinv.parallel import (
     MAX_WORKERS,
-    Parcel,
     RunConfig,
     WorkerFailure,
     execute,
@@ -168,6 +167,15 @@ class TestExecute:
         )
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
+
+    def test_free_labels_rejected(self, s2):
+        # summed over its free labels too, R(+a,-*b,-a,-*d) is a scalar that
+        # is no invariant: execute must refuse it rather than return it
+        spec, tensors, plan, _ = _plan_for(s2, "R(+a,-*b,-a,-*d)")
+        assert plan.product_count > 0
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="contract_free"):
+                execute(plan, spec, tensors, RunConfig(workers=workers))
 
     def test_one_worker_starts_no_pool(self, s3, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s3, I_B)
