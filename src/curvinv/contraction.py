@@ -9,12 +9,22 @@ already bound, so its cost follows the stored components rather than the
 D**L possible assignments.  Abbreviated antisymmetric pairs are kept only
 with strictly increasing values (compensated by a power-of-two
 multiplier), and the survivors are sorted into odometer order, first label
-fastest.
+fastest.  Abbreviated pairs and the symmetric derivative pairs of the
+worst-case estimate are one rule with two slot selectors: a label pair
+that two of the selected slot pairs carry in the same order.
+
+``keyed_products`` is the one stream of products of enumerated entries:
+each entry's factor components, keyed by its free labels' values.  Both
+sums of the package's contractions take it to ``expr.sum_by_key``:
+``contract_free`` in process over a whole plan, and the parcel task of
+``parallel.execute`` over each parcel, where no label is free and every
+key is ``()``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .expr import sum_by_key
@@ -147,6 +157,13 @@ def parse_spec(text: str) -> InvariantSpec:
     )
 
 
+def _aligned_pairs(spec: InvariantSpec, select) -> frozenset:
+    """Label pairs that sit, in the same order, on at least two of the slot
+    pairs ``select(factor)`` picks over all factors, neither label free."""
+    seen = Counter((f.labels[i], f.labels[j]) for f in spec.factors for i, j in select(f))
+    return frozenset(p for p, n in seen.items() if n > 1 and spec.free_labels.isdisjoint(p))
+
+
 def detect_abbreviable_pairs(spec: InvariantSpec):
     """Label pairs whose summation can be restricted to ordered values.
 
@@ -155,43 +172,18 @@ def detect_abbreviable_pairs(spec: InvariantSpec):
     variance in each factor (R^a_b is not antisymmetric); each abbreviated
     pair doubles the multiplier.
     """
-    pairs = set()
-    factors = spec.factors
-    for fi, f in enumerate(factors):
-        for fj in range(fi, len(factors)):
-            g = factors[fj]
-            for i, i2 in f.antisym_pairs:
-                for j, j2 in g.antisym_pairs:
-                    if fi == fj and i == j:
-                        continue
-                    if f.labels[i] != g.labels[j] or f.labels[i2] != g.labels[j2]:
-                        continue
-                    if f.variance[i] != f.variance[i2] or g.variance[j] != g.variance[j2]:
-                        continue
-                    if f.labels[i] in spec.free_labels or f.labels[i2] in spec.free_labels:
-                        continue
-                    pairs.add((f.labels[i], f.labels[i2]))
-    return frozenset(pairs), 2 ** len(pairs)
+    pairs = _aligned_pairs(
+        spec, lambda f: [(i, j) for i, j in f.antisym_pairs if f.variance[i] == f.variance[j]]
+    )
+    return pairs, 2 ** len(pairs)
 
 
 def symmetric_derivative_pairs(spec: InvariantSpec):
     """Label pairs sitting on aligned second-derivative slots in two factors;
     counted as symmetric index pairs in the worst-case product estimate."""
-    pairs = set()
-    factors = spec.factors
-    for fi, f in enumerate(factors):
-        if f.derivative_order != 2:
-            continue
-        i = f.rank - 2
-        for fj in range(fi, len(factors)):
-            g = factors[fj]
-            if g.derivative_order != 2 or (fi == fj):
-                continue
-            j = g.rank - 2
-            if f.labels[i] == g.labels[j] and f.labels[i + 1] == g.labels[j + 1]:
-                if f.labels[i] not in spec.free_labels and f.labels[i + 1] not in spec.free_labels:
-                    pairs.add((f.labels[i], f.labels[i + 1]))
-    return frozenset(pairs)
+    return _aligned_pairs(
+        spec, lambda f: [(f.rank - 2, f.rank - 1)] if f.derivative_order == 2 else []
+    )
 
 
 @dataclass(frozen=True)
@@ -287,21 +279,6 @@ def enumerate_indices(spec: InvariantSpec, tensors, dim: int) -> ContractionPlan
     )
 
 
-class ProductEvaluator:
-    """Looks up the components one enumerated assignment addresses."""
-
-    def __init__(self, spec: InvariantSpec, tensors):
-        self.factor_ids = spec.factor_label_ids()
-        self.stores = [t.components for t in tensors]
-
-    def factors(self, entry: tuple) -> list:
-        """The entry's component of each factor, in factor order."""
-        return [
-            store[tuple(entry[i] for i in ids)]
-            for ids, store in zip(self.factor_ids, self.stores)
-        ]
-
-
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
     """Upper bound on enumerated products: D per lone label, D(D-1)/2 per
     abbreviated antisymmetric pair, D(D+1)/2 per symmetric derivative pair.
@@ -325,24 +302,30 @@ def independent_component_count(dim: int) -> int:
     return dim * dim * (dim * dim - 1) // 12
 
 
+def keyed_products(spec: InvariantSpec, tensors, entries, coefficient=1):
+    """``(key, factors, coefficient)`` for each enumerated entry in turn,
+    the form ``expr.sum_by_key`` sums: the key holds the free labels'
+    values in label order (``()`` when no label is free), the factors are
+    the entry's component of each factor tensor."""
+    free = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
+    lookups = list(zip(spec.factor_label_ids(), [t.components for t in tensors]))
+    for e in entries:
+        key = tuple(e[i] for i in free)
+        yield key, [store[tuple(e[i] for i in ids)] for ids, store in lookups], coefficient
+
+
 def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     """Sum the products of ``enumerate_indices``'s assignments per value of
     the free labels, giving a field over the free slots (rank 0 when no
-    label is free).  Each product, with the abbreviation multiplier as its
-    coefficient, is keyed by its free labels' values and summed by
-    ``expr.sum_by_key``; components come out in odometer order."""
+    label is free): ``keyed_products``, with the abbreviation multiplier as
+    each product's coefficient, summed by ``expr.sum_by_key``; components
+    come out in odometer order."""
     plan = enumerate_indices(spec, tensors, dim)
-    free_ids = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
+    env = tensors[0].env
+    sums = sum_by_key(env, keyed_products(spec, tensors, plan.sum_index_array, plan.multiplier))
     # Free labels sit on exactly one slot each.
     slot_variance = {n: v for f in spec.factors for n, v in zip(f.labels, f.variance)}
-    variance = tuple(slot_variance[spec.label_names[i]] for i in free_ids)
-    evaluator = ProductEvaluator(spec, tensors)
-    env = tensors[0].env
-    products = (
-        (tuple(e[i] for i in free_ids), evaluator.factors(e), plan.multiplier)
-        for e in plan.sum_index_array
-    )
-    sums = sum_by_key(env, products)
+    variance = tuple(slot_variance[n] for n in spec.label_names if n in spec.free_labels)
     # TensorField drops components that cancel to zero.
     components = {key: sums[key] for key in sorted(sums, key=lambda k: k[::-1])}
     return TensorField(env, dim, variance, components)

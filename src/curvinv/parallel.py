@@ -2,14 +2,16 @@
 
 The enumerated assignment list is split into m*n near-equal contiguous
 parcels for n workers: ``range``s of entry positions, each parcel's id
-its place in the list.  One task, ``_sum_parcel``, sums a parcel's
-products in ``expr.sum_by_key`` under one key (numerators multiplied out
-raw, grouped by their factors' denominators, brought together over the
-env's coprime basis of denominators) and returns its canonical partial
-sum.  The coordinator merges the partials in one more ``RawSum``, each
-with the abbreviation multiplier as its coefficient.  Canonical forms are
-unique, so the result is the same expression for every worker and parcel
-count and any scheduling order.
+its place in the list.  One task, ``_sum_parcel``, passes the products
+that ``contraction.keyed_products`` yields for its parcel's entries (all
+under the key ``()``, as no label is free) to ``expr.sum_by_key``, the
+same stream and the same sum that ``contract_free`` runs in process:
+numerators multiplied out raw, grouped by their factors' denominators and
+brought together over the env's coprime basis of denominators.  It
+returns the parcel's canonical partial sum.  The coordinator merges the
+partials in one more ``RawSum``, each with the abbreviation multiplier as
+its coefficient.  Canonical forms are unique, so the result is the same
+expression for every worker and parcel count and any scheduling order.
 
 At one worker the coordinator maps the task over the parcels itself,
 passing it the run's stores directly: no pool starts and no module state
@@ -36,7 +38,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 
-from .contraction import ContractionPlan, InvariantSpec, ProductEvaluator
+from .contraction import ContractionPlan, InvariantSpec, keyed_products
 from .expr import Expr, RawSum, sum_by_key
 
 
@@ -127,21 +129,21 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
     return [range(bounds[i], bounds[i + 1]) for i in range(count)]
 
 
-# The run a forked worker sums parcels of, (ProductEvaluator, SymbolEnv,
-# entries): set in each worker by the pool's initializer, never in the
-# coordinator, so no run's stores outlive it.
+# The run a forked worker sums parcels of, (spec, tensors, entries): set in
+# each worker by the pool's initializer, never in the coordinator, so no
+# run's stores outlive it.
 _run = None
 
 
 def _sum_parcel(i: int, parcel: range, run=None):
     """The canonical sum of parcel ``i``'s products, with the pid of the
     process that summed it and the milliseconds it took.  ``run`` is the
-    run's (evaluator, env, entries), the worker's own when not given."""
-    evaluate, env, entries = run or _run
+    run's (spec, tensors, entries), the worker's own when not given."""
+    spec, tensors, entries = run or _run
     began = time.perf_counter()
     try:
-        entries = entries[parcel.start : parcel.stop]
-        value = sum_by_key(env, (((), evaluate.factors(e), 1) for e in entries))[()]
+        products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
+        value = sum_by_key(tensors[0].env, products)[()]
     except Exception as exc:
         raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
@@ -167,12 +169,11 @@ def execute(
     if spec.free_labels:
         raise ValueError("execute sums scalars; use contract_free for free labels")
     started = time.perf_counter()
-    env = tensors[0].env
     parcels = partition(plan, cfg)
-    total = RawSum(env)
+    total = RawSum(tensors[0].env)
     stats = {}  # pid -> WorkerStats, in order of the first parcel taken
     if parcels:
-        run = (ProductEvaluator(spec, tensors), env, plan.sum_index_array)
+        run = (spec, tensors, plan.sum_index_array)
         ids = range(len(parcels))
         if cfg.workers == 1:
             results = list(map(_sum_parcel, ids, parcels, repeat(run)))

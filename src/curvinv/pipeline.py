@@ -95,13 +95,17 @@ def run_invariant(
     metric_name: str = "",
 ) -> RunReport:
     """Full pipeline: Riemann (+derivatives), raising, enumeration, and the
-    parcel-parallel sum."""
+    parcel-parallel sum.  A spec with free labels has no scalar value and
+    is rejected before anything is built."""
     if isinstance(spec_or_text, str):
         spec_text = spec_or_text
         spec = parse_spec(spec_or_text)
     else:
         spec = spec_or_text
         spec_text = ""
+    if spec.free_labels:
+        # checked again by execute; here it spares building the tensors
+        raise ValueError("run_invariant sums scalars; use contract_free for free labels")
     cfg = cfg or RunConfig()
     tensors, raise_mults = build_factor_tensors(metric, spec)
     plan = enumerate_indices(spec, tensors, metric.dim)

@@ -27,8 +27,7 @@ polynomial may serve as a dict key.  Its hash and its support (see
 read.
 
 The tuple view is kept where exponents are read one by one:
-:meth:`Poly.terms`, :meth:`Poly.monoms`, :meth:`Poly.degree`,
-:meth:`Poly.degrees` and :meth:`PolyRing.from_dict` speak in exponent
+:meth:`Poly.terms` and :meth:`PolyRing.from_dict` speak in exponent
 tuples.  :meth:`Poly.terms` and :attr:`Poly.LC` use the graded reverse
 lexicographic order (grevlex), ranking a monomial by the key
 ``(sum(m), reversed(-e for e in m))`` on its exponent tuple.
@@ -205,24 +204,10 @@ class Poly(dict):
         ring = self.ring
         return [(ring.exponents(m), self[m]) for m in sorted(self, key=ring._grevlex_key)]
 
-    def monoms(self) -> list:
-        return [m for m, _ in self.terms()]
-
     @property
     def LC(self) -> int:
         """Leading coefficient in grevlex; 0 for the zero polynomial."""
         return self[min(self, key=self.ring._grevlex_key)] if self else 0
-
-    def degree(self, i: int):
-        """Highest exponent of variable ``i``; ``-inf`` for zero."""
-        s = self.ring.shifts[i]
-        return max([m >> s & _FIELD for m in self]) if self else float("-inf")
-
-    def degrees(self) -> tuple:
-        """:meth:`degree` of every variable."""
-        if not self:
-            return (float("-inf"),) * self.ring.ngens
-        return tuple(map(max, zip(*map(self.ring.exponents, self))))
 
     # Arithmetic -------------------------------------------------------------
 

@@ -39,8 +39,9 @@ basis of denominators, and the whole sum is canonicalised once.  The
 Christoffel symbols and Riemann fill one ``RawSum`` per component in their
 own loops; raising and the covariant derivative yield every product with
 its output key and hand them to ``expr.sum_by_key``, the one keyed sum
-that the parcel task and ``contract_free`` use too.  The component is the
-same canonical expression that summing canonical products gives.
+that also sums ``contraction.keyed_products``, the product stream of
+``contract_free`` and of the parcel task.  The component is the same
+canonical expression that summing canonical products gives.
 """
 
 from __future__ import annotations

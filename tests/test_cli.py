@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import curvinv
-from curvinv import poly
+from curvinv import pipeline, poly
 from curvinv.cli import PRESETS, main
+from curvinv.metrics import sphere_metric
 
 
 def run_cli(capsys, *argv):
@@ -107,7 +108,14 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
-    def test_free_labels_rejected(self, capsys):
+    def test_free_labels_rejected(self, capsys, monkeypatch):
+        # rejected before any factor tensor is built
+        def no_build(*args):
+            raise AssertionError("factor tensors built for a spec with free labels")
+
+        monkeypatch.setattr(pipeline, "build_factor_tensors", no_build)
+        with pytest.raises(ValueError, match="contract_free"):
+            pipeline.run_invariant(sphere_metric(2), "R(+a,-*b,-a,-*d)")
         code, _, err = run_cli(
             capsys,
             "run",

@@ -17,6 +17,7 @@ from curvinv.contraction import (
 )
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import flat, kerr, sphere_metric
+from curvinv.parallel import RunConfig, execute
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import TensorField, raise_index, riemann_lowered
 
@@ -391,13 +392,27 @@ class TestContractFree:
         mixed = raise_index(R, 0, g.inverse())
         assert contract_free(spec, [mixed], 3).nnz() == 0
 
-    def test_scalar_spec_matches_scalar_pipeline(self, s2):
-        spec = parse_spec(KRETSCHMANN)
-        tensors, _ = build_factor_tensors(s2, spec)
-        plan = enumerate_indices(spec, tensors, 2)
-        total = s2.env.zero()
+    @pytest.mark.parametrize(
+        "metric,text",
+        [
+            (lambda: sphere_metric(2), KRETSCHMANN),
+            (lambda: sphere_metric(3), I_B),
+            (lambda: kerr(4).substitute("a", 1), I_B),
+        ],
+        ids=["sphere2_Ia", "sphere3_Ib", "kerr4_Ib_a1"],
+    )
+    def test_scalar_spec_matches_scalar_pipeline(self, metric, text):
+        # contract_free and execute's parcels sum one product stream
+        g = metric()
+        spec = parse_spec(text)
+        tensors, _ = build_factor_tensors(g, spec)
+        plan = enumerate_indices(spec, tensors, g.dim)
+        total = g.env.zero()
         for entry in plan.sum_index_array:
             total = total + evaluate_product(spec, entry, tensors)
-        scalar_field = contract_free(spec, tensors, 2)
+        scalar_field = contract_free(spec, tensors, g.dim)
         assert scalar_field.rank == 0
         assert scalar_field.component(()) == total * plan.multiplier
+        for workers in (1, 2):
+            report = execute(plan, spec, tensors, RunConfig(workers=workers))
+            assert str(scalar_field.component(())) == str(report.invariant)

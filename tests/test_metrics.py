@@ -102,7 +102,7 @@ class TestKerr:
         names = set()
         for value in g.components.values():
             for poly in (value.num, value.den):
-                for mon in poly.monoms():
+                for mon, _ in poly.terms():
                     for i, e in enumerate(mon):
                         if e:
                             names.add(g.env.gen_names[i])

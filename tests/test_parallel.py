@@ -203,18 +203,19 @@ class TestExecute:
             execute(poisoned, spec, tensors, RunConfig(workers=1, parcels_per_worker=2))
 
     def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
-        # The worker that looks up the first entry's factors exits without
-        # reporting, as under an OOM kill; forked workers inherit the patch.
+        # The worker whose parcel holds the first entry exits without
+        # reporting, as under an OOM kill, when it asks for the parcel's
+        # products; forked workers inherit the patch.
         spec, tensors, plan, _ = _plan_for(s2, I_B)
-        real = parallel.ProductEvaluator.factors
+        real = parallel.keyed_products
         first = plan.sum_index_array[0]
 
-        def dying_factors(self, entry):
-            if entry == first:
+        def dying_products(spec, tensors, entries, coefficient=1):
+            if first in entries:
                 os._exit(1)
-            return real(self, entry)
+            return real(spec, tensors, entries, coefficient)
 
-        monkeypatch.setattr(parallel.ProductEvaluator, "factors", dying_factors)
+        monkeypatch.setattr(parallel, "keyed_products", dying_products)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
             execute(plan, spec, tensors, RunConfig(workers=2))
 
