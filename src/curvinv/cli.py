@@ -145,7 +145,7 @@ def _cmd_count(args) -> int:
     }
     if args.enumerate_:
         tensors, raise_mults = build_factor_tensors(metric, spec)
-        plan = enumerate_indices(spec, tensors, args.dim)
+        plan = enumerate_indices(spec, tensors)
         payload["enumerated_products"] = plan.product_count
         payload["raising_multiplications"] = raise_mults
     if args.json:

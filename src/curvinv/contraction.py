@@ -13,6 +13,11 @@ fastest.  Abbreviated pairs and the symmetric derivative pairs of the
 worst-case estimate are one rule with two slot selectors: a label pair
 that two of the selected slot pairs carry in the same order.
 
+The contraction checks its tensors once, where it meets them: each has
+its factor's rank, slot variances and antisymmetric pairs (an R factor's
+are ``tensor.RIEMANN_PAIRS``; abbreviation is sound only on pairs the
+tensor declares), and all share one dimension, the labels' range.
+
 ``keyed_products`` is the one stream of products of enumerated entries:
 each entry's factor components, keyed by its free labels' values.  Both
 sums of the package's contractions take it to ``expr.sum_by_key``:
@@ -28,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .expr import sum_by_key
-from .tensor import LOWER, UPPER, TensorField
+from .tensor import LOWER, RIEMANN_PAIRS, UPPER, TensorField, same_variance
 
 
 class SpecError(Exception):
@@ -36,19 +41,19 @@ class SpecError(Exception):
 
 
 class PlanError(Exception):
-    """Specification and tensors disagree (rank, variance, or dimension)."""
+    """Specification and tensors disagree: a tensor's rank, slot variances
+    or antisymmetric pairs differ from its factor's, or the tensors do not
+    share one dimension."""
 
 
-BASE_RANKS = {"R": 4}
-BASE_ANTISYM = {"R": frozenset({(0, 1), (2, 3)})}
 MAX_DERIVATIVE_ORDER = 2
 
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One tensor factor: base symbol, derivative slots, and per-slot labels."""
+    """One tensor factor: derivative slots, per-slot labels and variances,
+    and the antisymmetric slot pairs its tensor must declare."""
 
-    base: str
     derivative_order: int
     labels: tuple
     variance: tuple
@@ -103,15 +108,13 @@ def parse_spec(text: str) -> InvariantSpec:
         if not m:
             raise SpecError("bad factor %r" % token)
         base, body = m.groups()
-        if base not in BASE_RANKS:
+        if base != "R":
             raise SpecError("unknown base tensor %r" % base)
         head, _, deriv = body.partition(";")
         base_slots = [s for s in head.split(",") if s.strip()]
         deriv_slots = [s for s in deriv.split(",") if s.strip()]
-        if len(base_slots) != BASE_RANKS[base]:
-            raise SpecError(
-                "%s takes %d indices, got %d" % (base, BASE_RANKS[base], len(base_slots))
-            )
+        if len(base_slots) != 4:
+            raise SpecError("R takes 4 indices, got %d" % len(base_slots))
         if len(deriv_slots) > MAX_DERIVATIVE_ORDER:
             raise SpecError("at most %d derivative slots supported" % MAX_DERIVATIVE_ORDER)
         labels = []
@@ -128,11 +131,10 @@ def parse_spec(text: str) -> InvariantSpec:
                 free_names.add(name)
         factors.append(
             FactorSpec(
-                base=base,
                 derivative_order=len(deriv_slots),
                 labels=tuple(labels),
                 variance=tuple(variance),
-                antisym_pairs=BASE_ANTISYM[base],
+                antisym_pairs=RIEMANN_PAIRS,
             )
         )
     for name, variances in seen_variances.items():
@@ -172,9 +174,7 @@ def detect_abbreviable_pairs(spec: InvariantSpec):
     variance in each factor (R^a_b is not antisymmetric); each abbreviated
     pair doubles the multiplier.
     """
-    pairs = _aligned_pairs(
-        spec, lambda f: [(i, j) for i, j in f.antisym_pairs if f.variance[i] == f.variance[j]]
-    )
+    pairs = _aligned_pairs(spec, lambda f: same_variance(f.antisym_pairs, f.variance))
     return pairs, 2 ** len(pairs)
 
 
@@ -192,28 +192,30 @@ class ContractionPlan:
 
     sum_index_array: tuple
     multiplier: int
-    dim: int
 
     @property
     def product_count(self) -> int:
         return len(self.sum_index_array)
 
 
-def _check_tensors(spec: InvariantSpec, tensors, dim: int):
-    if len(tensors) != len(spec.factors):
+def _check_tensors(spec: InvariantSpec, tensors) -> int:
+    """The dimension the tensors share, once each is found to match its
+    factor: its variances (one per slot, so its rank too), its antisymmetric
+    pairs, and the first tensor's dimension."""
+    if not tensors or len(tensors) != len(spec.factors):
         raise PlanError(
             "spec has %d factors but %d tensors given" % (len(spec.factors), len(tensors))
         )
-    for f, t in zip(spec.factors, tensors):
-        if t.rank != f.rank:
-            raise PlanError("factor rank %d vs tensor rank %d" % (f.rank, t.rank))
-        if t.dim != dim:
-            raise PlanError("tensor dimension %d does not match %d" % (t.dim, dim))
-        if tuple(t.variance) != tuple(f.variance):
+    dim = tensors[0].dim
+    for i, (f, t) in enumerate(zip(spec.factors, tensors)):
+        want = ("".join(f.variance), sorted(f.antisym_pairs), dim)
+        have = ("".join(t.variance), sorted(t.antisym_pairs), t.dim)
+        if have != want:
             raise PlanError(
-                "tensor variance %s does not match factor %s"
-                % ("".join(t.variance), "".join(f.variance))
+                "factor %d needs (variance, antisymmetric pairs, dimension) %s; its tensor has %s"
+                % (i, want, have)
             )
+    return dim
 
 
 def _join(spec: InvariantSpec, tensors, dim: int, abbreviated) -> list:
@@ -265,18 +267,15 @@ def _join(spec: InvariantSpec, tensors, dim: int, abbreviated) -> list:
     return sorted((tuple(s[p] for p in order) for s in states), key=lambda e: e[::-1])
 
 
-def enumerate_indices(spec: InvariantSpec, tensors, dim: int) -> ContractionPlan:
+def enumerate_indices(spec: InvariantSpec, tensors) -> ContractionPlan:
     """Join the factors' nonzero stores into the assignments whose
     components all exist, abbreviated pairs strictly increasing, in
-    odometer order (first label fastest)."""
-    _check_tensors(spec, tensors, dim)
+    odometer order (first label fastest).  The labels range over the
+    tensors' shared dimension."""
+    dim = _check_tensors(spec, tensors)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     entries = _join(spec, tensors, dim, abbreviated)
-    return ContractionPlan(
-        sum_index_array=tuple(entries),
-        multiplier=multiplier,
-        dim=dim,
-    )
+    return ContractionPlan(sum_index_array=tuple(entries), multiplier=multiplier)
 
 
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
@@ -314,13 +313,13 @@ def keyed_products(spec: InvariantSpec, tensors, entries, coefficient=1):
         yield key, [store[tuple(e[i] for i in ids)] for ids, store in lookups], coefficient
 
 
-def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
+def contract_free(spec: InvariantSpec, tensors) -> TensorField:
     """Sum the products of ``enumerate_indices``'s assignments per value of
     the free labels, giving a field over the free slots (rank 0 when no
     label is free): ``keyed_products``, with the abbreviation multiplier as
     each product's coefficient, summed by ``expr.sum_by_key``; components
     come out in odometer order."""
-    plan = enumerate_indices(spec, tensors, dim)
+    plan = enumerate_indices(spec, tensors)
     env = tensors[0].env
     sums = sum_by_key(env, keyed_products(spec, tensors, plan.sum_index_array, plan.multiplier))
     # Free labels sit on exactly one slot each.
@@ -328,4 +327,4 @@ def contract_free(spec: InvariantSpec, tensors, dim: int) -> TensorField:
     variance = tuple(slot_variance[n] for n in spec.label_names if n in spec.free_labels)
     # TensorField drops components that cancel to zero.
     components = {key: sums[key] for key in sorted(sums, key=lambda k: k[::-1])}
-    return TensorField(env, dim, variance, components)
+    return TensorField(env, tensors[0].dim, variance, components)

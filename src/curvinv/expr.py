@@ -252,15 +252,21 @@ class Expr:
         return Expr(self.env, -self.num, self.den)
 
     def __pow__(self, exponent: int):
+        # Powers of coprime polynomials stay coprime, and a positive leading
+        # coefficient stays positive: the power is canonical without a GCD.
         if not isinstance(exponent, int):
             raise SymbolicError("exponent must be an integer, got %r" % (exponent,))
         if exponent == 0:
             return self.env.one()
+        num, den = self.num, self.den
         if exponent < 0:
-            if not self.num:
+            if not num:
                 raise DivisionByZeroExpression("zero expression to a negative power")
-            return Expr.make(self.env, self.den ** (-exponent), self.num ** (-exponent))
-        return Expr.make(self.env, self.num ** exponent, self.den ** exponent)
+            num, den = (den, num) if num.LC > 0 else (-den, -num)
+            exponent = -exponent
+        elif not num:
+            return self.env.zero()
+        return Expr(self.env, num ** exponent, den ** exponent)
 
     def diff(self, coordinate: str) -> "Expr":
         """Partial derivative by a coordinate (not a parameter)."""

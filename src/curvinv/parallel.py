@@ -205,7 +205,7 @@ def execute(
         multiplier=plan.multiplier,
         product_count=plan.product_count,
         raise_mults=raise_mults,
-        dim=plan.dim,
+        dim=tensors[0].dim,
         spec_text=spec_text,
         metric_name=metric_name,
         workers=cfg.workers,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .contraction import (
     InvariantSpec,
@@ -89,7 +89,7 @@ def build_factor_tensors(metric: Metric, spec: InvariantSpec):
 
 def run_invariant(
     metric: Metric,
-    spec_or_text: Union[str, InvariantSpec],
+    spec_text: str,
     cfg: Optional[RunConfig] = None,
     *,
     metric_name: str = "",
@@ -97,18 +97,13 @@ def run_invariant(
     """Full pipeline: Riemann (+derivatives), raising, enumeration, and the
     parcel-parallel sum.  A spec with free labels has no scalar value and
     is rejected before anything is built."""
-    if isinstance(spec_or_text, str):
-        spec_text = spec_or_text
-        spec = parse_spec(spec_or_text)
-    else:
-        spec = spec_or_text
-        spec_text = ""
+    spec = parse_spec(spec_text)
     if spec.free_labels:
         # checked again by execute; here it spares building the tensors
         raise ValueError("run_invariant sums scalars; use contract_free for free labels")
     cfg = cfg or RunConfig()
     tensors, raise_mults = build_factor_tensors(metric, spec)
-    plan = enumerate_indices(spec, tensors, metric.dim)
+    plan = enumerate_indices(spec, tensors)
     return execute(
         plan,
         spec,

@@ -19,6 +19,10 @@ are filled.  Canonical forms are unique, so a filled component is exactly
 the one the full computation would give; keys with equal indices on a
 pair are zero and stay absent.
 
+A ``Metric`` is a ``TensorField`` of variance (l, l).  ``RIEMANN_PAIRS``
+are the antisymmetric pairs ``riemann_lowered`` declares and
+``contraction.parse_spec`` gives every R factor.
+
 A ``Metric`` memoises what is derived from it alone, each piece built on
 first use: its inverse (``inverse``), its partial derivatives
 (``derivative``) and its connection of the first kind
@@ -62,90 +66,8 @@ class SingularMetricError(TensorError):
 UPPER = "u"
 LOWER = "l"
 
-
-class Metric:
-    """Symmetric rank-2 metric g_ab with a nonzero determinant."""
-
-    def __init__(self, env: SymbolEnv, dim: int, components: Mapping):
-        if dim < 1:
-            raise TensorError("metric dimension must be >= 1")
-        if len(env.coordinates) != dim:
-            raise TensorError("environment must carry exactly dim coordinates")
-        store = {}
-        for (a, b), value in components.items():
-            if not 0 <= a < dim or not 0 <= b < dim:
-                raise TensorError("metric index out of range: %r" % ((a, b),))
-            transpose = components.get((b, a))
-            if transpose is not None and transpose != value:
-                raise TensorError("metric components must be symmetric")
-            if not value.is_zero:
-                store[(a, b)] = store[(b, a)] = value
-        self.env = env
-        self.dim = dim
-        self.components = store
-        self._zero = env.zero()
-        self._half = env.one() / env.integer(2)
-        # Derived data, built on first use.  Plain dicts, not closures over
-        # the metric: a reference cycle would keep the metric alive after the
-        # pipeline's weak cache has let it go.
-        self._inverse = None
-        self._derivatives = {}
-        self._first_kind = {}
-
-    def component(self, a: int, b: int) -> Expr:
-        return self.components.get((a, b), self._zero)
-
-    def inverse(self) -> "TensorField":
-        if self._inverse is None:
-            self._inverse = inverse_metric(self)
-        return self._inverse
-
-    def derivative(self, a: int, b: int, *xs: int) -> Expr:
-        """d_x ... g_ab over the coordinates indexed by ``xs``, memoised.
-
-        Keys sort the symmetric indices and the commuting derivatives, and
-        each derivative extends the one below it.
-        """
-        if not xs:
-            return self.component(a, b)
-        key = (min(a, b), max(a, b)) + tuple(sorted(xs))
-        value = self._derivatives.get(key)
-        if value is None:
-            below = self.derivative(*key[:-1])
-            if not below.is_zero:
-                below = below.diff(self.env.coordinates[key[-1]])
-            value = self._derivatives[key] = below
-        return value
-
-    def first_kind(self, e: int, a: int, d: int) -> Expr:
-        """Connection of the first kind, memoised and symmetric in a, d:
-        Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad), one ``RawSum``."""
-        key = (e, min(a, d), max(a, d))
-        value = self._first_kind.get(key)
-        if value is None:
-            total = RawSum(self.env)
-            total.add_product((self._half, self.derivative(e, d, a)))
-            total.add_product((self._half, self.derivative(e, a, d)))
-            total.add_product((self._half, self.derivative(a, d, e)), -1)
-            value = self._first_kind[key] = total.value()
-        return value
-
-    def substitute(self, name: str, value) -> "Metric":
-        """Replace a parameter by an exact rational.
-
-        Only parameters may be fixed: a coordinate set to a constant before
-        differentiating gives a silently wrong curvature.
-        """
-        if name not in self.env.parameters:
-            raise TensorError(
-                "can only substitute a parameter (%s), not %r"
-                % (", ".join(self.env.parameters) or "none", name)
-            )
-        subbed = {}
-        for (a, b), expr in self.components.items():
-            if a <= b:
-                subbed[(a, b)] = expr.substitute(name, value)
-        return Metric(self.env, self.dim, subbed)
+# The Riemann tensor's antisymmetric slot pairs, R_abcd = -R_bacd = -R_abdc.
+RIEMANN_PAIRS = frozenset({(0, 1), (2, 3)})
 
 
 class TensorField:
@@ -215,7 +137,7 @@ def _check_pairs(variance: tuple, antisym_pairs, store: Mapping) -> frozenset:
                 % (pair, rank)
             )
         seen.update(pair)
-    oriented = _same_variance(antisym_pairs, variance)
+    oriented = same_variance(antisym_pairs, variance)
     for p, q in oriented:
         for key, value in store.items():
             if key[p] == key[q]:
@@ -232,7 +154,9 @@ def _check_pairs(variance: tuple, antisym_pairs, store: Mapping) -> frozenset:
     return oriented
 
 
-def _same_variance(pairs, variance: tuple) -> frozenset:
+def same_variance(pairs, variance: tuple) -> frozenset:
+    """The slot pairs whose two slots share a variance: the antisymmetric
+    pairs on which swapping the indices negates a component."""
     return frozenset((p, q) for p, q in pairs if variance[p] == variance[q])
 
 
@@ -254,11 +178,86 @@ def _mirrored(oriented: Mapping, pairs) -> dict:
     return store
 
 
+class Metric(TensorField):
+    """Symmetric metric g_ab with a nonzero determinant: a field of variance
+    (l, l) that stores both orientations of each component it is given."""
+
+    def __init__(self, env: SymbolEnv, dim: int, components: Mapping):
+        if dim < 1:
+            raise TensorError("metric dimension must be >= 1")
+        if len(env.coordinates) != dim:
+            raise TensorError("environment must carry exactly dim coordinates")
+        store = dict(components)
+        for key, value in components.items():
+            if store.setdefault(key[::-1], value) != value:
+                raise TensorError("metric components must be symmetric")
+        super().__init__(env, dim, (LOWER, LOWER), store)
+        self._half = env.one() / env.integer(2)
+        # Derived data, built on first use.  Plain dicts, not closures over
+        # the metric: a reference cycle would keep the metric alive after the
+        # pipeline's weak cache has let it go.
+        self._inverse = None
+        self._derivatives = {}
+        self._first_kind = {}
+
+    def inverse(self) -> "TensorField":
+        if self._inverse is None:
+            self._inverse = inverse_metric(self)
+        return self._inverse
+
+    def derivative(self, a: int, b: int, *xs: int) -> Expr:
+        """d_x ... g_ab over the coordinates indexed by ``xs``, memoised.
+
+        Keys sort the symmetric indices and the commuting derivatives, and
+        each derivative extends the one below it.
+        """
+        if not xs:
+            return self.component((a, b))
+        key = (min(a, b), max(a, b)) + tuple(sorted(xs))
+        value = self._derivatives.get(key)
+        if value is None:
+            below = self.derivative(*key[:-1])
+            if not below.is_zero:
+                below = below.diff(self.env.coordinates[key[-1]])
+            value = self._derivatives[key] = below
+        return value
+
+    def first_kind(self, e: int, a: int, d: int) -> Expr:
+        """Connection of the first kind, memoised and symmetric in a, d:
+        Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad), one ``RawSum``."""
+        key = (e, min(a, d), max(a, d))
+        value = self._first_kind.get(key)
+        if value is None:
+            total = RawSum(self.env)
+            total.add_product((self._half, self.derivative(e, d, a)))
+            total.add_product((self._half, self.derivative(e, a, d)))
+            total.add_product((self._half, self.derivative(a, d, e)), -1)
+            value = self._first_kind[key] = total.value()
+        return value
+
+    def substitute(self, name: str, value) -> "Metric":
+        """Replace a parameter by an exact rational.
+
+        Only parameters may be fixed: a coordinate set to a constant before
+        differentiating gives a silently wrong curvature.
+        """
+        if name not in self.env.parameters:
+            raise TensorError(
+                "can only substitute a parameter (%s), not %r"
+                % (", ".join(self.env.parameters) or "none", name)
+            )
+        subbed = {}
+        for (a, b), expr in self.components.items():
+            if a <= b:
+                subbed[(a, b)] = expr.substitute(name, value)
+        return Metric(self.env, self.dim, subbed)
+
+
 def inverse_metric(g: Metric) -> TensorField:
     """Invert the metric by Gauss-Jordan elimination over exact expressions."""
     dim, env = g.dim, g.env
     zero, one = env.zero(), env.one()
-    m = [[g.component(i, j) for j in range(dim)] for i in range(dim)]
+    m = [[g.component((i, j)) for j in range(dim)] for i in range(dim)]
     inv = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
     for col in range(dim):
         pivot_row = None
@@ -353,10 +352,8 @@ def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorFie
             value = total.value()
             if not value.is_zero:
                 independent[(a, b, c, d)] = independent[(c, d, a, b)] = value
-    antisym = frozenset({(0, 1), (2, 3)})
-    return TensorField(
-        env, dim, (LOWER,) * 4, _mirrored(independent, antisym), antisym_pairs=antisym
-    )
+    store = _mirrored(independent, RIEMANN_PAIRS)
+    return TensorField(env, dim, (LOWER,) * 4, store, antisym_pairs=RIEMANN_PAIRS)
 
 
 def _rows(dim: int, components: Mapping) -> list:
@@ -382,7 +379,7 @@ def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
         raise TensorError("slot %d is already upper" % slot)
     rows = _rows(g_inv.dim, g_inv.components)
     out_variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
-    pairs = _same_variance(t.antisym_pairs, out_variance)
+    pairs = same_variance(t.antisym_pairs, out_variance)
 
     def products():
         for key, value in t.components.items():

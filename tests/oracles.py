@@ -38,7 +38,7 @@ from curvinv.tensor import LOWER, Metric, TensorField
 def adjugate_inverse(g: Metric):
     """Dense inverse via cofactor expansion; returns a dim x dim Expr grid."""
     dim = g.dim
-    m = [[g.component(i, j) for j in range(dim)] for i in range(dim)]
+    m = [[g.component((i, j)) for j in range(dim)] for i in range(dim)]
     det = _determinant(m, g.env)
     if det.is_zero:
         raise ZeroDivisionError("singular metric in oracle")
@@ -86,9 +86,9 @@ def dense_christoffel(g: Metric):
                 acc = env.zero()
                 for d in range(dim):
                     acc = acc + ginv[a][d] * (
-                        g.component(d, c).diff(coords[b])
-                        + g.component(b, d).diff(coords[c])
-                        - g.component(b, c).diff(coords[d])
+                        g.component((d, c)).diff(coords[b])
+                        + g.component((b, d)).diff(coords[c])
+                        - g.component((b, c)).diff(coords[d])
                     )
                 gamma[a][b][c] = half * acc
     return gamma
@@ -122,7 +122,7 @@ def dense_riemann_lowered(g: Metric):
                 for d in range(dim):
                     acc = env.zero()
                     for e in range(dim):
-                        acc = acc + g.component(a, e) * up[e][b][c][d]
+                        acc = acc + g.component((a, e)) * up[e][b][c][d]
                     low[a][b][c][d] = acc
     return low
 
@@ -163,7 +163,7 @@ def rows(metric: Metric) -> list:
     """Sparse rows of the metric: rows(metric)[a] lists (b, g_ab) for the
     nonzero components, by b."""
     dim = metric.dim
-    grid = [[metric.component(a, b) for b in range(dim)] for a in range(dim)]
+    grid = [[metric.component((a, b)) for b in range(dim)] for a in range(dim)]
     return [[(b, v) for b, v in enumerate(row) if not v.is_zero] for row in grid]
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from curvinv.expr import SymbolEnv
 from curvinv.metrics import flat, kerr, sphere_metric
 from curvinv.parallel import RunConfig, execute
 from curvinv.pipeline import build_factor_tensors
-from curvinv.tensor import TensorField, raise_index, riemann_lowered
+from curvinv.tensor import TensorField, raise_index, riemann_lowered, same_variance
 
 from oracles import brute_force_sum, dense_contract_free, dense_enumerate, evaluate_product
 
@@ -127,14 +129,14 @@ class TestEnumerate:
         spec = parse_spec(KRETSCHMANN)
         g = flat(5)
         tensors, _ = build_factor_tensors(g, spec)
-        plan = enumerate_indices(spec, tensors, 5)
+        plan = enumerate_indices(spec, tensors)
         assert plan.sum_index_array == ()
         assert plan.product_count == 0
 
     def test_two_sphere_single_entry(self, s2):
         spec = parse_spec(KRETSCHMANN)
         tensors, _ = build_factor_tensors(s2, spec)
-        plan = enumerate_indices(spec, tensors, 2)
+        plan = enumerate_indices(spec, tensors)
         assert plan.multiplier == 4
         assert plan.sum_index_array == ((0, 1, 0, 1),)
 
@@ -146,7 +148,7 @@ class TestEnumerate:
         for g, text in rows:
             spec = parse_spec(text)
             tensors, _ = build_factor_tensors(g, spec)
-            plan = enumerate_indices(spec, tensors, g.dim)
+            plan = enumerate_indices(spec, tensors)
             assert plan.product_count <= worst_case_product_count(spec, g.dim)
             assert plan.sum_index_array == dense_enumerate(spec, tensors, g.dim)
 
@@ -155,15 +157,15 @@ class TestEnumerate:
         spec = parse_spec(PRESETS["I_1"])
         with deadline(5):
             tensors, _ = build_factor_tensors(flat(4), spec)
-            plan = enumerate_indices(spec, tensors, 4)
+            plan = enumerate_indices(spec, tensors)
         assert plan.sum_index_array == ()
         assert plan.product_count == 0
 
     def test_cycling_order_deterministic(self, s3):
         spec = parse_spec(KRETSCHMANN)
         tensors, _ = build_factor_tensors(s3, spec)
-        first = enumerate_indices(spec, tensors, 3)
-        second = enumerate_indices(spec, tensors, 3)
+        first = enumerate_indices(spec, tensors)
+        second = enumerate_indices(spec, tensors)
         assert first.sum_index_array == second.sum_index_array
         # cycling increments the first label fastest
         flat_order = [sum(e[i] * 3 ** i for i in range(4)) for e in first.sum_index_array]
@@ -174,25 +176,40 @@ class TestEnumerate:
         # nonzero-component assignment
         spec = parse_spec("R(+a,+b,-a,-d) R(-b,+c,+d,-c)")
         tensors, _ = build_factor_tensors(s2, spec)
-        plan = enumerate_indices(spec, tensors, 2)
+        plan = enumerate_indices(spec, tensors)
         ids = spec.factor_label_ids()
         for entry in plan.sum_index_array:
             for f_ids, t in zip(ids, tensors):
                 assert tuple(entry[i] for i in f_ids) in t.components
 
-    def test_mismatched_tensors_rejected(self, s2):
+    def test_mismatched_tensors_rejected(self, s2, s3):
         spec = parse_spec(KRETSCHMANN)
         tensors, _ = build_factor_tensors(s2, spec)
+        tensors3, _ = build_factor_tensors(s3, spec)
         with pytest.raises(PlanError):
-            enumerate_indices(spec, tensors[:1], 2)
+            enumerate_indices(spec, tensors[:1])
+        with pytest.raises(PlanError, match=r"\('uuuu', .*; its tensor has \('llll', "):
+            enumerate_indices(spec, [tensors[1], tensors[0]])
+        with pytest.raises(PlanError, match=r"2\); its tensor has \(.*, 3\)"):
+            enumerate_indices(spec, [tensors[0], tensors3[1]])
+
+    def test_undeclared_antisymmetry_rejected(self):
+        # All-ones rank-4 fields on D=2 declare no antisymmetry.  Summing
+        # only a < b and c < d with multiplier 4 would give 4, not the full
+        # sum 16, so both sums must refuse them.
+        spec = parse_spec(KRETSCHMANN)
+        ones = dict.fromkeys(itertools.product(range(2), repeat=4), JOIN_ENV.one())
+        tensors = [TensorField(JOIN_ENV, 2, f.variance, ones) for f in spec.factors]
+        assert brute_force_sum(spec, tensors, 2) == JOIN_ENV.integer(16)
+        declared = r"\[\(0, 1\), \(2, 3\)\], 2\); its tensor has \('uuuu', \[\], 2\)"
+        with pytest.raises(PlanError, match=declared):
+            enumerate_indices(spec, tensors)
         with pytest.raises(PlanError):
-            enumerate_indices(spec, [tensors[1], tensors[0]], 2)
-        with pytest.raises(PlanError):
-            enumerate_indices(spec, tensors, 3)
+            contract_free(spec, tensors)
 
 
 RANK_ZERO = FactorSpec(
-    base="R", derivative_order=0, labels=(), variance=(), antisym_pairs=frozenset()
+    derivative_order=0, labels=(), variance=(), antisym_pairs=frozenset()
 )
 JOIN_ENV = SymbolEnv(coordinates=("x",))
 
@@ -236,14 +253,25 @@ FREE = ["free_ricci", "free_two_factors", "free_abbreviated", "free_rank_zero", 
 @st.composite
 def sparse_tensors(draw, spec):
     """Random nonzero patterns, D <= 3, small nonzero integer components
-    (so sums over free labels can cancel)."""
+    (so sums over free labels can cancel), antisymmetric on each factor's
+    oriented pairs: each drawn key is sorted on those pairs, dropped if it
+    has equal indices on one, and the rest are mirrored and negated."""
     dim = draw(st.integers(1, 3))
     tensors = []
     for f in spec.factors:
+        pairs = same_variance(f.antisym_pairs, f.variance)
         keys = st.tuples(*[st.integers(0, dim - 1)] * f.rank)
         values = draw(st.dictionaries(keys, st.sampled_from((-2, -1, 1, 3)), max_size=40))
-        components = {k: JOIN_ENV.integer(v) for k, v in values.items()}
-        tensors.append(TensorField(JOIN_ENV, dim, f.variance, components))
+        components = {}
+        for k, v in values.items():
+            for p, q in pairs:
+                k = k[:p] + tuple(sorted(k[p : q + 1])) + k[q + 1 :]
+            if all(k[p] < k[q] for p, q in pairs):
+                components[k] = JOIN_ENV.integer(v)
+        for p, q in pairs:
+            for k, v in list(components.items()):
+                components[k[:p] + (k[q], k[p]) + k[q + 1 :]] = -v
+        tensors.append(TensorField(JOIN_ENV, dim, f.variance, components, f.antisym_pairs))
     return dim, tensors
 
 
@@ -254,7 +282,7 @@ class TestJoinMatchesDense:
     def test_enumerate(self, name, data):
         spec = JOIN_SPECS[name]
         dim, tensors = data.draw(sparse_tensors(spec))
-        plan = enumerate_indices(spec, tensors, dim)
+        plan = enumerate_indices(spec, tensors)
         assert plan.sum_index_array == dense_enumerate(spec, tensors, dim)
 
     @pytest.mark.parametrize("name", FREE)
@@ -263,41 +291,43 @@ class TestJoinMatchesDense:
     def test_contract_free(self, name, data):
         spec = JOIN_SPECS[name]
         dim, tensors = data.draw(sparse_tensors(spec))
-        field = contract_free(spec, tensors, dim)
+        field = contract_free(spec, tensors)
         assert field.components == dense_contract_free(spec, tensors, dim)
 
     @pytest.mark.parametrize("name", JOIN_SPECS)
     def test_all_stores_empty(self, name):
         spec = JOIN_SPECS[name]
-        tensors = [TensorField(JOIN_ENV, 3, f.variance, {}) for f in spec.factors]
-        assert enumerate_indices(spec, tensors, 3).sum_index_array == ()
+        tensors = [
+            TensorField(JOIN_ENV, 3, f.variance, {}, f.antisym_pairs) for f in spec.factors
+        ]
+        assert enumerate_indices(spec, tensors).sum_index_array == ()
         assert dense_enumerate(spec, tensors, 3) == ()
-        assert contract_free(spec, tensors, 3).nnz() == 0
+        assert contract_free(spec, tensors).nnz() == 0
 
 
 class TestEvaluateProduct:
     def test_two_sphere_entry(self, s2):
         spec = parse_spec(KRETSCHMANN)
         tensors, _ = build_factor_tensors(s2, spec)
-        plan = enumerate_indices(spec, tensors, 2)
+        plan = enumerate_indices(spec, tensors)
         value = evaluate_product(spec, plan.sum_index_array[0], tensors)
         assert value == s2.env.one()
 
     def test_rank_zero_edge(self, s2):
         env = s2.env
         factor = FactorSpec(
-            base="R", derivative_order=0, labels=(), variance=(), antisym_pairs=frozenset()
+            derivative_order=0, labels=(), variance=(), antisym_pairs=frozenset()
         )
         spec = InvariantSpec(factors=(factor,), label_names=(), free_labels=frozenset())
         scalar = TensorField(env, 2, (), {(): env.integer(7)})
-        plan = enumerate_indices(spec, [scalar], 2)
+        plan = enumerate_indices(spec, [scalar])
         assert plan.sum_index_array == ((),)
         assert evaluate_product(spec, (), [scalar]) == env.integer(7)
 
     def test_deterministic(self, s2):
         spec = parse_spec(KRETSCHMANN)
         tensors, _ = build_factor_tensors(s2, spec)
-        plan = enumerate_indices(spec, tensors, 2)
+        plan = enumerate_indices(spec, tensors)
         entry = plan.sum_index_array[0]
         assert evaluate_product(spec, entry, tensors) == evaluate_product(
             spec, entry, tensors
@@ -352,7 +382,7 @@ class TestAbbreviationSoundness:
         g = request.getfixturevalue(metric) if isinstance(metric, str) else sphere_metric(metric)
         spec = parse_spec(text)
         tensors, _ = build_factor_tensors(g, spec)
-        plan = enumerate_indices(spec, tensors, g.dim)
+        plan = enumerate_indices(spec, tensors)
         abbreviated = g.env.zero()
         for entry in plan.sum_index_array:
             abbreviated = abbreviated + evaluate_product(spec, entry, tensors)
@@ -379,7 +409,7 @@ class TestContractFree:
         g = builder(dim)
         spec = parse_spec("R(+a,-*b,-a,-*d)")
         mixed = raise_index(riemann_lowered(g), 0, g.inverse())
-        ricci = contract_free(spec, [mixed], dim)
+        ricci = contract_free(spec, [mixed])
         assert ricci.rank == 2
         assert ricci.variance == ("l", "l")
         expected = {key: value * scale for key, value in g.components.items() if scale}
@@ -390,7 +420,7 @@ class TestContractFree:
         spec = parse_spec("R(+a,-*b,-a,-*d)")
         R = riemann_lowered(g)
         mixed = raise_index(R, 0, g.inverse())
-        assert contract_free(spec, [mixed], 3).nnz() == 0
+        assert contract_free(spec, [mixed]).nnz() == 0
 
     @pytest.mark.parametrize(
         "metric,text",
@@ -406,11 +436,11 @@ class TestContractFree:
         g = metric()
         spec = parse_spec(text)
         tensors, _ = build_factor_tensors(g, spec)
-        plan = enumerate_indices(spec, tensors, g.dim)
+        plan = enumerate_indices(spec, tensors)
         total = g.env.zero()
         for entry in plan.sum_index_array:
             total = total + evaluate_product(spec, entry, tensors)
-        scalar_field = contract_free(spec, tensors, g.dim)
+        scalar_field = contract_free(spec, tensors)
         assert scalar_field.rank == 0
         assert scalar_field.component(()) == total * plan.multiplier
         for workers in (1, 2):

@@ -405,7 +405,7 @@ class TestRawSum:
         # their failed exact divisions prove the sum reduced
         metric = kerr(4).substitute("a", 1)
         env = metric.env
-        g_tt, g_tphi, g_rr = (metric.component(*slot) for slot in ((0, 0), (0, 3), (1, 1)))
+        g_tt, g_tphi, g_rr = (metric.component(slot) for slot in ((0, 0), (0, 3), (1, 1)))
         products = [([g_tt], 1), ([g_rr], 1), ([g_tphi, g_rr], 2)]
         calls = []
         real = expr._coprime
@@ -560,7 +560,7 @@ def test_basis_belongs_to_the_env_instance():
     assert first.env == second.env
     assert first.env.basis is not second.env.basis
     total = RawSum(first.env)
-    total.add_product([first.component(2, 2), first.component(1, 1)])
+    total.add_product([first.component((2, 2)), first.component((1, 1))])
     total.value()
     assert first.env.basis.elements and not second.env.basis.elements
 
@@ -692,6 +692,22 @@ class TestCancelOracle:
             assert e.den.LC > 0
         # both leading-coefficient disagreements between the orders occur
         assert {(False, True), (True, False)} <= signs
+
+    def test_seeded_random_powers(self, polar_env):
+        # ``**`` builds its result without a GCD; canonicalising the raw
+        # powers must give the same expression
+        rng = random.Random(20261019)
+        negative = 0
+        for _ in range(300):
+            content = rng.choice([1, 2, 3, 6])
+            num = content * _random_poly(polar_env, rng)
+            den = rng.choice([1, 2, 3, 6]) * _random_poly(polar_env, rng)
+            q = Expr.make(polar_env, num, den)
+            negative += q.num.LC < 0
+            k = rng.randint(-3, 4)
+            raw = (q.num ** k, q.den ** k) if k >= 0 else (q.den ** -k, q.num ** -k)
+            assert q ** k == Expr.make(polar_env, *raw)
+        assert negative > 0
 
 
 def _full_ring_cofactors(env, p, q):

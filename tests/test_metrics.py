@@ -12,9 +12,9 @@ KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 class TestFlat:
     def test_minkowski_signature(self):
         g = flat(4)
-        assert g.component(0, 0) == g.env.integer(-1)
-        assert all(g.component(i, i) == g.env.one() for i in range(1, 4))
-        assert all(g.component(i, j).is_zero for i in range(4) for j in range(4) if i != j)
+        assert g.component((0, 0)) == g.env.integer(-1)
+        assert all(g.component((i, i)) == g.env.one() for i in range(1, 4))
+        assert all(g.component((i, j)).is_zero for i in range(4) for j in range(4) if i != j)
 
     def test_rejects_dim_below_two(self):
         with pytest.raises(TensorError):
@@ -28,31 +28,32 @@ class TestFlat:
 class TestSphere:
     def test_one_sphere(self):
         g = sphere_metric(1)
-        assert g.dim == 1 and g.component(0, 0) == g.env.one()
+        assert g.dim == 1 and g.component((0, 0)) == g.env.one()
 
     def test_two_sphere_components(self, s2):
         env = s2.env
         assert env.coordinates == ("cos(chi2)", "chi1")
         sin2 = env.one() - env.symbol("cos(chi2)") ** 2
-        assert s2.component(0, 0) == 1 / sin2
-        assert s2.component(1, 1) == sin2
-        assert s2.component(0, 1).is_zero
+        assert s2.component((0, 0)) == 1 / sin2
+        assert s2.component((1, 1)) == sin2
+        assert s2.component((0, 1)).is_zero
 
     def test_nested_sine_factors(self, s3):
         env = s3.env
         assert env.coordinates == ("cos(chi3)", "cos(chi2)", "chi1")
         sin2 = lambda x: env.one() - env.symbol(x) ** 2
-        assert s3.component(0, 0) == 1 / sin2("cos(chi3)")
-        assert s3.component(1, 1) == sin2("cos(chi3)") / sin2("cos(chi2)")
-        assert s3.component(2, 2) == sin2("cos(chi3)") * sin2("cos(chi2)")
+        assert s3.component((0, 0)) == 1 / sin2("cos(chi3)")
+        assert s3.component((1, 1)) == sin2("cos(chi3)") / sin2("cos(chi2)")
+        assert s3.component((2, 2)) == sin2("cos(chi3)") * sin2("cos(chi2)")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_constant_unit_curvature(self, n):
         g = sphere_metric(n)
         R = riemann_lowered(g)
         assert R.nnz() > 0
+        g_ = g.component
         for a, b, c, d in itertools.product(range(n), repeat=4):
-            expected = g.component(a, c) * g.component(b, d) - g.component(a, d) * g.component(b, c)
+            expected = g_((a, c)) * g_((b, d)) - g_((a, d)) * g_((b, c))
             assert R.component((a, b, c, d)) == expected
 
     def test_rejects_nonpositive(self):
@@ -77,14 +78,14 @@ class TestKerr:
         env = g.env
         r, mu = env.symbol("r"), env.symbol("mu")
         c = env.symbol("cos(theta)")
-        assert g.component(0, 0) == mu / r - 1
-        assert g.component(1, 1) == r / (r - mu)  # 1/(1 - mu/r)
-        assert g.component(2, 2) == r ** 2 / (1 - c ** 2)
-        assert g.component(3, 3) == r ** 2 * (1 - c ** 2)
-        assert g.component(0, 3).is_zero
+        assert g.component((0, 0)) == mu / r - 1
+        assert g.component((1, 1)) == r / (r - mu)  # 1/(1 - mu/r)
+        assert g.component((2, 2)) == r ** 2 / (1 - c ** 2)
+        assert g.component((3, 3)) == r ** 2 * (1 - c ** 2)
+        assert g.component((0, 3)).is_zero
 
     def test_substitution_only_for_parameters(self, kerr4, s2):
-        assert kerr4.substitute("mu", 2).component(2, 2) == kerr4.component(2, 2)
+        assert kerr4.substitute("mu", 2).component((2, 2)) == kerr4.component((2, 2))
         for g, name in ((kerr4, "r"), (kerr4, "cos(theta)"), (s2, "cos(chi2)"), (s2, "bogus")):
             with pytest.raises(TensorError, match="parameter"):
                 g.substitute(name, 0)
@@ -135,8 +136,8 @@ class TestKerr:
         r, c = env.symbol("r"), env.symbol("cos(theta)")
         block = r ** 2 * c ** 2
         sin2 = env.one() - env.symbol("cos(chi2)") ** 2
-        assert g.component(5, 5) == block / sin2  # outermost chi2
-        assert g.component(4, 4) == block * sin2
+        assert g.component((5, 5)) == block / sin2  # outermost chi2
+        assert g.component((4, 4)) == block * sin2
 
     def test_invertible(self, kerr4):
         assert kerr4.inverse().nnz() > 0

@@ -32,7 +32,7 @@ def no_stray_workers():
 def _plan_for(metric, text):
     spec = parse_spec(text)
     tensors, raise_mults = build_factor_tensors(metric, spec)
-    plan = enumerate_indices(spec, tensors, metric.dim)
+    plan = enumerate_indices(spec, tensors)
     return spec, tensors, plan, raise_mults
 
 
@@ -40,7 +40,6 @@ def _dummy_plan(n):
     return ContractionPlan(
         sum_index_array=tuple((i,) for i in range(n)),
         multiplier=1,
-        dim=2,
     )
 
 
@@ -163,7 +162,6 @@ class TestExecute:
         poisoned = ContractionPlan(
             sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
             multiplier=plan.multiplier,
-            dim=plan.dim,
         )
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=2))
@@ -196,7 +194,6 @@ class TestExecute:
         poisoned = ContractionPlan(
             sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
             multiplier=plan.multiplier,
-            dim=plan.dim,
         )
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", None)
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
