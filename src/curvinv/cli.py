@@ -119,8 +119,8 @@ def _cmd_run(args) -> int:
         print("P: %d (products %d + raising %d)"
               % (report.P, report.product_count, report.raise_mults))
         print("multiplier: %d" % report.multiplier)
-        print("workers: %d  parcels: %d  wall_ms: %.1f"
-              % (report.workers, report.parcels, report.wall_ms))
+        print("workers: %d  parcels: %d  wall_ms: %.1f  pool_ms: %.1f"
+              % (report.workers, report.parcels, report.wall_ms, report.pool_ms))
         for i, w in enumerate(report.per_worker):
             print("  worker %d: entries=%d wall_ms=%.1f" % (i, w.entries, w.wall_ms))
     return 0

@@ -11,12 +11,24 @@ brought together over the env's coprime basis of denominators.  It
 returns the parcel's canonical partial sum.  The coordinator merges the
 partials in one more ``RawSum``, each with the abbreviation multiplier as
 its coefficient.  Canonical forms are unique, so the result is the same
-expression for every worker and parcel count and any scheduling order.
+expression for every worker and parcel count, whether a pool starts or
+not, and any scheduling order.
 
-At one worker the coordinator maps the task over the parcels itself,
-passing it the run's stores directly: no pool starts and no module state
-is set.  On more workers it maps the task over a pool of forked workers,
-so a worker takes the next parcel as it goes idle.  Each worker's
+The coordinator is one of the n workers: it sums parcel 0 itself, then
+the parcels after it in turn.  On more than one worker it times its own
+products, and after each one it weighs a pool of forked workers for the
+parcels not yet begun: it starts one when those parcels' products, at
+its mean time per product so far, would take longer than the last pool
+cost measured in this process.  That cost is the pool's wall time beyond
+its longest busy process, which covers fork, hand-off and teardown;
+before any pool has run here it is unknown, and the pool starts after
+the first product.  So a small sum stays in process and a large one
+goes to the pool, with no option or threshold to set.  At one worker
+nothing is timed or weighed.
+
+The pool has n - 1 processes, so that at most n sum at once.  Once the
+coordinator has finished its own parcel, it takes back, from the end,
+the parcels no worker has started, and sums them too.  Each worker's
 initializer sets the run's stores as its module state; the workers
 inherit the factor tensors, the assignment list and the env's coprime
 basis instead of receiving pickled copies, so only parcel bounds go out
@@ -36,9 +48,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import repeat
 
-from .contraction import ContractionPlan, InvariantSpec, keyed_products
+from .contraction import ContractionPlan, InvariantSpec, _check_tensors, keyed_products
 from .expr import Expr, RawSum, sum_by_key
 
 
@@ -70,11 +81,12 @@ class RunConfig:
 
 @dataclass
 class WorkerStats:
-    """One worker process's share of a run: the entries of the parcels it
-    summed and the milliseconds it spent summing them (busy time only, not
-    start-up or waiting).  ``RunReport.per_worker`` lists the processes in
-    the order of the first parcel each took, then one all-zero entry per
-    configured worker that took no parcel."""
+    """One process's share of a run, the coordinator's included: the entries
+    of the parcels it summed and the milliseconds it spent summing them
+    (busy time only, not start-up or waiting).  ``RunReport.per_worker``
+    lists the processes in the order of the first parcel each took, so the
+    coordinator, which sums parcel 0, comes first; then one all-zero entry
+    per configured worker that took no parcel or never started."""
 
     entries: int
     wall_ms: float
@@ -82,6 +94,11 @@ class WorkerStats:
 
 @dataclass
 class RunReport:
+    """One invariant's value, the paper's statistics (P, T, multiplier) and
+    how the sum ran: ``per_worker`` has exactly ``workers`` entries, and
+    ``pool_ms`` is the pool cost measured in this run (its wall time beyond
+    its longest busy process), 0 when the sum stayed in process."""
+
     invariant: Expr
     expression: str
     P: int
@@ -95,6 +112,7 @@ class RunReport:
     workers: int
     parcels: int
     wall_ms: float
+    pool_ms: float
     per_worker: list  # of WorkerStats, padded to `workers` entries
 
     def to_json_dict(self) -> dict:
@@ -111,6 +129,7 @@ class RunReport:
             "workers": self.workers,
             "parcels": self.parcels,
             "wall_ms": self.wall_ms,
+            "pool_ms": self.pool_ms,
             "per_worker": [
                 {"entries": w.entries, "wall_ms": w.wall_ms} for w in self.per_worker
             ],
@@ -134,19 +153,32 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
 # run's stores outlive it.
 _run = None
 
+# Seconds the last pool in this process cost beyond its longest busy
+# process (fork, hand-off and teardown); None until a pool has run here.
+_pool_cost_s = None
 
-def _sum_parcel(i: int, parcel: range, run=None):
+
+def _sum_parcel(i: int, parcel: range, run=None, after_each=None):
     """The canonical sum of parcel ``i``'s products, with the pid of the
     process that summed it and the milliseconds it took.  ``run`` is the
-    run's (spec, tensors, entries), the worker's own when not given."""
+    run's (spec, tensors, entries), the worker's own when not given;
+    ``after_each``, when given, is called after each product is summed."""
     spec, tensors, entries = run or _run
     began = time.perf_counter()
     try:
         products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
+        if after_each is not None:
+            products = _calling_after_each(products, after_each)
         value = sum_by_key(tensors[0].env, products)[()]
     except Exception as exc:
         raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
+
+
+def _calling_after_each(items, call):
+    for item in items:
+        yield item
+        call()
 
 
 def execute(
@@ -159,40 +191,101 @@ def execute(
     metric_name: str = "",
     spec_text: str = "",
 ) -> RunReport:
-    """Sum the parcels, on a pool of forked workers or, at one worker, in
-    this process, and merge the partial sums into the invariant.
+    """Sum the parcels and merge the partial sums into the invariant.
+
+    The coordinator sums parcel 0 and those after it.  On more than one
+    worker it starts a pool of ``workers - 1`` forked processes for the
+    parcels not yet begun as soon as their projected time (its mean time
+    per product so far, times their products) exceeds the pool cost last
+    measured in this process, or after its first product when no cost is
+    known yet; the run then measures the cost anew.  Having finished its
+    own parcel, the coordinator sums the parcels the pool has not started.
 
     The result expression is byte-identical for every (workers, parcels)
-    choice; only the per-worker statistics vary.  A spec with free labels
-    has no scalar value and is rejected.
+    choice and whether or not a pool starts; only the per-worker
+    statistics vary.  A spec with free labels has no scalar value, and
+    tensors that do not match the spec's factors would give a wrong one:
+    both are rejected before anything is summed.
     """
+    global _pool_cost_s
     if spec.free_labels:
         raise ValueError("execute sums scalars; use contract_free for free labels")
+    _check_tensors(spec, tensors)
     started = time.perf_counter()
     parcels = partition(plan, cfg)
-    total = RawSum(tensors[0].env)
-    stats = {}  # pid -> WorkerStats, in order of the first parcel taken
-    if parcels:
-        run = (spec, tensors, plan.sum_index_array)
-        ids = range(len(parcels))
-        if cfg.workers == 1:
-            results = list(map(_sum_parcel, ids, parcels, repeat(run)))
-        else:
+    run = (spec, tensors, plan.sum_index_array)
+    results = {}  # parcel id -> (pid, partial, busy_ms)
+    futures = {}  # parcel id -> Future, for the parcels handed to the pool
+    pool = None
+    pool_began = handed_off = 0.0
+    summed = 0  # products the coordinator has summed
+    i = 0  # the parcel the coordinator is summing
+
+    def weigh_pool():
+        nonlocal summed, pool, pool_began, handed_off
+        summed += 1
+        later = plan.product_count - parcels[i].stop  # in the parcels not yet begun
+        if pool is not None or not later:
+            return
+        if (
+            _pool_cost_s is not None
+            and (time.perf_counter() - started) / summed * later <= _pool_cost_s
+        ):
+            return
+        pool_began = time.perf_counter()
+        pool = ProcessPoolExecutor(
+            max_workers=min(cfg.workers - 1, len(parcels) - i - 1),
+            mp_context=mp.get_context("fork"),
+            initializer=setattr,
+            initargs=(sys.modules[__name__], "_run", run),
+        )
+        for j in range(i + 1, len(parcels)):
+            futures[j] = pool.submit(_sum_parcel, j, parcels[j])
+        handed_off = time.perf_counter()
+
+    after_each = weigh_pool if cfg.workers > 1 else None
+    try:
+        while i < len(parcels) and pool is None:
+            results[i] = _sum_parcel(i, parcels[i], run, after_each)
+            i += 1
+        if pool is not None:
+            # Starting the pool counts in pool_ms, not in the busy time of
+            # the parcel it interrupted.
+            pid, partial, busy_ms = results[i - 1]
+            results[i - 1] = (pid, partial, busy_ms - (handed_off - pool_began) * 1000.0)
+            # Take back, from the end, the parcels no worker has started;
+            # workers take parcels from the front.
+            for j in reversed(list(futures)):
+                if not futures[j].cancel():
+                    break
+                del futures[j]
+                results[j] = _sum_parcel(j, parcels[j], run)
+            own_ms = (time.perf_counter() - handed_off) * 1000.0
             try:
-                with ProcessPoolExecutor(
-                    max_workers=min(cfg.workers, len(parcels)),
-                    mp_context=mp.get_context("fork"),
-                    initializer=setattr,
-                    initargs=(sys.modules[__name__], "_run", run),
-                ) as pool:
-                    results = list(pool.map(_sum_parcel, ids, parcels))
+                for j, future in futures.items():
+                    results[j] = future.result()
             except BrokenProcessPool as exc:
                 raise WorkerFailure("a worker exited without reporting") from exc
-        for parcel, (pid, partial, busy_ms) in zip(parcels, results):
-            total.add_product((partial,), plan.multiplier)
-            worker = stats.setdefault(pid, WorkerStats(0, 0.0))
-            worker.entries += len(parcel)
-            worker.wall_ms += busy_ms
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    pool_ms = 0.0
+    if pool is not None:
+        busy = {}  # pool pid -> milliseconds
+        for j in futures:
+            pid, _, busy_ms = results[j]
+            busy[pid] = busy.get(pid, 0.0) + busy_ms
+        longest = max([own_ms, *busy.values()])
+        pool_ms = max(0.0, (time.perf_counter() - pool_began) * 1000.0 - longest)
+        _pool_cost_s = pool_ms / 1000.0
+    total = RawSum(tensors[0].env)
+    stats = {}  # pid -> WorkerStats, in order of the first parcel taken
+    for j, parcel in enumerate(parcels):
+        pid, partial, busy_ms = results[j]
+        total.add_product((partial,), plan.multiplier)
+        worker = stats.setdefault(pid, WorkerStats(0, 0.0))
+        worker.entries += len(parcel)
+        worker.wall_ms += busy_ms
     per_worker = list(stats.values())
     per_worker += [WorkerStats(0, 0.0) for _ in range(cfg.workers - len(per_worker))]
     invariant = total.value()
@@ -211,5 +304,6 @@ def execute(
         workers=cfg.workers,
         parcels=len(parcels),
         wall_ms=wall_ms,
+        pool_ms=pool_ms,
         per_worker=per_worker,
     )

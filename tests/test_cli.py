@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import curvinv
-from curvinv import pipeline, poly
+from curvinv import parallel, pipeline, poly
 from curvinv.cli import PRESETS, main
 from curvinv.metrics import sphere_metric
 
@@ -35,8 +35,12 @@ class TestRun:
         )
         assert code == 0
         assert "invariant: (12*mu**2)/(r**6)" in out
+        assert "workers: 1  parcels: 1  wall_ms: " in out
+        assert "pool_ms: 0.0" in out
 
-    def test_json_report_round_trips(self, capsys):
+    def test_json_report_round_trips(self, capsys, monkeypatch):
+        # no pool cost known yet, as in a fresh process: the pool starts
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         code, out, _ = run_cli(
             capsys,
             "run",
@@ -56,6 +60,7 @@ class TestRun:
         assert payload["workers"] == 2
         assert len(payload["per_worker"]) == 2
         assert sum(w["entries"] for w in payload["per_worker"]) >= 1
+        assert payload["pool_ms"] > 0
 
     def test_json_carries_parts_of_p(self, capsys):
         code, out, _ = run_cli(

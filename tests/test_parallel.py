@@ -1,10 +1,12 @@
+import itertools
 import multiprocessing as mp
 import os
+import time
 
 import pytest
 
 from curvinv import parallel
-from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
+from curvinv.contraction import ContractionPlan, PlanError, enumerate_indices, parse_spec
 from curvinv.metrics import flat, sphere_metric
 from curvinv.parallel import (
     MAX_WORKERS,
@@ -14,6 +16,7 @@ from curvinv.parallel import (
     partition,
 )
 from curvinv.pipeline import build_factor_tensors
+from curvinv.tensor import TensorField
 
 from oracles import sequential_oracle
 
@@ -34,6 +37,10 @@ def _plan_for(metric, text):
     tensors, raise_mults = build_factor_tensors(metric, spec)
     plan = enumerate_indices(spec, tensors)
     return spec, tensors, plan, raise_mults
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
 
 def _dummy_plan(n):
@@ -98,20 +105,29 @@ class TestExecute:
         assert len(report.per_worker) == 3
         assert sum(w.entries for w in report.per_worker) == 0
 
-    def test_sphere_all_configs_identical(self, s3):
+    def test_sphere_all_configs_identical(self, s3, monkeypatch):
+        # Both ways the pool rule can go: with no cost known the pool starts
+        # after the first product; with an hour recorded it never does.
         spec, tensors, plan, _ = _plan_for(s3, KRETSCHMANN)
+        assert plan.product_count >= 2
         expressions = set()
-        for workers in (1, 2, 4):
-            for parcels in (1, 3):
-                report = execute(
-                    plan,
-                    spec,
-                    tensors,
-                    RunConfig(workers=workers, parcels_per_worker=parcels),
-                )
-                expressions.add(report.expression)
-                assert len(report.per_worker) == workers
-                assert sum(w.entries for w in report.per_worker) == plan.product_count
+        for cost in (None, 3600.0):
+            for workers in (1, 2, 4):
+                for parcels in (1, 3):
+                    monkeypatch.setattr(parallel, "_pool_cost_s", cost)
+                    report = execute(
+                        plan,
+                        spec,
+                        tensors,
+                        RunConfig(workers=workers, parcels_per_worker=parcels),
+                    )
+                    expressions.add(report.expression)
+                    assert len(report.per_worker) == workers
+                    assert sum(w.entries for w in report.per_worker) == plan.product_count
+                    pooled = cost is None and workers > 1
+                    assert (report.pool_ms > 0) == pooled
+                    if not pooled:
+                        assert report.per_worker[0].entries == plan.product_count
         assert len(expressions) == 1
 
     def test_grouped_and_canonical_cadences_match_oracle(self, s3, schwarzschild4):
@@ -178,16 +194,92 @@ class TestExecute:
     def test_one_worker_starts_no_pool(self, s3, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s3, I_B)
         expected = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, spec, tensors, RunConfig(workers=1, parcels_per_worker=3))
         assert report.expression == expected.expression
         assert report.parcels == 3
+        assert report.pool_ms == 0
         assert len(report.per_worker) == 1
         assert report.per_worker[0].entries == plan.product_count
+
+    def test_cost_above_projection_starts_no_pool(self, schwarzschild4, monkeypatch):
+        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
+        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        monkeypatch.setattr(parallel, "_pool_cost_s", 3600.0)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        report = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
+        assert report.expression == expected.expression
+        assert report.parcels == 4
+        assert report.pool_ms == 0
+        assert parallel._pool_cost_s == 3600.0
+        assert [w.entries for w in report.per_worker] == [plan.product_count, 0]
+
+    def test_unknown_cost_starts_pool_and_records_it(self, s3, monkeypatch):
+        spec, tensors, plan, _ = _plan_for(s3, I_B)
+        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
+        pools = []  # max_workers of each pool started
+        real = parallel.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+        cfg = RunConfig(workers=2, parcels_per_worker=2)
+        report = execute(plan, spec, tensors, cfg)
+        # the coordinator is one of the two workers, though two parcels
+        # are left when the pool starts
+        assert report.parcels == 3
+        assert pools == [1]
+        assert report.expression == expected.expression
+        assert report.pool_ms > 0
+        assert parallel._pool_cost_s == report.pool_ms / 1000.0
+        assert len(report.per_worker) == 2
+        assert report.per_worker[0].entries >= len(partition(plan, cfg)[0])
+        assert sum(w.entries for w in report.per_worker) == plan.product_count
+
+    def test_coordinator_takes_back_parcels_not_started(
+        self, schwarzschild4, monkeypatch, deadline
+    ):
+        # The one pool worker is slow, so the coordinator, done with parcel
+        # 0, sums parcels from the end that the worker has not started.
+        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
+        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        cfg = RunConfig(workers=2, parcels_per_worker=4)
+        parcels = partition(plan, cfg)
+        assert len(parcels) == 8
+        coordinator = os.getpid()
+        real = parallel.keyed_products
+
+        def slow_in_workers(spec, tensors, entries, coefficient=1):
+            if os.getpid() != coordinator:
+                time.sleep(0.2)
+            return real(spec, tensors, entries, coefficient)
+
+        monkeypatch.setattr(parallel, "keyed_products", slow_in_workers)
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
+        with deadline(10):
+            report = execute(plan, spec, tensors, cfg)
+        assert report.expression == expected.expression
+        coordinator_entries, worker_entries = (w.entries for w in report.per_worker)
+        assert coordinator_entries > len(parcels[0])
+        assert worker_entries > 0
+        assert coordinator_entries + worker_entries == plan.product_count
+
+    def test_mismatched_tensors_rejected_before_summing(self, s2, monkeypatch):
+        # All-ones rank-4 fields on D=2 declare no antisymmetry: summed with
+        # the S^2 Kretschmann plan (a < b, c < d, multiplier 4) they would
+        # give 4 where their full sum is 16.
+        spec, _, plan, _ = _plan_for(s2, KRETSCHMANN)
+        ones = dict.fromkeys(itertools.product(range(2), repeat=4), s2.env.one())
+        fields = [TensorField(s2.env, 2, f.variance, ones) for f in spec.factors]
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        for workers in (1, 2):
+            with pytest.raises(PlanError, match="antisymmetric pairs"):
+                execute(plan, spec, fields, RunConfig(workers=workers))
 
     def test_one_worker_failure_names_the_parcel(self, s2, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s2, KRETSCHMANN)
@@ -199,20 +291,25 @@ class TestExecute:
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, spec, tensors, RunConfig(workers=1, parcels_per_worker=2))
 
-    def test_dead_worker_does_not_hang(self, s2, monkeypatch, deadline):
-        # The worker whose parcel holds the first entry exits without
-        # reporting, as under an OOM kill, when it asks for the parcel's
-        # products; forked workers inherit the patch.
-        spec, tensors, plan, _ = _plan_for(s2, I_B)
+    def test_dead_worker_does_not_hang(self, s3, monkeypatch, deadline):
+        # With no pool cost known, the pool starts after the coordinator's
+        # first product and takes parcel 1, which holds the last entry.  The
+        # pool worker exits without reporting, as under an OOM kill, when it
+        # asks for that parcel's products; forked workers inherit the patch.
+        # The coordinator never exits, so a run that took the parcel back
+        # would fail the match instead of ending the test process.
+        spec, tensors, plan, _ = _plan_for(s3, I_B)
         real = parallel.keyed_products
-        first = plan.sum_index_array[0]
+        last = plan.sum_index_array[-1]
+        coordinator = os.getpid()
 
         def dying_products(spec, tensors, entries, coefficient=1):
-            if first in entries:
+            if last in entries and os.getpid() != coordinator:
                 os._exit(1)
             return real(spec, tensors, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", dying_products)
+        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
             execute(plan, spec, tensors, RunConfig(workers=2))
 
