@@ -18,15 +18,15 @@ The coordinator is one of the n workers: it sums parcel 0 itself, then
 the parcels after it in turn.  On more than one worker it times its own
 products, and after each one it weighs a pool of forked workers for the
 parcels not yet begun: it starts one when those parcels' products, at
-its mean time per product so far, would take longer than the last pool
-cost measured in this process.  That cost is the pool's wall time beyond
-its longest busy process, which covers fork, hand-off and teardown;
-before any pool has run here it is unknown, and the pool starts after
-the first product.  So a small sum stays in process and a large one
-goes to the pool, with no option or threshold to set.  At one worker
-nothing is timed or weighed.
+its mean time per product so far, would take longer than the last cost
+measured in this process for a pool of that many processes.  That cost
+is the pool's wall time beyond its longest busy process, which covers
+fork, hand-off and teardown; before a pool of that size has run here it
+is unknown, and the pool starts after the first product.  So a small
+sum stays in process and a large one goes to the pool, with no option
+or threshold to set.  At one worker nothing is timed or weighed.
 
-The pool has n - 1 processes, so that at most n sum at once.  Once the
+The pool has at most n - 1 processes, so that at most n sum at once.  Once the
 coordinator has finished its own parcel, it takes back, from the end,
 the parcels no worker has started, and sums them too.  Each worker's
 initializer sets the run's stores as its module state; the workers
@@ -35,8 +35,8 @@ basis instead of receiving pickled copies, so only parcel bounds go out
 and partial sums come back.  The start method is named because fork is
 not the default everywhere (from Python 3.14 not on Linux either).  A
 parcel that raises fails the run with the ``WorkerFailure`` the task
-raises, naming the parcel; a worker that dies without reporting breaks
-the pool, the one other failure.
+raises, naming the parcel; a pool that cannot start, or a worker that
+dies without reporting, fails it with a ``WorkerFailure`` that says so.
 """
 
 from __future__ import annotations
@@ -153,9 +153,10 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
 # run's stores outlive it.
 _run = None
 
-# Seconds the last pool in this process cost beyond its longest busy
-# process (fork, hand-off and teardown); None until a pool has run here.
-_pool_cost_s = None
+# Pool size (processes forked) -> seconds the last pool of that size in
+# this process cost beyond its longest busy process (fork, hand-off and
+# teardown); a size no pool has had here has no entry.
+_pool_cost_s = {}
 
 
 def _sum_parcel(i: int, parcel: range, run=None, after_each=None):
@@ -170,6 +171,8 @@ def _sum_parcel(i: int, parcel: range, run=None, after_each=None):
         if after_each is not None:
             products = _calling_after_each(products, after_each)
         value = sum_by_key(tensors[0].env, products)[()]
+    except WorkerFailure:
+        raise  # the pool failed to start, not the parcel
     except Exception as exc:
         raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
@@ -194,12 +197,13 @@ def execute(
     """Sum the parcels and merge the partial sums into the invariant.
 
     The coordinator sums parcel 0 and those after it.  On more than one
-    worker it starts a pool of ``workers - 1`` forked processes for the
-    parcels not yet begun as soon as their projected time (its mean time
-    per product so far, times their products) exceeds the pool cost last
-    measured in this process, or after its first product when no cost is
-    known yet; the run then measures the cost anew.  Having finished its
-    own parcel, the coordinator sums the parcels the pool has not started.
+    worker it starts a pool of ``workers - 1`` forked processes (fewer if
+    fewer parcels are left) for the parcels not yet begun as soon as their
+    projected time (its mean time per product so far, times their
+    products) exceeds the cost last measured in this process for a pool of
+    that size, or after its first product when no such cost is known yet;
+    the run then measures that cost anew.  Having finished its own parcel,
+    the coordinator sums the parcels the pool has not started.
 
     The result expression is byte-identical for every (workers, parcels)
     choice and whether or not a pool starts; only the per-worker
@@ -207,7 +211,6 @@ def execute(
     tensors that do not match the spec's factors would give a wrong one:
     both are rejected before anything is summed.
     """
-    global _pool_cost_s
     if spec.free_labels:
         raise ValueError("execute sums scalars; use contract_free for free labels")
     _check_tensors(spec, tensors)
@@ -217,30 +220,34 @@ def execute(
     results = {}  # parcel id -> (pid, partial, busy_ms)
     futures = {}  # parcel id -> Future, for the parcels handed to the pool
     pool = None
+    processes = 0  # the pool's size, once it has started
     pool_began = handed_off = 0.0
     summed = 0  # products the coordinator has summed
     i = 0  # the parcel the coordinator is summing
 
     def weigh_pool():
-        nonlocal summed, pool, pool_began, handed_off
+        nonlocal summed, pool, processes, pool_began, handed_off
         summed += 1
         later = plan.product_count - parcels[i].stop  # in the parcels not yet begun
         if pool is not None or not later:
             return
-        if (
-            _pool_cost_s is not None
-            and (time.perf_counter() - started) / summed * later <= _pool_cost_s
-        ):
+        size = min(cfg.workers - 1, len(parcels) - i - 1)
+        cost = _pool_cost_s.get(size)
+        if cost is not None and (time.perf_counter() - started) / summed * later <= cost:
             return
         pool_began = time.perf_counter()
-        pool = ProcessPoolExecutor(
-            max_workers=min(cfg.workers - 1, len(parcels) - i - 1),
-            mp_context=mp.get_context("fork"),
-            initializer=setattr,
-            initargs=(sys.modules[__name__], "_run", run),
-        )
-        for j in range(i + 1, len(parcels)):
-            futures[j] = pool.submit(_sum_parcel, j, parcels[j])
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=size,
+                mp_context=mp.get_context("fork"),
+                initializer=setattr,
+                initargs=(sys.modules[__name__], "_run", run),
+            )
+            processes = size
+            for j in range(i + 1, len(parcels)):
+                futures[j] = pool.submit(_sum_parcel, j, parcels[j])
+        except Exception as exc:
+            raise WorkerFailure("could not start the pool: %r" % (exc,)) from exc
         handed_off = time.perf_counter()
 
     after_each = weigh_pool if cfg.workers > 1 else None
@@ -277,7 +284,7 @@ def execute(
             busy[pid] = busy.get(pid, 0.0) + busy_ms
         longest = max([own_ms, *busy.values()])
         pool_ms = max(0.0, (time.perf_counter() - pool_began) * 1000.0 - longest)
-        _pool_cost_s = pool_ms / 1000.0
+        _pool_cost_s[processes] = pool_ms / 1000.0
     total = RawSum(tensors[0].env)
     stats = {}  # pid -> WorkerStats, in order of the first parcel taken
     for j, parcel in enumerate(parcels):

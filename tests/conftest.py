@@ -5,10 +5,20 @@ from contextlib import contextmanager
 
 import pytest
 
+from curvinv import parallel
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import kerr, sphere_metric
 from curvinv.pipeline import _field
 from curvinv.tensor import Metric
+
+
+@pytest.fixture(autouse=True)
+def no_pool_cost_known(monkeypatch):
+    """Each test starts, as a fresh process does, with no pool cost
+    recorded, so a run on more than one worker forks its pool after the
+    first product whatever ran before it; a test that wants the sum kept
+    in process records a cost itself."""
+    monkeypatch.setattr(parallel, "_pool_cost_s", {})
 
 
 @pytest.fixture(scope="session")

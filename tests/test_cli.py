@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import curvinv
-from curvinv import parallel, pipeline, poly
+from curvinv import pipeline, poly
 from curvinv.cli import PRESETS, main
 from curvinv.metrics import sphere_metric
 
@@ -38,9 +38,8 @@ class TestRun:
         assert "workers: 1  parcels: 1  wall_ms: " in out
         assert "pool_ms: 0.0" in out
 
-    def test_json_report_round_trips(self, capsys, monkeypatch):
+    def test_json_report_round_trips(self, capsys):
         # no pool cost known yet, as in a fresh process: the pool starts
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         code, out, _ = run_cli(
             capsys,
             "run",

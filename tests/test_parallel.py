@@ -43,6 +43,11 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
+def _cost_for_every_pool(seconds):
+    """A recorded pool cost of ``seconds`` for every pool size."""
+    return dict.fromkeys(range(1, MAX_WORKERS), seconds)
+
+
 def _dummy_plan(n):
     return ContractionPlan(
         sum_index_array=tuple((i,) for i in range(n)),
@@ -114,7 +119,8 @@ class TestExecute:
         for cost in (None, 3600.0):
             for workers in (1, 2, 4):
                 for parcels in (1, 3):
-                    monkeypatch.setattr(parallel, "_pool_cost_s", cost)
+                    costs = {} if cost is None else _cost_for_every_pool(cost)
+                    monkeypatch.setattr(parallel, "_pool_cost_s", costs)
                     report = execute(
                         plan,
                         spec,
@@ -130,10 +136,13 @@ class TestExecute:
                         assert report.per_worker[0].entries == plan.product_count
         assert len(expressions) == 1
 
-    def test_grouped_and_canonical_cadences_match_oracle(self, s3, schwarzschild4):
+    def test_grouped_and_canonical_cadences_match_oracle(
+        self, s3, schwarzschild4, monkeypatch
+    ):
         # parcels group raw products by denominator; the oracle
         # canonicalises each product and adds them one at a time
         for g, text in ((s3, I_B), (schwarzschild4, I_C)):
+            monkeypatch.setattr(parallel, "_pool_cost_s", {})  # each run pools
             spec, tensors, plan, _ = _plan_for(g, text)
             oracle = sequential_oracle(plan, spec, tensors)
             assert not oracle.is_zero
@@ -143,8 +152,9 @@ class TestExecute:
             assert report.invariant == oracle
             assert report.expression == str(oracle)
 
-    def test_matches_sequential_oracle(self, s2, s3):
+    def test_matches_sequential_oracle(self, s2, s3, monkeypatch):
         for g, text in ((s2, KRETSCHMANN), (s3, KRETSCHMANN), (s3, I_B)):
+            monkeypatch.setattr(parallel, "_pool_cost_s", {})  # each run pools
             spec, tensors, plan, _ = _plan_for(g, text)
             report = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
             oracle = sequential_oracle(plan, spec, tensors)
@@ -194,7 +204,7 @@ class TestExecute:
     def test_one_worker_starts_no_pool(self, s3, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s3, I_B)
         expected = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
+        monkeypatch.setattr(parallel, "_pool_cost_s", {})  # forget expected's pool
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, spec, tensors, RunConfig(workers=1, parcels_per_worker=3))
         assert report.expression == expected.expression
@@ -206,19 +216,18 @@ class TestExecute:
     def test_cost_above_projection_starts_no_pool(self, schwarzschild4, monkeypatch):
         spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
         expected = execute(plan, spec, tensors, RunConfig(workers=1))
-        monkeypatch.setattr(parallel, "_pool_cost_s", 3600.0)
+        monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
         assert report.expression == expected.expression
         assert report.parcels == 4
         assert report.pool_ms == 0
-        assert parallel._pool_cost_s == 3600.0
+        assert parallel._pool_cost_s == {1: 3600.0}
         assert [w.entries for w in report.per_worker] == [plan.product_count, 0]
 
     def test_unknown_cost_starts_pool_and_records_it(self, s3, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s3, I_B)
         expected = execute(plan, spec, tensors, RunConfig(workers=1))
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         pools = []  # max_workers of each pool started
         real = parallel.ProcessPoolExecutor
 
@@ -235,10 +244,44 @@ class TestExecute:
         assert pools == [1]
         assert report.expression == expected.expression
         assert report.pool_ms > 0
-        assert parallel._pool_cost_s == report.pool_ms / 1000.0
+        assert parallel._pool_cost_s == {1: report.pool_ms / 1000.0}
         assert len(report.per_worker) == 2
         assert report.per_worker[0].entries >= len(partition(plan, cfg)[0])
         assert sum(w.entries for w in report.per_worker) == plan.product_count
+
+    def test_cost_is_kept_per_pool_size(self, schwarzschild4, monkeypatch):
+        # An hour recorded for a pool of one process says nothing about a
+        # pool of three: a 4-worker run forks one and records its cost,
+        # and a 2-worker run still keeps its sum in process.
+        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
+        monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
+        pools = []  # max_workers of each pool started
+        real = parallel.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+        four = execute(plan, spec, tensors, RunConfig(workers=4))
+        assert plan.product_count >= 4
+        assert pools == [3]
+        assert four.pool_ms > 0
+        assert parallel._pool_cost_s == {1: 3600.0, 3: four.pool_ms / 1000.0}
+        two = execute(plan, spec, tensors, RunConfig(workers=2))
+        assert pools == [3]
+        assert two.pool_ms == 0
+        assert two.expression == four.expression
+
+    def test_pool_that_cannot_start_is_not_blamed_on_a_parcel(self, s3, monkeypatch):
+        spec, tensors, plan, _ = _plan_for(s3, KRETSCHMANN)
+
+        def no_fork(*args, **kwargs):
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_fork)
+        with pytest.raises(WorkerFailure, match=r"^could not start the pool: OSError"):
+            execute(plan, spec, tensors, RunConfig(workers=2))
 
     def test_coordinator_takes_back_parcels_not_started(
         self, schwarzschild4, monkeypatch, deadline
@@ -259,7 +302,6 @@ class TestExecute:
             return real(spec, tensors, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", slow_in_workers)
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         with deadline(10):
             report = execute(plan, spec, tensors, cfg)
         assert report.expression == expected.expression
@@ -275,7 +317,6 @@ class TestExecute:
         spec, _, plan, _ = _plan_for(s2, KRETSCHMANN)
         ones = dict.fromkeys(itertools.product(range(2), repeat=4), s2.env.one())
         fields = [TensorField(s2.env, 2, f.variance, ones) for f in spec.factors]
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         for workers in (1, 2):
             with pytest.raises(PlanError, match="antisymmetric pairs"):
@@ -309,7 +350,6 @@ class TestExecute:
             return real(spec, tensors, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", dying_products)
-        monkeypatch.setattr(parallel, "_pool_cost_s", None)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
             execute(plan, spec, tensors, RunConfig(workers=2))
 
