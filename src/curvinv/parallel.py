@@ -233,7 +233,8 @@ def execute(
             return
         size = min(cfg.workers - 1, len(parcels) - i - 1)
         cost = _pool_cost_s.get(size)
-        if cost is not None and (time.perf_counter() - started) / summed * later <= cost:
+        projected = (time.perf_counter() - started) / summed * later
+        if cost is not None and projected <= cost:
             return
         pool_began = time.perf_counter()
         try:

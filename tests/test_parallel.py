@@ -204,7 +204,8 @@ class TestExecute:
     def test_one_worker_starts_no_pool(self, s3, monkeypatch):
         spec, tensors, plan, _ = _plan_for(s3, I_B)
         expected = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
-        monkeypatch.setattr(parallel, "_pool_cost_s", {})  # forget expected's pool
+        # forget the cost that expected's pool recorded
+        monkeypatch.setattr(parallel, "_pool_cost_s", {})
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, spec, tensors, RunConfig(workers=1, parcels_per_worker=3))
         assert report.expression == expected.expression
