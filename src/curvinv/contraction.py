@@ -20,10 +20,10 @@ tensor declares), and all share one dimension, the labels' range.
 
 ``keyed_products`` is the one stream of products of enumerated entries:
 each entry's factor components, keyed by its free labels' values.  Both
-sums of the package's contractions take it to ``expr.sum_by_key``:
-``contract_free`` in process over a whole plan, and the parcel task of
-``parallel.execute`` over each parcel, where no label is free and every
-key is ``()``.
+sums of the package's contractions read it: ``contract_free`` hands a
+whole plan's to ``expr.sum_by_key``, and ``parallel.execute`` (no label
+free, every key ``()``) sums its parcels' into one partial per summing
+process: the coordinator's over all it sums, a pool worker's per parcel.
 """
 
 from __future__ import annotations

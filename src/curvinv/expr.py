@@ -24,11 +24,11 @@ common sign, so re-applying the grevlex sign rule gives the unique
 canonical form.
 
 Every sum of products in the package goes through :class:`RawSum`.  A
-single sum (a Christoffel or Riemann component, the merge of the parcel
-partials) fills one directly; a sum grouped by key (a raised or
-differentiated field, and ``contraction.keyed_products``, the one product
-stream of a parcel of the invariant and of the free-index contraction)
-goes through :func:`sum_by_key`, one ``RawSum`` per key.  A
+single sum (a Christoffel or Riemann component, the coordinator's one
+partial, the merge of the partials) fills one directly; a sum grouped by
+key (a raised or differentiated field, and ``contraction.keyed_products``,
+the product stream of the free-index contraction and of a pool worker's
+parcel) goes through :func:`sum_by_key`, one ``RawSum`` per key.  A
 ``RawSum`` canonicalises once per sum rather than once per ``*`` and
 ``+``.  Only the numerators of a product are multiplied out; its
 denominators stay canonical and name its group.  To bring the groups over

@@ -2,17 +2,17 @@
 
 The enumerated assignment list is split into m*n near-equal contiguous
 parcels for n workers: ``range``s of entry positions, each parcel's id
-its place in the list.  One task, ``_sum_parcel``, passes the products
-that ``contraction.keyed_products`` yields for its parcel's entries (all
-under the key ``()``, as no label is free) to ``expr.sum_by_key``, the
-same stream and the same sum that ``contract_free`` runs in process:
-numerators multiplied out raw, grouped by their factors' denominators and
-brought together over the env's coprime basis of denominators.  It
-returns the parcel's canonical partial sum.  The coordinator merges the
-partials in one more ``RawSum``, each with the abbreviation multiplier as
-its coefficient.  Canonical forms are unique, so the result is the same
-expression for every worker and parcel count, whether a pool starts or
-not, and any scheduling order.
+its place in the list.  The products that ``contraction.keyed_products``
+yields for a parcel's entries go to an ``expr.RawSum``, as in
+``expr.sum_by_key``, the sum ``contract_free`` runs in process: numerators
+multiplied out raw, grouped by their factors' denominators, brought
+together over the env's coprime basis of denominators and canonicalised
+once.  A pool worker's task, ``_sum_parcel``, returns one parcel's
+partial sum; the coordinator adds every parcel it sums to one partial.
+The coordinator merges the partials in one more ``RawSum``, each with the
+abbreviation multiplier as its coefficient.  Canonical forms are unique,
+so the result is the same expression for every worker and parcel count,
+whether a pool starts or not, and any scheduling order.
 
 The coordinator is one of the n workers: it sums parcel 0 itself, then
 the parcels after it in turn.  On more than one worker it times its own
@@ -34,8 +34,8 @@ inherit the factor tensors, the assignment list and the env's coprime
 basis instead of receiving pickled copies, so only parcel bounds go out
 and partial sums come back.  The start method is named because fork is
 not the default everywhere (from Python 3.14 not on Linux either).  A
-parcel that raises fails the run with the ``WorkerFailure`` the task
-raises, naming the parcel; a pool that cannot start, or a worker that
+parcel that raises fails the run with a ``WorkerFailure`` naming the
+parcel, wherever it was summed; a pool that cannot start, or a worker that
 dies without reporting, fails it with a ``WorkerFailure`` that says so.
 """
 
@@ -82,8 +82,9 @@ class RunConfig:
 @dataclass
 class WorkerStats:
     """One process's share of a run, the coordinator's included: the entries
-    of the parcels it summed and the milliseconds it spent summing them
-    (busy time only, not start-up or waiting).  ``RunReport.per_worker``
+    of the parcels it summed and the milliseconds it spent summing them to
+    its partials (busy time only, not start-up or waiting; the coordinator's
+    one partial includes canonicalising it).  ``RunReport.per_worker``
     lists the processes in the order of the first parcel each took, so the
     coordinator, which sums parcel 0, comes first; then one all-zero entry
     per configured worker that took no parcel or never started."""
@@ -159,29 +160,17 @@ _run = None
 _pool_cost_s = {}
 
 
-def _sum_parcel(i: int, parcel: range, run=None, after_each=None):
-    """The canonical sum of parcel ``i``'s products, with the pid of the
-    process that summed it and the milliseconds it took.  ``run`` is the
-    run's (spec, tensors, entries), the worker's own when not given;
-    ``after_each``, when given, is called after each product is summed."""
-    spec, tensors, entries = run or _run
+def _sum_parcel(i: int, parcel: range):
+    """A pool worker's task: the canonical sum of parcel ``i``'s products,
+    with the worker's pid and the milliseconds it took."""
+    spec, tensors, entries = _run
     began = time.perf_counter()
     try:
         products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
-        if after_each is not None:
-            products = _calling_after_each(products, after_each)
         value = sum_by_key(tensors[0].env, products)[()]
-    except WorkerFailure:
-        raise  # the pool failed to start, not the parcel
     except Exception as exc:
         raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
-
-
-def _calling_after_each(items, call):
-    for item in items:
-        yield item
-        call()
 
 
 def execute(
@@ -196,14 +185,16 @@ def execute(
 ) -> RunReport:
     """Sum the parcels and merge the partial sums into the invariant.
 
-    The coordinator sums parcel 0 and those after it.  On more than one
-    worker it starts a pool of ``workers - 1`` forked processes (fewer if
-    fewer parcels are left) for the parcels not yet begun as soon as their
-    projected time (its mean time per product so far, times their
-    products) exceeds the cost last measured in this process for a pool of
-    that size, or after its first product when no such cost is known yet;
-    the run then measures that cost anew.  Having finished its own parcel,
-    the coordinator sums the parcels the pool has not started.
+    The coordinator adds the products of parcel 0, then of those after
+    it, to its one partial sum.  On more than one worker it starts a pool
+    of ``workers - 1`` forked processes (fewer if fewer parcels are left)
+    for the parcels not yet begun as soon as their projected time (its
+    mean time per product so far, times their products) exceeds the cost
+    last measured in this process for a pool of that size, or after its
+    first product when no such cost is known yet; the run then measures
+    that cost anew.  Having finished its own parcel, the coordinator adds
+    the parcels the pool has not started to its partial, canonicalises it
+    once, and merges it with the pool's partials.
 
     The result expression is byte-identical for every (workers, parcels)
     choice and whether or not a pool starts; only the per-worker
@@ -216,20 +207,17 @@ def execute(
     _check_tensors(spec, tensors)
     started = time.perf_counter()
     parcels = partition(plan, cfg)
-    run = (spec, tensors, plan.sum_index_array)
-    results = {}  # parcel id -> (pid, partial, busy_ms)
+    entries = plan.sum_index_array
+    own = RawSum(tensors[0].env)  # the coordinator's partial, over every parcel it sums
     futures = {}  # parcel id -> Future, for the parcels handed to the pool
     pool = None
     processes = 0  # the pool's size, once it has started
     pool_began = handed_off = 0.0
-    summed = 0  # products the coordinator has summed
-    i = 0  # the parcel the coordinator is summing
 
-    def weigh_pool():
-        nonlocal summed, pool, processes, pool_began, handed_off
-        summed += 1
+    def weigh_pool(i, summed):
+        nonlocal pool, processes, pool_began, handed_off
         later = plan.product_count - parcels[i].stop  # in the parcels not yet begun
-        if pool is not None or not later:
+        if not later:
             return
         size = min(cfg.workers - 1, len(parcels) - i - 1)
         cost = _pool_cost_s.get(size)
@@ -242,7 +230,7 @@ def execute(
                 max_workers=size,
                 mp_context=mp.get_context("fork"),
                 initializer=setattr,
-                initargs=(sys.modules[__name__], "_run", run),
+                initargs=(sys.modules[__name__], "_run", (spec, tensors, entries)),
             )
             processes = size
             for j in range(i + 1, len(parcels)):
@@ -251,50 +239,59 @@ def execute(
             raise WorkerFailure("could not start the pool: %r" % (exc,)) from exc
         handed_off = time.perf_counter()
 
-    after_each = weigh_pool if cfg.workers > 1 else None
+    def sum_own(i):
+        # Add parcel i's products to the coordinator's partial, weighing the
+        # pool after each while none runs (until then it sums from entry 0).
+        parcel = parcels[i]
+        try:
+            products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
+            for summed, (_, factors, coefficient) in enumerate(products, parcel.start + 1):
+                own.add_product(factors, coefficient)
+                if pool is None and cfg.workers > 1:
+                    weigh_pool(i, summed)
+        except WorkerFailure:
+            raise  # the pool failed to start, not the parcel
+        except Exception as exc:
+            raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
+
     try:
-        while i < len(parcels) and pool is None:
-            results[i] = _sum_parcel(i, parcels[i], run, after_each)
-            i += 1
-        if pool is not None:
-            # Starting the pool counts in pool_ms, not in the busy time of
-            # the parcel it interrupted.
-            pid, partial, busy_ms = results[i - 1]
-            results[i - 1] = (pid, partial, busy_ms - (handed_off - pool_began) * 1000.0)
-            # Take back, from the end, the parcels no worker has started;
-            # workers take parcels from the front.
-            for j in reversed(list(futures)):
-                if not futures[j].cancel():
-                    break
-                del futures[j]
-                results[j] = _sum_parcel(j, parcels[j], run)
-            own_ms = (time.perf_counter() - handed_off) * 1000.0
-            try:
-                for j, future in futures.items():
-                    results[j] = future.result()
-            except BrokenProcessPool as exc:
-                raise WorkerFailure("a worker exited without reporting") from exc
+        for i in range(len(parcels)):
+            sum_own(i)
+            if pool is not None:
+                break
+        # Take back, from the end, the parcels no worker has started;
+        # workers take parcels from the front.
+        for j in reversed(list(futures)):
+            if not futures[j].cancel():
+                break
+            del futures[j]
+            sum_own(j)
+        total = RawSum(tensors[0].env)
+        total.add_product((own.value(),), plan.multiplier)
+        done = time.perf_counter()
+        stats = {}  # pool pid -> WorkerStats, in order of the first parcel taken
+        try:
+            for j, future in futures.items():
+                pid, partial, busy_ms = future.result()
+                total.add_product((partial,), plan.multiplier)
+                worker = stats.setdefault(pid, WorkerStats(0, 0.0))
+                worker.entries += len(parcels[j])
+                worker.wall_ms += busy_ms
+        except BrokenProcessPool as exc:
+            raise WorkerFailure("a worker exited without reporting") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    # Starting the pool counts in pool_ms, not in the coordinator's busy time.
+    own_ms = (done - started - (handed_off - pool_began)) * 1000.0
     pool_ms = 0.0
     if pool is not None:
-        busy = {}  # pool pid -> milliseconds
-        for j in futures:
-            pid, _, busy_ms = results[j]
-            busy[pid] = busy.get(pid, 0.0) + busy_ms
-        longest = max([own_ms, *busy.values()])
-        pool_ms = max(0.0, (time.perf_counter() - pool_began) * 1000.0 - longest)
+        busy = [(done - handed_off) * 1000.0, *(w.wall_ms for w in stats.values())]
+        pool_ms = max(0.0, (time.perf_counter() - pool_began) * 1000.0 - max(busy))
         _pool_cost_s[processes] = pool_ms / 1000.0
-    total = RawSum(tensors[0].env)
-    stats = {}  # pid -> WorkerStats, in order of the first parcel taken
-    for j, parcel in enumerate(parcels):
-        pid, partial, busy_ms = results[j]
-        total.add_product((partial,), plan.multiplier)
-        worker = stats.setdefault(pid, WorkerStats(0, 0.0))
-        worker.entries += len(parcel)
-        worker.wall_ms += busy_ms
-    per_worker = list(stats.values())
+    own_entries = plan.product_count - sum(len(parcels[j]) for j in futures)
+    per_worker = [WorkerStats(own_entries, own_ms)] if parcels else []
+    per_worker += stats.values()
     per_worker += [WorkerStats(0, 0.0) for _ in range(cfg.workers - len(per_worker))]
     invariant = total.value()
     wall_ms = (time.perf_counter() - started) * 1000.0

@@ -42,10 +42,10 @@ denominators, the groups are brought together over the env's coprime
 basis of denominators, and the whole sum is canonicalised once.  The
 Christoffel symbols and Riemann fill one ``RawSum`` per component in their
 own loops; raising and the covariant derivative yield every product with
-its output key and hand them to ``expr.sum_by_key``, the one keyed sum
-that also sums ``contraction.keyed_products``, the product stream of
-``contract_free`` and of the parcel task.  The component is the same
-canonical expression that summing canonical products gives.
+its output key and hand them to ``expr.sum_by_key``, the one keyed sum,
+also of ``contract_free``'s ``contraction.keyed_products``, whose parcels
+``parallel.execute`` sums into one ``RawSum`` per partial.  The component
+is the same canonical expression that summing canonical products gives.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from curvinv import parallel
+from curvinv import expr, parallel
 from curvinv.contraction import ContractionPlan, PlanError, enumerate_indices, parse_spec
 from curvinv.metrics import flat, sphere_metric
 from curvinv.parallel import (
@@ -130,11 +130,37 @@ class TestExecute:
                     expressions.add(report.expression)
                     assert len(report.per_worker) == workers
                     assert sum(w.entries for w in report.per_worker) == plan.product_count
+                    for w in report.per_worker:
+                        # the coordinator's busy time includes canonicalising
+                        # its partial; a worker that took no parcel reports 0
+                        assert (w.wall_ms > 0) if w.entries else (w.wall_ms == 0.0)
                     pooled = cost is None and workers > 1
                     assert (report.pool_ms > 0) == pooled
                     if not pooled:
                         assert report.per_worker[0].entries == plan.product_count
         assert len(expressions) == 1
+
+    def test_coordinator_canonicalises_one_partial(self, s3, monkeypatch):
+        # However many parcels the coordinator sums, it canonicalises one
+        # partial, and the merge one more sum.
+        spec, tensors, plan, _ = _plan_for(s3, I_B)
+        monkeypatch.setattr(parallel, "_pool_cost_s", _cost_for_every_pool(3600.0))
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        real = expr.RawSum.value
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(expr.RawSum, "value", counting)
+        counts = []
+        for workers, parcels in ((1, 1), (1, 4), (2, 3)):
+            calls.clear()
+            report = execute(plan, spec, tensors, RunConfig(workers, parcels))
+            assert report.parcels == min(workers * parcels, plan.product_count)
+            counts.append(len(calls))
+        assert counts == [2, 2, 2]
 
     def test_grouped_and_canonical_cadences_match_oracle(
         self, s3, schwarzschild4, monkeypatch
@@ -310,6 +336,33 @@ class TestExecute:
         assert coordinator_entries > len(parcels[0])
         assert worker_entries > 0
         assert coordinator_entries + worker_entries == plan.product_count
+
+    def test_failure_in_a_parcel_taken_back_names_it(
+        self, schwarzschild4, monkeypatch, deadline
+    ):
+        # The one pool worker is slow, so the coordinator takes back the
+        # last parcel, whose last entry addresses a missing component.
+        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
+        poisoned = ContractionPlan(
+            sum_index_array=plan.sum_index_array + ((0,) * len(plan.sum_index_array[0]),),
+            multiplier=plan.multiplier,
+        )
+        cfg = RunConfig(workers=2, parcels_per_worker=4)
+        assert len(partition(poisoned, cfg)) == 8
+        coordinator = os.getpid()
+        real = parallel.keyed_products
+
+        def slow_in_workers(spec, tensors, entries, coefficient=1):
+            if os.getpid() != coordinator:
+                time.sleep(0.2)
+            return real(spec, tensors, entries, coefficient)
+
+        monkeypatch.setattr(parallel, "keyed_products", slow_in_workers)
+        with deadline(10), pytest.raises(WorkerFailure, match="parcel 7 failed: KeyError") as failed:
+            execute(poisoned, spec, tensors, cfg)
+        # raised in the coordinator: a worker's failure comes back pickled,
+        # its cause the remote traceback
+        assert isinstance(failed.value.__cause__, KeyError)
 
     def test_mismatched_tensors_rejected_before_summing(self, s2, monkeypatch):
         # All-ones rank-4 fields on D=2 declare no antisymmetry: summed with
