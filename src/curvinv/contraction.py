@@ -16,9 +16,11 @@ that two of the selected slot pairs carry in the same order.
 The contraction checks its tensors once, where it meets them: each has
 its factor's rank, slot variances and antisymmetric pairs (an R factor's
 are ``tensor.RIEMANN_PAIRS``; abbreviation is sound only on pairs the
-tensor declares), and all share one dimension, the labels' range.
+tensor declares), and all share one dimension, the labels' range.  The
+plan that ``enumerate_indices`` returns keeps those tensors, so a sum of
+its assignments' products cannot read any others.
 
-``keyed_products`` is the one stream of products of enumerated entries:
+``keyed_products`` is the one stream of products of a plan's entries:
 each entry's factor components, keyed by its free labels' values.  Both
 sums of the package's contractions read it: ``contract_free`` hands a
 whole plan's to ``expr.sum_by_key``, and ``parallel.execute`` (no label
@@ -188,8 +190,13 @@ def symmetric_derivative_pairs(spec: InvariantSpec):
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Materialized enumeration: surviving label assignments in cycling order."""
+    """An enumerated contraction: the spec, the factor tensors (checked
+    against it) the assignments were enumerated from, the surviving label
+    assignments in cycling order and the abbreviation multiplier.  Built by
+    ``enumerate_indices``; every sum of its products reads its tensors."""
 
+    spec: InvariantSpec
+    tensors: tuple
     sum_index_array: tuple
     multiplier: int
 
@@ -271,11 +278,11 @@ def enumerate_indices(spec: InvariantSpec, tensors) -> ContractionPlan:
     """Join the factors' nonzero stores into the assignments whose
     components all exist, abbreviated pairs strictly increasing, in
     odometer order (first label fastest).  The labels range over the
-    tensors' shared dimension."""
+    tensors' shared dimension; the plan keeps the tensors."""
     dim = _check_tensors(spec, tensors)
     abbreviated, multiplier = detect_abbreviable_pairs(spec)
     entries = _join(spec, tensors, dim, abbreviated)
-    return ContractionPlan(sum_index_array=tuple(entries), multiplier=multiplier)
+    return ContractionPlan(spec, tuple(tensors), tuple(entries), multiplier)
 
 
 def worst_case_product_count(spec: InvariantSpec, dim: int) -> int:
@@ -301,13 +308,14 @@ def independent_component_count(dim: int) -> int:
     return dim * dim * (dim * dim - 1) // 12
 
 
-def keyed_products(spec: InvariantSpec, tensors, entries, coefficient=1):
-    """``(key, factors, coefficient)`` for each enumerated entry in turn,
-    the form ``expr.sum_by_key`` sums: the key holds the free labels'
+def keyed_products(plan: ContractionPlan, entries, coefficient=1):
+    """``(key, factors, coefficient)`` for each of the plan's ``entries`` in
+    turn, the form ``expr.sum_by_key`` sums: the key holds the free labels'
     values in label order (``()`` when no label is free), the factors are
-    the entry's component of each factor tensor."""
+    the entry's component of each of the plan's tensors."""
+    spec = plan.spec
     free = [i for i, name in enumerate(spec.label_names) if name in spec.free_labels]
-    lookups = list(zip(spec.factor_label_ids(), [t.components for t in tensors]))
+    lookups = list(zip(spec.factor_label_ids(), [t.components for t in plan.tensors]))
     for e in entries:
         key = tuple(e[i] for i in free)
         yield key, [store[tuple(e[i] for i in ids)] for ids, store in lookups], coefficient
@@ -321,7 +329,7 @@ def contract_free(spec: InvariantSpec, tensors) -> TensorField:
     come out in odometer order."""
     plan = enumerate_indices(spec, tensors)
     env = tensors[0].env
-    sums = sum_by_key(env, keyed_products(spec, tensors, plan.sum_index_array, plan.multiplier))
+    sums = sum_by_key(env, keyed_products(plan, plan.sum_index_array, plan.multiplier))
     # Free labels sit on exactly one slot each.
     slot_variance = {n: v for f in spec.factors for n, v in zip(f.labels, f.variance)}
     variance = tuple(slot_variance[n] for n in spec.label_names if n in spec.free_labels)

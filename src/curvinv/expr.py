@@ -27,8 +27,9 @@ Every sum of products in the package goes through :class:`RawSum`.  A
 single sum (a Christoffel or Riemann component, the coordinator's one
 partial, the merge of the partials) fills one directly; a sum grouped by
 key (a raised or differentiated field, and ``contraction.keyed_products``,
-the product stream of the free-index contraction and of a pool worker's
-parcel) goes through :func:`sum_by_key`, one ``RawSum`` per key.  A
+the products of a contraction plan's entries over its own tensors, whole
+in the free-index contraction and one parcel's in a pool worker) goes
+through :func:`sum_by_key`, one ``RawSum`` per key.  A
 ``RawSum`` canonicalises once per sum rather than once per ``*`` and
 ``+``.  Only the numerators of a product are multiplied out; its
 denominators stay canonical and name its group.  To bring the groups over

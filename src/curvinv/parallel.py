@@ -29,10 +29,10 @@ or threshold to set.  At one worker nothing is timed or weighed.
 The pool has at most n - 1 processes, so that at most n sum at once.  Once the
 coordinator has finished its own parcel, it takes back, from the end,
 the parcels no worker has started, and sums them too.  Each worker's
-initializer sets the run's stores as its module state; the workers
-inherit the factor tensors, the assignment list and the env's coprime
-basis instead of receiving pickled copies, so only parcel bounds go out
-and partial sums come back.  The start method is named because fork is
+initializer sets the plan as its module state; the workers inherit the
+plan (its tensors and assignment list) and the env's coprime basis
+instead of receiving pickled copies, so only parcel bounds go out and
+partial sums come back.  The start method is named because fork is
 not the default everywhere (from Python 3.14 not on Linux either).  A
 parcel that raises fails the run with a ``WorkerFailure`` naming the
 parcel, wherever it was summed; a pool that cannot start, or a worker that
@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .contraction import ContractionPlan, InvariantSpec, _check_tensors, keyed_products
+from .contraction import ContractionPlan, keyed_products
 from .expr import Expr, RawSum, sum_by_key
 
 
@@ -149,9 +149,8 @@ def partition(plan: ContractionPlan, cfg: RunConfig) -> list:
     return [range(bounds[i], bounds[i + 1]) for i in range(count)]
 
 
-# The run a forked worker sums parcels of, (spec, tensors, entries): set in
-# each worker by the pool's initializer, never in the coordinator, so no
-# run's stores outlive it.
+# The plan a forked worker sums parcels of: set in each worker by the pool's
+# initializer, never in the coordinator, so no run's stores outlive it.
 _run = None
 
 # Pool size (processes forked) -> seconds the last pool of that size in
@@ -163,11 +162,10 @@ _pool_cost_s = {}
 def _sum_parcel(i: int, parcel: range):
     """A pool worker's task: the canonical sum of parcel ``i``'s products,
     with the worker's pid and the milliseconds it took."""
-    spec, tensors, entries = _run
     began = time.perf_counter()
     try:
-        products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
-        value = sum_by_key(tensors[0].env, products)[()]
+        products = keyed_products(_run, _run.sum_index_array[parcel.start : parcel.stop])
+        value = sum_by_key(_run.tensors[0].env, products)[()]
     except Exception as exc:
         raise WorkerFailure("parcel %d failed: %r" % (i, exc)) from exc
     return os.getpid(), value, (time.perf_counter() - began) * 1000.0
@@ -175,15 +173,13 @@ def _sum_parcel(i: int, parcel: range):
 
 def execute(
     plan: ContractionPlan,
-    spec: InvariantSpec,
-    tensors,
     cfg: RunConfig,
     *,
     raise_mults: int = 0,
     metric_name: str = "",
     spec_text: str = "",
 ) -> RunReport:
-    """Sum the parcels and merge the partial sums into the invariant.
+    """Sum the parcels over the plan's own tensors and merge the partials.
 
     The coordinator adds the products of parcel 0, then of those after
     it, to its one partial sum.  On more than one worker it starts a pool
@@ -198,17 +194,15 @@ def execute(
 
     The result expression is byte-identical for every (workers, parcels)
     choice and whether or not a pool starts; only the per-worker
-    statistics vary.  A spec with free labels has no scalar value, and
-    tensors that do not match the spec's factors would give a wrong one:
-    both are rejected before anything is summed.
+    statistics vary.  A spec with free labels has no scalar value: it is
+    rejected before anything is summed.
     """
-    if spec.free_labels:
+    if plan.spec.free_labels:
         raise ValueError("execute sums scalars; use contract_free for free labels")
-    _check_tensors(spec, tensors)
     started = time.perf_counter()
     parcels = partition(plan, cfg)
     entries = plan.sum_index_array
-    own = RawSum(tensors[0].env)  # the coordinator's partial, over every parcel it sums
+    own = RawSum(plan.tensors[0].env)  # the coordinator's partial, over every parcel it sums
     futures = {}  # parcel id -> Future, for the parcels handed to the pool
     pool = None
     processes = 0  # the pool's size, once it has started
@@ -230,7 +224,7 @@ def execute(
                 max_workers=size,
                 mp_context=mp.get_context("fork"),
                 initializer=setattr,
-                initargs=(sys.modules[__name__], "_run", (spec, tensors, entries)),
+                initargs=(sys.modules[__name__], "_run", plan),
             )
             processes = size
             for j in range(i + 1, len(parcels)):
@@ -244,7 +238,7 @@ def execute(
         # pool after each while none runs (until then it sums from entry 0).
         parcel = parcels[i]
         try:
-            products = keyed_products(spec, tensors, entries[parcel.start : parcel.stop])
+            products = keyed_products(plan, entries[parcel.start : parcel.stop])
             for summed, (_, factors, coefficient) in enumerate(products, parcel.start + 1):
                 own.add_product(factors, coefficient)
                 if pool is None and cfg.workers > 1:
@@ -266,7 +260,7 @@ def execute(
                 break
             del futures[j]
             sum_own(j)
-        total = RawSum(tensors[0].env)
+        total = RawSum(plan.tensors[0].env)
         total.add_product((own.value(),), plan.multiplier)
         done = time.perf_counter()
         stats = {}  # pool pid -> WorkerStats, in order of the first parcel taken
@@ -303,7 +297,7 @@ def execute(
         multiplier=plan.multiplier,
         product_count=plan.product_count,
         raise_mults=raise_mults,
-        dim=tensors[0].dim,
+        dim=plan.tensors[0].dim,
         spec_text=spec_text,
         metric_name=metric_name,
         workers=cfg.workers,

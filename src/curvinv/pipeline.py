@@ -105,13 +105,7 @@ def run_invariant(
     tensors, raise_mults = build_factor_tensors(metric, spec)
     plan = enumerate_indices(spec, tensors)
     return execute(
-        plan,
-        spec,
-        tensors,
-        cfg,
-        raise_mults=raise_mults,
-        metric_name=metric_name,
-        spec_text=spec_text,
+        plan, cfg, raise_mults=raise_mults, metric_name=metric_name, spec_text=spec_text
     )
 
 

@@ -43,8 +43,9 @@ basis of denominators, and the whole sum is canonicalised once.  The
 Christoffel symbols and Riemann fill one ``RawSum`` per component in their
 own loops; raising and the covariant derivative yield every product with
 its output key and hand them to ``expr.sum_by_key``, the one keyed sum,
-also of ``contract_free``'s ``contraction.keyed_products``, whose parcels
-``parallel.execute`` sums into one ``RawSum`` per partial.  The component
+also of ``contraction.keyed_products``, the products of a plan's entries
+over the plan's own tensors: ``contract_free`` sums a whole plan's, and
+``parallel.execute`` its parcels' into one ``RawSum`` per partial.  The component
 is the same canonical expression that summing canonical products gives.
 """
 

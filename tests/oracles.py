@@ -305,12 +305,12 @@ def evaluate_product(spec, entry: tuple, tensors) -> Expr:
     return product
 
 
-def sequential_oracle(plan, spec, tensors) -> Expr:
-    """The plan's multiplier times its canonical products, added one at a
-    time in plan order."""
-    total = tensors[0].env.zero()
+def sequential_oracle(plan) -> Expr:
+    """The plan's multiplier times its canonical products over its own
+    tensors, added one at a time in plan order."""
+    total = plan.tensors[0].env.zero()
     for entry in plan.sum_index_array:
-        total = total + evaluate_product(spec, entry, tensors)
+        total = total + evaluate_product(plan.spec, entry, plan.tensors)
     return total * plan.multiplier
 
 

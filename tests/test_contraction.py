@@ -444,5 +444,5 @@ class TestContractFree:
         assert scalar_field.rank == 0
         assert scalar_field.component(()) == total * plan.multiplier
         for workers in (1, 2):
-            report = execute(plan, spec, tensors, RunConfig(workers=workers))
+            report = execute(plan, RunConfig(workers=workers))
             assert str(scalar_field.component(())) == str(report.invariant)

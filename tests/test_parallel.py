@@ -1,13 +1,14 @@
-import itertools
+import dataclasses
 import multiprocessing as mp
 import os
+import pickle
 import time
 
 import pytest
 
 from curvinv import expr, parallel
-from curvinv.contraction import ContractionPlan, PlanError, enumerate_indices, parse_spec
-from curvinv.metrics import flat, sphere_metric
+from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
+from curvinv.metrics import flat, kerr, sphere_metric
 from curvinv.parallel import (
     MAX_WORKERS,
     RunConfig,
@@ -15,7 +16,7 @@ from curvinv.parallel import (
     execute,
     partition,
 )
-from curvinv.pipeline import build_factor_tensors
+from curvinv.pipeline import build_factor_tensors, run_invariant
 from curvinv.tensor import TensorField
 
 from oracles import sequential_oracle
@@ -35,8 +36,7 @@ def no_stray_workers():
 def _plan_for(metric, text):
     spec = parse_spec(text)
     tensors, raise_mults = build_factor_tensors(metric, spec)
-    plan = enumerate_indices(spec, tensors)
-    return spec, tensors, plan, raise_mults
+    return enumerate_indices(spec, tensors), raise_mults
 
 
 def _no_pool(*args, **kwargs):
@@ -50,6 +50,8 @@ def _cost_for_every_pool(seconds):
 
 def _dummy_plan(n):
     return ContractionPlan(
+        spec=None,
+        tensors=(),
         sum_index_array=tuple((i,) for i in range(n)),
         multiplier=1,
     )
@@ -102,8 +104,8 @@ class TestPartition:
 class TestExecute:
     def test_flat_metric_yields_zero(self):
         g = flat(4)
-        spec, tensors, plan, _ = _plan_for(g, KRETSCHMANN)
-        report = execute(plan, spec, tensors, RunConfig(workers=3), metric_name="flat")
+        plan, _ = _plan_for(g, KRETSCHMANN)
+        report = execute(plan, RunConfig(workers=3), metric_name="flat")
         assert report.invariant.is_zero
         assert report.expression == "0"
         assert report.T == 0
@@ -113,7 +115,7 @@ class TestExecute:
     def test_sphere_all_configs_identical(self, s3, monkeypatch):
         # Both ways the pool rule can go: with no cost known the pool starts
         # after the first product; with an hour recorded it never does.
-        spec, tensors, plan, _ = _plan_for(s3, KRETSCHMANN)
+        plan, _ = _plan_for(s3, KRETSCHMANN)
         assert plan.product_count >= 2
         expressions = set()
         for cost in (None, 3600.0):
@@ -123,8 +125,6 @@ class TestExecute:
                     monkeypatch.setattr(parallel, "_pool_cost_s", costs)
                     report = execute(
                         plan,
-                        spec,
-                        tensors,
                         RunConfig(workers=workers, parcels_per_worker=parcels),
                     )
                     expressions.add(report.expression)
@@ -143,7 +143,7 @@ class TestExecute:
     def test_coordinator_canonicalises_one_partial(self, s3, monkeypatch):
         # However many parcels the coordinator sums, it canonicalises one
         # partial, and the merge one more sum.
-        spec, tensors, plan, _ = _plan_for(s3, I_B)
+        plan, _ = _plan_for(s3, I_B)
         monkeypatch.setattr(parallel, "_pool_cost_s", _cost_for_every_pool(3600.0))
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
         real = expr.RawSum.value
@@ -157,7 +157,7 @@ class TestExecute:
         counts = []
         for workers, parcels in ((1, 1), (1, 4), (2, 3)):
             calls.clear()
-            report = execute(plan, spec, tensors, RunConfig(workers, parcels))
+            report = execute(plan, RunConfig(workers, parcels))
             assert report.parcels == min(workers * parcels, plan.product_count)
             counts.append(len(calls))
         assert counts == [2, 2, 2]
@@ -169,11 +169,11 @@ class TestExecute:
         # canonicalises each product and adds them one at a time
         for g, text in ((s3, I_B), (schwarzschild4, I_C)):
             monkeypatch.setattr(parallel, "_pool_cost_s", {})  # each run pools
-            spec, tensors, plan, _ = _plan_for(g, text)
-            oracle = sequential_oracle(plan, spec, tensors)
+            plan, _ = _plan_for(g, text)
+            oracle = sequential_oracle(plan)
             assert not oracle.is_zero
             cfg = RunConfig(workers=2, parcels_per_worker=3)
-            report = execute(plan, spec, tensors, cfg)
+            report = execute(plan, cfg)
             assert report.parcels == min(6, plan.product_count)
             assert report.invariant == oracle
             assert report.expression == str(oracle)
@@ -181,18 +181,16 @@ class TestExecute:
     def test_matches_sequential_oracle(self, s2, s3, monkeypatch):
         for g, text in ((s2, KRETSCHMANN), (s3, KRETSCHMANN), (s3, I_B)):
             monkeypatch.setattr(parallel, "_pool_cost_s", {})  # each run pools
-            spec, tensors, plan, _ = _plan_for(g, text)
-            report = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
-            oracle = sequential_oracle(plan, spec, tensors)
+            plan, _ = _plan_for(g, text)
+            report = execute(plan, RunConfig(workers=2, parcels_per_worker=2))
+            oracle = sequential_oracle(plan)
             assert (report.invariant - oracle).is_zero
             assert report.invariant == oracle
 
     def test_report_statistics(self, s3):
-        spec, tensors, plan, raise_mults = _plan_for(s3, KRETSCHMANN)
+        plan, raise_mults = _plan_for(s3, KRETSCHMANN)
         report = execute(
             plan,
-            spec,
-            tensors,
             RunConfig(workers=2, parcels_per_worker=2),
             raise_mults=raise_mults,
             metric_name="sphere",
@@ -208,32 +206,31 @@ class TestExecute:
         assert report.wall_ms > 0
 
     def test_worker_failure_surfaces(self, s2):
-        spec, tensors, plan, _ = _plan_for(s2, KRETSCHMANN)
+        plan, _ = _plan_for(s2, KRETSCHMANN)
         # poison the plan with an assignment that addresses a missing
         # component: the worker's KeyError must become a run failure
-        poisoned = ContractionPlan(
-            sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
-            multiplier=plan.multiplier,
+        poisoned = dataclasses.replace(
+            plan, sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
         )
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
-            execute(poisoned, spec, tensors, RunConfig(workers=2))
+            execute(poisoned, RunConfig(workers=2))
 
     def test_free_labels_rejected(self, s2):
         # summed over its free labels too, R(+a,-*b,-a,-*d) is a scalar that
         # is no invariant: execute must refuse it rather than return it
-        spec, tensors, plan, _ = _plan_for(s2, "R(+a,-*b,-a,-*d)")
+        plan, _ = _plan_for(s2, "R(+a,-*b,-a,-*d)")
         assert plan.product_count > 0
         for workers in (1, 2):
             with pytest.raises(ValueError, match="contract_free"):
-                execute(plan, spec, tensors, RunConfig(workers=workers))
+                execute(plan, RunConfig(workers=workers))
 
     def test_one_worker_starts_no_pool(self, s3, monkeypatch):
-        spec, tensors, plan, _ = _plan_for(s3, I_B)
-        expected = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
+        plan, _ = _plan_for(s3, I_B)
+        expected = execute(plan, RunConfig(workers=2, parcels_per_worker=2))
         # forget the cost that expected's pool recorded
         monkeypatch.setattr(parallel, "_pool_cost_s", {})
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
-        report = execute(plan, spec, tensors, RunConfig(workers=1, parcels_per_worker=3))
+        report = execute(plan, RunConfig(workers=1, parcels_per_worker=3))
         assert report.expression == expected.expression
         assert report.parcels == 3
         assert report.pool_ms == 0
@@ -241,11 +238,11 @@ class TestExecute:
         assert report.per_worker[0].entries == plan.product_count
 
     def test_cost_above_projection_starts_no_pool(self, schwarzschild4, monkeypatch):
-        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
-        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        plan, _ = _plan_for(schwarzschild4, I_C)
+        expected = execute(plan, RunConfig(workers=1))
         monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
-        report = execute(plan, spec, tensors, RunConfig(workers=2, parcels_per_worker=2))
+        report = execute(plan, RunConfig(workers=2, parcels_per_worker=2))
         assert report.expression == expected.expression
         assert report.parcels == 4
         assert report.pool_ms == 0
@@ -253,8 +250,8 @@ class TestExecute:
         assert [w.entries for w in report.per_worker] == [plan.product_count, 0]
 
     def test_unknown_cost_starts_pool_and_records_it(self, s3, monkeypatch):
-        spec, tensors, plan, _ = _plan_for(s3, I_B)
-        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        plan, _ = _plan_for(s3, I_B)
+        expected = execute(plan, RunConfig(workers=1))
         pools = []  # max_workers of each pool started
         real = parallel.ProcessPoolExecutor
 
@@ -264,7 +261,7 @@ class TestExecute:
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
         cfg = RunConfig(workers=2, parcels_per_worker=2)
-        report = execute(plan, spec, tensors, cfg)
+        report = execute(plan, cfg)
         # the coordinator is one of the two workers, though two parcels
         # are left when the pool starts
         assert report.parcels == 3
@@ -280,7 +277,7 @@ class TestExecute:
         # An hour recorded for a pool of one process says nothing about a
         # pool of three: a 4-worker run forks one and records its cost,
         # and a 2-worker run still keeps its sum in process.
-        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
+        plan, _ = _plan_for(schwarzschild4, I_C)
         monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
         pools = []  # max_workers of each pool started
         real = parallel.ProcessPoolExecutor
@@ -290,47 +287,47 @@ class TestExecute:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
-        four = execute(plan, spec, tensors, RunConfig(workers=4))
+        four = execute(plan, RunConfig(workers=4))
         assert plan.product_count >= 4
         assert pools == [3]
         assert four.pool_ms > 0
         assert parallel._pool_cost_s == {1: 3600.0, 3: four.pool_ms / 1000.0}
-        two = execute(plan, spec, tensors, RunConfig(workers=2))
+        two = execute(plan, RunConfig(workers=2))
         assert pools == [3]
         assert two.pool_ms == 0
         assert two.expression == four.expression
 
     def test_pool_that_cannot_start_is_not_blamed_on_a_parcel(self, s3, monkeypatch):
-        spec, tensors, plan, _ = _plan_for(s3, KRETSCHMANN)
+        plan, _ = _plan_for(s3, KRETSCHMANN)
 
         def no_fork(*args, **kwargs):
             raise OSError("fork failed")
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_fork)
         with pytest.raises(WorkerFailure, match=r"^could not start the pool: OSError"):
-            execute(plan, spec, tensors, RunConfig(workers=2))
+            execute(plan, RunConfig(workers=2))
 
     def test_coordinator_takes_back_parcels_not_started(
         self, schwarzschild4, monkeypatch, deadline
     ):
         # The one pool worker is slow, so the coordinator, done with parcel
         # 0, sums parcels from the end that the worker has not started.
-        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
-        expected = execute(plan, spec, tensors, RunConfig(workers=1))
+        plan, _ = _plan_for(schwarzschild4, I_C)
+        expected = execute(plan, RunConfig(workers=1))
         cfg = RunConfig(workers=2, parcels_per_worker=4)
         parcels = partition(plan, cfg)
         assert len(parcels) == 8
         coordinator = os.getpid()
         real = parallel.keyed_products
 
-        def slow_in_workers(spec, tensors, entries, coefficient=1):
+        def slow_in_workers(plan, entries, coefficient=1):
             if os.getpid() != coordinator:
                 time.sleep(0.2)
-            return real(spec, tensors, entries, coefficient)
+            return real(plan, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", slow_in_workers)
         with deadline(10):
-            report = execute(plan, spec, tensors, cfg)
+            report = execute(plan, cfg)
         assert report.expression == expected.expression
         coordinator_entries, worker_entries = (w.entries for w in report.per_worker)
         assert coordinator_entries > len(parcels[0])
@@ -342,49 +339,69 @@ class TestExecute:
     ):
         # The one pool worker is slow, so the coordinator takes back the
         # last parcel, whose last entry addresses a missing component.
-        spec, tensors, plan, _ = _plan_for(schwarzschild4, I_C)
-        poisoned = ContractionPlan(
-            sum_index_array=plan.sum_index_array + ((0,) * len(plan.sum_index_array[0]),),
-            multiplier=plan.multiplier,
+        plan, _ = _plan_for(schwarzschild4, I_C)
+        poisoned = dataclasses.replace(
+            plan, sum_index_array=plan.sum_index_array + ((0,) * len(plan.sum_index_array[0]),)
         )
         cfg = RunConfig(workers=2, parcels_per_worker=4)
         assert len(partition(poisoned, cfg)) == 8
         coordinator = os.getpid()
         real = parallel.keyed_products
 
-        def slow_in_workers(spec, tensors, entries, coefficient=1):
+        def slow_in_workers(plan, entries, coefficient=1):
             if os.getpid() != coordinator:
                 time.sleep(0.2)
-            return real(spec, tensors, entries, coefficient)
+            return real(plan, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", slow_in_workers)
         with deadline(10), pytest.raises(WorkerFailure, match="parcel 7 failed: KeyError") as failed:
-            execute(poisoned, spec, tensors, cfg)
+            execute(poisoned, cfg)
         # raised in the coordinator: a worker's failure comes back pickled,
         # its cause the remote traceback
         assert isinstance(failed.value.__cause__, KeyError)
 
-    def test_mismatched_tensors_rejected_before_summing(self, s2, monkeypatch):
-        # All-ones rank-4 fields on D=2 declare no antisymmetry: summed with
-        # the S^2 Kretschmann plan (a < b, c < d, multiplier 4) they would
-        # give 4 where their full sum is 16.
-        spec, _, plan, _ = _plan_for(s2, KRETSCHMANN)
-        ones = dict.fromkeys(itertools.product(range(2), repeat=4), s2.env.one())
-        fields = [TensorField(s2.env, 2, f.variance, ones) for f in spec.factors]
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
-        for workers in (1, 2):
-            with pytest.raises(PlanError, match="antisymmetric pairs"):
-                execute(plan, spec, fields, RunConfig(workers=workers))
+    def test_plan_sums_its_own_tensors(self, schwarzschild4):
+        # The plan carries the tensors it was enumerated from, so no sum can
+        # read others.  When plan and tensors were passed apart, the
+        # Schwarzschild plan (6 entries) summed over the a=1 Kerr tensors
+        # gave a 44-term expression with no error; the a=1 I_b has 5 terms.
+        expressions = []
+        for g in (schwarzschild4, kerr(4).substitute("a", 1)):
+            spec = parse_spec(I_B)
+            tensors, _ = build_factor_tensors(g, spec)
+            plan = enumerate_indices(spec, tensors)
+            assert len(plan.tensors) == len(tensors)
+            assert all(mine is given for mine, given in zip(plan.tensors, tensors))
+            report = execute(plan, RunConfig(2))
+            assert report.expression == run_invariant(g, I_B).expression
+            expressions.append(report.expression)
+        assert expressions[0] != expressions[1]
+
+    def test_pooled_run_pickles_no_tensor(self, s3, monkeypatch):
+        # Forked workers inherit the plan; only parcel bounds go out.  The
+        # workers inherit the patch too, so a pickled tensor fails the run.
+        # No pool cost is known, so the 2-worker run starts the pool.
+        plan, _ = _plan_for(s3, I_B)
+        expected = execute(plan, RunConfig(workers=1))
+
+        def no_pickling(self, protocol):
+            raise AssertionError("a tensor was pickled")
+
+        monkeypatch.setattr(TensorField, "__reduce_ex__", no_pickling)
+        report = execute(plan, RunConfig(2, 3))
+        assert report.pool_ms > 0
+        assert report.expression == expected.expression
+        with pytest.raises(AssertionError, match="a tensor was pickled"):
+            pickle.dumps(plan)
 
     def test_one_worker_failure_names_the_parcel(self, s2, monkeypatch):
-        spec, tensors, plan, _ = _plan_for(s2, KRETSCHMANN)
-        poisoned = ContractionPlan(
-            sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),),
-            multiplier=plan.multiplier,
+        plan, _ = _plan_for(s2, KRETSCHMANN)
+        poisoned = dataclasses.replace(
+            plan, sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
         )
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", None)
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
-            execute(poisoned, spec, tensors, RunConfig(workers=1, parcels_per_worker=2))
+            execute(poisoned, RunConfig(workers=1, parcels_per_worker=2))
 
     def test_dead_worker_does_not_hang(self, s3, monkeypatch, deadline):
         # With no pool cost known, the pool starts after the coordinator's
@@ -393,27 +410,27 @@ class TestExecute:
         # asks for that parcel's products; forked workers inherit the patch.
         # The coordinator never exits, so a run that took the parcel back
         # would fail the match instead of ending the test process.
-        spec, tensors, plan, _ = _plan_for(s3, I_B)
+        plan, _ = _plan_for(s3, I_B)
         real = parallel.keyed_products
         last = plan.sum_index_array[-1]
         coordinator = os.getpid()
 
-        def dying_products(spec, tensors, entries, coefficient=1):
+        def dying_products(plan, entries, coefficient=1):
             if last in entries and os.getpid() != coordinator:
                 os._exit(1)
-            return real(spec, tensors, entries, coefficient)
+            return real(plan, entries, coefficient)
 
         monkeypatch.setattr(parallel, "keyed_products", dying_products)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
-            execute(plan, spec, tensors, RunConfig(workers=2))
+            execute(plan, RunConfig(workers=2))
 
 
 class TestSequentialOracle:
     def test_flat_zero(self):
         g = flat(3)
-        spec, tensors, plan, _ = _plan_for(g, KRETSCHMANN)
-        assert sequential_oracle(plan, spec, tensors).is_zero
+        plan, _ = _plan_for(g, KRETSCHMANN)
+        assert sequential_oracle(plan).is_zero
 
     def test_two_sphere_kretschmann_is_four(self, s2):
-        spec, tensors, plan, _ = _plan_for(s2, KRETSCHMANN)
-        assert sequential_oracle(plan, spec, tensors) == s2.env.integer(4)
+        plan, _ = _plan_for(s2, KRETSCHMANN)
+        assert sequential_oracle(plan) == s2.env.integer(4)
