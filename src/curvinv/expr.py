@@ -177,6 +177,8 @@ class Expr:
         return len(self.num)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Expr):
             return NotImplemented
         return self.env == other.env and self.num == other.num and self.den == other.den

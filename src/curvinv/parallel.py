@@ -37,16 +37,17 @@ not the default everywhere (from Python 3.14 not on Linux either).  A
 parcel that raises fails the run with a ``WorkerFailure`` naming the
 parcel, wherever it was summed; a pool that cannot start, or a worker that
 dies without reporting, fails it with a ``WorkerFailure`` that says so.
+
+The pool's modules (``multiprocessing``, ``concurrent.futures``) load with
+the first pool this process starts, so importing curvinv, a one-worker run
+and a sum the coordinator keeps in process never load them.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .contraction import ContractionPlan, keyed_products
@@ -218,11 +219,15 @@ def execute(
         projected = (time.perf_counter() - started) / summed * later
         if cost is not None and projected <= cost:
             return
+        # Imported here, so a run that starts no pool never loads them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool_began = time.perf_counter()
         try:
             pool = ProcessPoolExecutor(
                 max_workers=size,
-                mp_context=mp.get_context("fork"),
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=setattr,
                 initargs=(sys.modules[__name__], "_run", plan),
             )
@@ -264,15 +269,18 @@ def execute(
         total.add_product((own.value(),), plan.multiplier)
         done = time.perf_counter()
         stats = {}  # pool pid -> WorkerStats, in order of the first parcel taken
-        try:
-            for j, future in futures.items():
-                pid, partial, busy_ms = future.result()
-                total.add_product((partial,), plan.multiplier)
-                worker = stats.setdefault(pid, WorkerStats(0, 0.0))
-                worker.entries += len(parcels[j])
-                worker.wall_ms += busy_ms
-        except BrokenProcessPool as exc:
-            raise WorkerFailure("a worker exited without reporting") from exc
+        if futures:  # the pool started, so its modules are loaded
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                for j, future in futures.items():
+                    pid, partial, busy_ms = future.result()
+                    total.add_product((partial,), plan.multiplier)
+                    worker = stats.setdefault(pid, WorkerStats(0, 0.0))
+                    worker.entries += len(parcels[j])
+                    worker.wall_ms += busy_ms
+            except BrokenProcessPool as exc:
+                raise WorkerFailure("a worker exited without reporting") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

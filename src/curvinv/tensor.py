@@ -101,7 +101,7 @@ class TensorField:
         for key, value in components.items():
             if len(key) != rank:
                 raise TensorError("component key %r does not match rank %d" % (key, rank))
-            if any(not 0 <= i < dim for i in key):
+            if key and (min(key) < 0 or max(key) >= dim):
                 raise TensorError("component index out of range: %r" % (key,))
             if value.is_zero:
                 continue
@@ -140,19 +140,30 @@ def _check_pairs(variance: tuple, antisym_pairs, store: Mapping) -> frozenset:
         seen.update(pair)
     oriented = same_variance(antisym_pairs, variance)
     for p, q in oriented:
+        # Each key with key[p] < key[q] must have its swap, negated.  The
+        # swaps of distinct keys are distinct, so when as many keys have
+        # key[p] > key[q], those are exactly the swaps and every key has one.
+        below = 0
         for key, value in store.items():
-            if key[p] == key[q]:
+            if key[p] < key[q]:
+                below += 1
+                mirror = store.get(_swapped(key, p))
+                if mirror is None or mirror != -value:
+                    raise _swap_error(key, (p, q))
+            elif key[p] == key[q]:
                 raise TensorError(
                     "component %r has equal indices on antisymmetric pair %r"
                     % (key, (p, q))
                 )
-            mirror = store.get(_swapped(key, p))
-            if mirror is None or mirror != -value:
-                raise TensorError(
-                    "component %r is not minus its swap on antisymmetric pair %r"
-                    % (key, (p, q))
-                )
+        if 2 * below != len(store):
+            raise _swap_error(next(k for k in store if _swapped(k, p) not in store), (p, q))
     return oriented
+
+
+def _swap_error(key: tuple, pair: tuple) -> TensorError:
+    return TensorError(
+        "component %r is not minus its swap on antisymmetric pair %r" % (key, pair)
+    )
 
 
 def same_variance(pairs, variance: tuple) -> frozenset:

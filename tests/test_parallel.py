@@ -1,11 +1,15 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing as mp
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 
+import curvinv
 from curvinv import expr, parallel
 from curvinv.contraction import ContractionPlan, enumerate_indices, parse_spec
 from curvinv.metrics import flat, kerr, sphere_metric
@@ -145,7 +149,7 @@ class TestExecute:
         # partial, and the merge one more sum.
         plan, _ = _plan_for(s3, I_B)
         monkeypatch.setattr(parallel, "_pool_cost_s", _cost_for_every_pool(3600.0))
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         real = expr.RawSum.value
         calls = []
 
@@ -229,7 +233,7 @@ class TestExecute:
         expected = execute(plan, RunConfig(workers=2, parcels_per_worker=2))
         # forget the cost that expected's pool recorded
         monkeypatch.setattr(parallel, "_pool_cost_s", {})
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, RunConfig(workers=1, parcels_per_worker=3))
         assert report.expression == expected.expression
         assert report.parcels == 3
@@ -241,7 +245,7 @@ class TestExecute:
         plan, _ = _plan_for(schwarzschild4, I_C)
         expected = execute(plan, RunConfig(workers=1))
         monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         report = execute(plan, RunConfig(workers=2, parcels_per_worker=2))
         assert report.expression == expected.expression
         assert report.parcels == 4
@@ -253,13 +257,13 @@ class TestExecute:
         plan, _ = _plan_for(s3, I_B)
         expected = execute(plan, RunConfig(workers=1))
         pools = []  # max_workers of each pool started
-        real = parallel.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(kwargs["max_workers"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         cfg = RunConfig(workers=2, parcels_per_worker=2)
         report = execute(plan, cfg)
         # the coordinator is one of the two workers, though two parcels
@@ -280,13 +284,13 @@ class TestExecute:
         plan, _ = _plan_for(schwarzschild4, I_C)
         monkeypatch.setattr(parallel, "_pool_cost_s", {1: 3600.0})
         pools = []  # max_workers of each pool started
-        real = parallel.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(kwargs["max_workers"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         four = execute(plan, RunConfig(workers=4))
         assert plan.product_count >= 4
         assert pools == [3]
@@ -303,7 +307,7 @@ class TestExecute:
         def no_fork(*args, **kwargs):
             raise OSError("fork failed")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_fork)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
         with pytest.raises(WorkerFailure, match=r"^could not start the pool: OSError"):
             execute(plan, RunConfig(workers=2))
 
@@ -399,7 +403,7 @@ class TestExecute:
         poisoned = dataclasses.replace(
             plan, sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
         )
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, RunConfig(workers=1, parcels_per_worker=2))
 
@@ -423,6 +427,32 @@ class TestExecute:
         monkeypatch.setattr(parallel, "keyed_products", dying_products)
         with deadline(5), pytest.raises(WorkerFailure, match="without reporting"):
             execute(plan, RunConfig(workers=2))
+
+
+def test_pool_modules_load_only_with_a_pool():
+    # A fresh interpreter, so that this process's own imports (pytest's,
+    # this file's multiprocessing) do not hide what curvinv loads.
+    script = (
+        "import sys\n"
+        "from curvinv import RunConfig, run_invariant, sphere_metric\n"
+        "POOL = ('multiprocessing', 'concurrent.futures')\n"
+        "def pool_modules():\n"
+        "    return [m for m in POOL if m in sys.modules]\n"
+        "g = sphere_metric(3)\n"
+        "alone = run_invariant(g, %r)\n"
+        "assert alone.pool_ms == 0, alone\n"
+        "assert pool_modules() == [], pool_modules()\n"
+        "pooled = run_invariant(g, %r, RunConfig(workers=2))\n"
+        "assert pooled.pool_ms > 0, pooled\n"
+        "assert pool_modules() == list(POOL), pool_modules()\n"
+        "assert pooled.expression == alone.expression, (pooled, alone)\n"
+    ) % (KRETSCHMANN, KRETSCHMANN)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestSequentialOracle:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -400,6 +401,18 @@ class TestPairMetadataChecked:
             self.field({(0, 1, 2): 1, (1, 0, 2): 1})
         with pytest.raises(TensorError):
             self.field({(0, 1, 2): 1, (1, 0, 2): -2})
+
+    def test_lone_swapped_key_rejected(self):
+        # A key with key[p] > key[q] whose swap is missing, alone or beside
+        # a consistent pair, is rejected, and the error names it.
+        for components, lone in (
+            ({(1, 0, 2): -1}, (1, 0, 2)),
+            ({(0, 1, 2): 1, (1, 0, 2): -1, (2, 1, 0): 1}, (2, 1, 0)),
+            ({(0, 1, 2): 1}, (0, 1, 2)),
+        ):
+            message = "component %s is not minus its swap" % re.escape(repr(lone))
+            with pytest.raises(TensorError, match=message):
+                self.field(components)
 
     def test_mixed_pair_values_not_checked(self):
         t = self.field({(0, 1, 2): 1, (1, 1, 2): 1}, variance=(UPPER, LOWER, LOWER))
