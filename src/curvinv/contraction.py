@@ -21,11 +21,9 @@ plan that ``enumerate_indices`` returns keeps those tensors, so a sum of
 its assignments' products cannot read any others.
 
 ``keyed_products`` is the one stream of products of a plan's entries:
-each entry's factor components, keyed by its free labels' values.  Both
-sums of the package's contractions read it: ``contract_free`` hands a
-whole plan's to ``expr.sum_by_key``, and ``parallel.execute`` (no label
-free, every key ``()``) sums its parcels' into one partial per summing
-process: the coordinator's over all it sums, a pool worker's per parcel.
+each entry's factor components, keyed by its free labels' values.
+``contract_free`` hands a whole plan's to ``expr.sum_by_key``, and
+``parallel.execute`` sums it parcel by parcel.
 """
 
 from __future__ import annotations

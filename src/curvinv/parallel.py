@@ -3,12 +3,10 @@
 The enumerated assignment list is split into m*n near-equal contiguous
 parcels for n workers: ``range``s of entry positions, each parcel's id
 its place in the list.  The products that ``contraction.keyed_products``
-yields for a parcel's entries go to an ``expr.RawSum``, as in
-``expr.sum_by_key``, the sum ``contract_free`` runs in process: numerators
-multiplied out raw, grouped by their factors' denominators, brought
-together over the env's coprime basis of denominators and canonicalised
-once.  A pool worker's task, ``_sum_parcel``, returns one parcel's
-partial sum; the coordinator adds every parcel it sums to one partial.
+yields for a parcel's entries go to an ``expr.RawSum``, which
+canonicalises the sum once.  A pool worker's task, ``_sum_parcel``,
+returns one parcel's partial sum; the coordinator adds every parcel it
+sums to one partial.
 The coordinator merges the partials in one more ``RawSum``, each with the
 abbreviation multiplier as its coefficient.  Canonical forms are unique,
 so the result is the same expression for every worker and parcel count,

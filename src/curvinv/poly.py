@@ -59,6 +59,24 @@ and dividing a variable's exponents by J (sympy's deflation) keeps that
 order too.  Over ZZ the reduced cofactors are unique up to one common
 sign, which heugcd fixes by the lex leading coefficient, so it is the sign
 of the GCD over all variables.
+
+A :class:`CoprimeBasis` lets a sum of quotients over many denominators be
+brought over a common denominator without a GCD (factor refinement: Bach,
+Driscoll and Shallit, J. Algorithms 14, 1993; Bernstein, J. Algorithms
+54, 2005).  It keeps pairwise coprime elements that generate the
+denominators it has met, so each denominator factors as an integer
+content times element powers: the least common denominator is a
+componentwise maximum and each quotient's cofactor a product of cached
+element powers.  :meth:`CoprimeBasis.sum_quotients` then divides the sum
+exactly by elements as far as it goes, so each element left in the
+denominator failed an exact division of the numerator.  When that
+element is certified irreducible (a test run once per element: linear,
+or quadratic with a discriminant that is no square, in a variable in
+which its content is a unit), the failed division proves it coprime to
+the numerator.  Otherwise a GCD with the element, taken over the
+numerator's coefficients in that element's variables, proves it, or the
+caller is told that a GCD must still cancel the quotient.  All of this
+is exact polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -66,7 +84,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import or_
 
 # Evaluation points tried by heugcd before it gives up.
@@ -298,6 +316,19 @@ class Poly(dict):
             if n:
                 square = square * square
         return result
+
+    def substitute(self, i: int, value) -> tuple:
+        """``self`` at variable ``i`` = ``value``, a Fraction, as ``(p, d)``:
+        the polynomial ``p`` over the positive int ``d``."""
+        ring = self.ring
+        s = ring.shifts[i]
+        acc = {}
+        for e, coefficient in _split(self, ring.masks[i]).items():
+            power = value ** (e >> s)
+            for m, c in coefficient.items():
+                acc[m] = acc.get(m, 0) + c * power
+        d = lcm(*(q.denominator for q in acc.values()))
+        return ring.new({m: int(q * d) for m, q in acc.items()}), d
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in variable ``i``."""
@@ -556,3 +587,290 @@ def _exquo(f: dict, g: dict, guard: int):
             else:
                 del p[k]
     return q
+
+
+# --- coprime basis -----------------------------------------------------------
+
+
+def _split(p: dict, mask: int) -> dict:
+    """``p`` as a polynomial in the fields of ``mask``: each monomial over
+    those fields maps to its coefficient, a dict over the other fields."""
+    out = {}
+    for m, c in p.items():
+        inside = m & mask
+        out.setdefault(inside, {})[m - inside] = c
+    return out
+
+
+def _divide_out(p: dict, b: dict, guard: int, most: int) -> tuple:
+    """``(q, k)`` with ``p = q * b**k``: ``p`` divided exactly by ``b`` as
+    long as ``b`` divides it, at most ``most`` times."""
+    k = 0
+    while k < most:
+        q = _exquo(p, b, guard)
+        if q is None:
+            break
+        p, k = q, k + 1
+    return p, k
+
+
+def _is_constant(p) -> bool:
+    return len(p) == 1 and 0 in p
+
+
+def _is_unit(p) -> bool:
+    return _is_constant(p) and abs(p[0]) == 1
+
+
+def _coprime(p, b) -> bool:
+    """Whether ``p`` and the primitive ``b`` share no factor but a unit.
+
+    A factor of ``b`` mentions only ``b``'s variables, and divides ``p``
+    exactly when it divides each coefficient of ``p`` written as a
+    polynomial in the other variables.  So the GCD is taken with those
+    coefficients, small polynomials in ``b``'s variables, one at a time
+    until it is a unit."""
+    R = b.ring
+    used = _support(b)
+    mask = 0
+    for field in R.masks:
+        if used & field:
+            mask |= field
+    h = b
+    # split by the other fields: each coefficient is over b's fields
+    for coefficient in _split(p, ~mask).values():
+        h = cofactors(R.new(coefficient), h)[0]
+        if _is_constant(h):
+            return True
+    return False
+
+
+def _certified_irreducible(b) -> bool:
+    """Whether ``b`` passes a sufficient test of irreducibility over ZZ.
+
+    It passes when, in some variable v, its coefficients (polynomials in
+    the other variables) have a unit GCD, and it is of degree 1 in v, or
+    of degree 2 with a discriminant B**2 - 4AC that is negative or not a
+    perfect square at a fixed integer point.  A linear polynomial has no
+    proper factor of positive degree, and a quadratic one only linear
+    factors, which need a square root of the discriminant; so ``b`` is
+    irreducible over the field of fractions of the other variables, and,
+    its content in v being a unit, over ZZ by Gauss's lemma.  A unit
+    content also makes ``b`` primitive."""
+    R = b.ring
+    used = _support(b)
+    candidates = []
+    for s, field in zip(R.shifts, R.masks):
+        if used & field:
+            degree = max(m & field for m in b) >> s
+            if degree <= 2:
+                candidates.append((degree, s, field))
+    for degree, s, field in sorted(candidates):
+        split = _split(b, field)
+        coefficients = [split.get(k << s, {}) for k in range(degree + 1)]
+        content = None
+        for coefficient in coefficients:
+            if coefficient:
+                coefficient = R.new(coefficient)
+                content = coefficient if content is None else cofactors(coefficient, content)[0]
+                if _is_unit(content):
+                    break
+        if not _is_unit(content):
+            continue
+        if degree == 1:
+            return True
+        C, B, A = (_at_point(R, coefficient) for coefficient in coefficients)
+        discriminant = B * B - 4 * A * C
+        if discriminant < 0 or isqrt(discriminant) ** 2 != discriminant:
+            return True
+    return False
+
+
+def _at_point(R, p: dict) -> int:
+    """``p`` at the fixed point where variable i is i + 2."""
+    total = 0
+    for m, c in p.items():
+        for i, e in enumerate(R.exponents(m)):
+            if e:
+                c *= (i + 2) ** e
+        total += c
+    return total
+
+
+class CoprimeBasis:
+    """A gcd-free basis of denominators, and each denominator's factoring
+    over it (see the module docstring).
+
+    ``elements`` are pairwise coprime, primitive polynomials with a
+    positive grevlex leading coefficient.  :meth:`factor` writes a
+    denominator as an integer content times powers of the elements,
+    ``(content, ((index, exponent), ...))``, by exact trial division.  A
+    denominator that the elements do not generate refines the basis:
+    what is left after trial division is split against each element by
+    its GCD until every piece is coprime to the rest.  A refinement that
+    splits an element renumbers the basis and bumps ``generation``;
+    factorings made under an older generation are stale and are
+    recomputed when next asked for.  A refinement that only appends an
+    element coprime to all others leaves every earlier factoring exact.
+    """
+
+    __slots__ = ("ring", "elements", "generation", "_factors", "_powers", "_irreducible")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.elements = []
+        self.generation = 0
+        self._factors = {}  # denominator -> (generation, content, vector)
+        self._powers = {}  # element -> [element**0, element**1, ...]
+        self._irreducible = {}  # element -> whether it is certified irreducible
+
+    def irreducible(self, b) -> bool:
+        """Whether the element ``b`` is certified irreducible (see
+        ``_certified_irreducible``); False says only that the test did not
+        prove it.  Memoised by the polynomial, so renumbering is harmless."""
+        known = self._irreducible.get(b)
+        if known is None:
+            known = self._irreducible[b] = _certified_irreducible(b)
+        return known
+
+    def factor(self, den) -> tuple:
+        """``(content, vector)`` with ``den`` the content times the product
+        of ``elements[i] ** e`` over the ``(i, e)`` pairs of the vector."""
+        cached = self._factors.get(den)
+        if cached is not None and cached[0] == self.generation:
+            return cached[1], cached[2]
+        while True:
+            content, vector, rest = self._divide(den)
+            if rest is None:
+                break
+            self._refine(rest)
+        self._factors[den] = (self.generation, content, vector)
+        return content, vector
+
+    def factor_product(self, dens) -> tuple:
+        """:meth:`factor` of the product of ``dens``."""
+        if len(dens) == 1:
+            return self.factor(dens[0])
+        content = 1
+        exponents = {}
+        for den in dens:
+            c, vector = self.factor(den)
+            content *= c
+            for i, e in vector:
+                exponents[i] = exponents.get(i, 0) + e
+        return content, tuple(sorted(exponents.items()))
+
+    def power(self, i: int, k: int):
+        """``elements[i] ** k``, cached."""
+        b = self.elements[i]
+        powers = self._powers.get(b)
+        if powers is None:
+            powers = self._powers[b] = [self.ring.one, b]
+        while len(powers) <= k:
+            powers.append(powers[-1] * b)
+        return powers[k]
+
+    def sum_quotients(self, groups) -> tuple:
+        """The sum of ``num / prod(dens)`` over the ``(dens, num)`` groups,
+        each ``dens`` a tuple of denominators with a positive grevlex
+        leading coefficient and each ``num`` nonzero, as ``(num, den,
+        reduced)``.  ``num / den`` is the sum as a rational function, and
+        ``den`` has a positive content and leading coefficient.  When
+        ``reduced`` is true, ``num`` and ``den`` are proved coprime; else a
+        GCD must still cancel them.  A zero sum is ``(0, 1, True)``."""
+        # Factoring may split an element, which renumbers the basis: factor
+        # every group again until a pass leaves the basis as it was.
+        while True:
+            generation = self.generation
+            factored = [self.factor_product(dens) for dens, _ in groups]
+            if self.generation == generation:
+                break
+        merged = {}
+        for key, (_, num) in zip(factored, groups):
+            prior = merged.get(key)
+            merged[key] = num if prior is None else prior + num
+        merged = {key: num for key, num in merged.items() if num}
+        content = lcm(*(c for c, _ in merged))
+        lcd = {}
+        for _, vector in merged:
+            for i, e in vector:
+                if e > lcd.get(i, 0):
+                    lcd[i] = e
+        R = self.ring
+        if len(merged) == 1:
+            (total,) = merged.values()
+        else:
+            total = R.zero
+            for (c, vector), num in merged.items():
+                have = dict(vector)
+                cofactor = R.ground_new(content // c)
+                for i, e in lcd.items():
+                    if e > have.get(i, 0):
+                        cofactor = cofactor * self.power(i, e - have.get(i, 0))
+                total = total + num * cofactor
+        if not total:
+            return R.zero, R.one, True
+        # Cancel whole element powers and the integer content by exact
+        # division.  What is left of the denominator is an integer coprime
+        # to the numerator's content times powers of pairwise coprime
+        # elements, so the numerator is coprime to it when it is coprime to
+        # each of those elements.  Each such element failed its last exact
+        # division, so a certified irreducible one is coprime; any other is
+        # checked by _coprime.
+        num = total
+        den = R.one
+        leftover = []
+        for i, e in lcd.items():
+            b = self.elements[i]
+            num, k = _divide_out(num, b, R.guard, e)
+            if k < e:
+                den = den * self.power(i, e - k)
+                leftover.append(b)
+        common = gcd(content, _content(num))
+        num = _quo_ground(num, common)
+        if num is not total:
+            num = R.new(num)
+        den = den * (content // common)
+        reduced = all(self.irreducible(b) or _coprime(num, b) for b in leftover)
+        return num, den, reduced
+
+    def _divide(self, den):
+        """Trial-divide ``den`` by the elements: its content, its vector,
+        and what is left when that is not a unit (else None)."""
+        content = _content(den)
+        p = _quo_ground(den, content)
+        guard = self.ring.guard
+        vector = []
+        for i, b in enumerate(self.elements):
+            # a non-constant element divides a polynomial at most
+            # MAX_EXPONENT times
+            p, e = _divide_out(p, b, guard, MAX_EXPONENT)
+            if e:
+                vector.append((i, e))
+        if _is_constant(p):
+            # a unit; -1 when den's sign is not the canonical one
+            return content * p[0], tuple(vector), None
+        return content, tuple(vector), self.ring.new(p)
+
+    def _refine(self, new) -> None:
+        """Make the basis generate ``new`` too (primitive, not a unit)."""
+        elements = self.elements
+        pending = [new]
+        split = False
+        while pending:
+            a = pending.pop()
+            for i, b in enumerate(elements):
+                g, a_rest, b_rest = cofactors(a, b)
+                if not _is_constant(g):
+                    # a = g a_rest and b = g b_rest: b gives way to the pieces
+                    del elements[i]
+                    self._powers.pop(b, None)
+                    split = True
+                    for piece in (g, a_rest, b_rest):
+                        if not _is_constant(piece):
+                            pending.append(-piece if piece.LC < 0 else piece)
+                    break
+            else:
+                elements.append(a)
+        if split:
+            self.generation += 1

@@ -36,17 +36,11 @@ The connection (Christoffel symbols) is a ``TensorField`` of variance
 ``gamma.component((a, b, c))`` needs no index sorting.
 
 Every builder forms each component as a sum of products of canonical
-components, summed in an ``expr.RawSum``: only the numerators of the
-products are multiplied out, the products are grouped by their factors'
-denominators, the groups are brought together over the env's coprime
-basis of denominators, and the whole sum is canonicalised once.  The
-Christoffel symbols and Riemann fill one ``RawSum`` per component in their
-own loops; raising and the covariant derivative yield every product with
-its output key and hand them to ``expr.sum_by_key``, the one keyed sum,
-also of ``contraction.keyed_products``, the products of a plan's entries
-over the plan's own tensors: ``contract_free`` sums a whole plan's, and
-``parallel.execute`` its parcels' into one ``RawSum`` per partial.  The component
-is the same canonical expression that summing canonical products gives.
+components, canonicalised once in an ``expr.RawSum``: the Christoffel
+symbols and Riemann fill one per component in their own loops, and
+raising and the covariant derivative hand every product with its output
+key to ``expr.sum_by_key``.  The component is the same canonical
+expression that summing canonical products gives.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import ring
 
-from curvinv import expr, poly
+from curvinv import poly
 from curvinv.expr import (
     DivisionByZeroExpression,
     Expr,
@@ -408,13 +408,13 @@ class TestRawSum:
         g_tt, g_tphi, g_rr = (metric.component(slot) for slot in ((0, 0), (0, 3), (1, 1)))
         products = [([g_tt], 1), ([g_rr], 1), ([g_tphi, g_rr], 2)]
         calls = []
-        real = expr._coprime
+        real = poly._coprime
 
         def counting(p, b):
             calls.append(b)
             return real(p, b)
 
-        monkeypatch.setattr(expr, "_coprime", counting)
+        monkeypatch.setattr(poly, "_coprime", counting)
         total = _raw_sum_in(env, products)
         assert calls == []
         assert total.den == g_tt.den * g_rr.den
@@ -492,67 +492,6 @@ def test_raw_sum_over_a_growing_basis_equals_canonical_sum(earlier, products):
         assert b.LC > 0 and math.gcd(*b.values()) == 1
         for c in elements[i + 1 :]:
             assert len(poly.cofactors(b, c)[0]) == 1
-
-
-def _sympy_factors(p):
-    """sympy's irreducible factors of ``p`` over ZZ, with multiplicities:
-    the test-only reference for the certificate."""
-    ngens = p.ring.ngens
-    S = ring([Symbol("x%d" % i) for i in range(ngens)], ZZ, lex)[0]
-    return S.from_dict(dict(p.terms())).factor_list()[1]
-
-
-class TestIrreducibleCertificate:
-    def test_certified(self, polar_env):
-        a, mu, r, x = _gens(polar_env, "a", "mu", "r", "cos(theta)")
-        basis = SymbolEnv(polar_env.coordinates, polar_env.parameters).basis
-        for b in (
-            r ** 2 + x ** 2, r ** 2 + a ** 2 * x ** 2, mu * r - r ** 2 - 1, r ** 3 - mu, r, x,
-            2 * r ** 2 + 3,  # contents 2 and 3 of its coefficients in r, a unit together
-        ):
-            assert basis.irreducible(b), b
-            assert [e for _, e in _sympy_factors(b)] == [1]
-
-    def test_not_certified(self, polar_env):
-        _, _, r, x = _gens(polar_env, "a", "mu", "r", "cos(theta)")
-        basis = SymbolEnv(polar_env.coordinates, polar_env.parameters).basis
-        # two with a square discriminant and a square, all reducible, and
-        # a cubic in its one variable (irreducible, but past the test)
-        for b in (x ** 2 - 1, r ** 2 - x ** 2, (2 * r + 1) ** 2, r ** 3 - 2):
-            assert not basis.irreducible(b), b
-        # linear in k and in x, but with the polynomial content x in k
-        x, k = _gens(_env, "x", "k")
-        assert not _fresh_env().basis.irreducible(x * k + x)
-
-    def test_memo_is_keyed_by_the_polynomial(self, polar_env):
-        _, mu, r, _ = _gens(polar_env, "a", "mu", "r", "cos(theta)")
-        basis = SymbolEnv(polar_env.coordinates, polar_env.parameters).basis
-        assert basis.irreducible(mu * r - r ** 2 - 1)
-        assert basis._irreducible == {mu * r - r ** 2 - 1: True}
-
-
-def _primitive(terms):
-    content = math.gcd(*terms.values())
-    return _env.ring.from_dict({m: c // content for m, c in terms.items()})
-
-
-# Primitive polynomials of two to five terms in ``_env``'s three variables,
-# of degree at most 2 in the first.
-_quadratics_in_first = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2)),
-    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
-    min_size=2,
-    max_size=5,
-).map(_primitive)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_quadratics_in_first)
-@example(_env.ring.from_dict({(2, 0, 0): 1, (0, 2, 0): 1}))
-@example(_env.ring.from_dict({(2, 0, 0): 1, (0, 0, 1): 3, (0, 1, 0): -1}))
-def test_certified_polynomials_are_irreducible(p):
-    if _fresh_env().basis.irreducible(p):
-        assert [e for _, e in _sympy_factors(p)] == [1]
 
 
 def test_basis_belongs_to_the_env_instance():

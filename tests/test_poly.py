@@ -1,9 +1,12 @@
 """curvinv.poly against sympy's sparse polynomial rings as the reference."""
 
+import ast
+import math
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Symbol
 from sympy.polys.domains import ZZ
 from sympy.polys.orderings import grevlex, lex
@@ -329,3 +332,111 @@ def test_gcd_runs_over_only_the_variables_present(polar_env, monkeypatch):
     seen.clear()
     Expr.make(polar_env, mu * (a * c + 1), a ** 2 * c ** 2 - 1)
     assert seen[0] == [R.shifts[polar_env.gen_index(name)] for name in ("a", "mu", "cos(theta)")]
+
+
+def test_only_poly_reads_the_monomial_layout():
+    # The packed-monomial layout is poly's alone: no other module imports
+    # a private name of poly or reads a ring's field layout.
+    package = Path(__file__).resolve().parents[1] / "src" / "curvinv"
+    paths = sorted(package.glob("*.py"))
+    assert package / "expr.py" in paths
+    breaches = []
+    for path in paths:
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "poly") or node.module == "curvinv.poly"
+            ):
+                breaches += [
+                    (path.name, node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in ("shifts", "masks", "guard"):
+                breaches.append((path.name, node.lineno, node.attr))
+    assert breaches == []
+
+
+# --- the coprime basis --------------------------------------------------------
+
+
+def _sympy_factors(p):
+    """sympy's irreducible factors of ``p`` over ZZ, with multiplicities:
+    the test-only reference for the certificate."""
+    return _sympy_ring(p.ring.ngens, lex).from_dict(dict(p.terms())).factor_list()[1]
+
+
+def test_a_split_refreshes_stale_factorings():
+    R = poly_ring(2)
+    x, y = R.gens
+    basis = poly.CoprimeBasis(R)
+    assert basis.factor(x ** 2 - 1) == (1, ((0, 1),))
+    # (x - 1) y splits the element x**2 - 1, which renumbers the basis
+    basis.factor((x - 1) * y)
+    assert basis.generation == 1
+    elements = basis.elements
+    assert set(elements) == {x - 1, x + 1, y}
+    for i, b in enumerate(elements):
+        for c in elements[i + 1 :]:
+            assert cofactors(b, c)[0] == R.one
+    # the factoring cached before the split is stale and is made again
+    content, vector = basis.factor(x ** 2 - 1)
+    assert len(vector) == 2
+    product = R.ground_new(content)
+    for i, e in vector:
+        product = product * elements[i] ** e
+    assert product == x ** 2 - 1
+
+
+class TestIrreducibleCertificate:
+    def test_certified(self, polar_env):
+        a, mu, r, x = polar_env.ring.gens
+        basis = poly.CoprimeBasis(polar_env.ring)
+        for b in (
+            r ** 2 + x ** 2, r ** 2 + a ** 2 * x ** 2, mu * r - r ** 2 - 1, r ** 3 - mu, r, x,
+            2 * r ** 2 + 3,  # contents 2 and 3 of its coefficients in r, a unit together
+        ):
+            assert basis.irreducible(b), b
+            assert [e for _, e in _sympy_factors(b)] == [1]
+
+    def test_not_certified(self, polar_env):
+        _, _, r, x = polar_env.ring.gens
+        basis = poly.CoprimeBasis(polar_env.ring)
+        # two with a square discriminant and a square, all reducible, and
+        # a cubic in its one variable (irreducible, but past the test)
+        for b in (x ** 2 - 1, r ** 2 - x ** 2, (2 * r + 1) ** 2, r ** 3 - 2):
+            assert not basis.irreducible(b), b
+        # linear in k and in x, but with the polynomial content x in k
+        k, x, _ = poly_ring(3).gens
+        assert not poly.CoprimeBasis(poly_ring(3)).irreducible(x * k + x)
+
+    def test_memo_is_keyed_by_the_polynomial(self, polar_env):
+        _, mu, r, _ = polar_env.ring.gens
+        basis = poly.CoprimeBasis(polar_env.ring)
+        assert basis.irreducible(mu * r - r ** 2 - 1)
+        assert basis._irreducible == {mu * r - r ** 2 - 1: True}
+
+
+def _primitive(terms):
+    content = math.gcd(*terms.values())
+    return poly_ring(3).from_dict({m: c // content for m, c in terms.items()})
+
+
+# Primitive polynomials of two to five terms in three variables, of degree
+# at most 2 in the first.
+_quadratics_in_first = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 2)),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+    min_size=2,
+    max_size=5,
+).map(_primitive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadratics_in_first)
+@example(poly_ring(3).from_dict({(2, 0, 0): 1, (0, 2, 0): 1}))
+@example(poly_ring(3).from_dict({(2, 0, 0): 1, (0, 0, 1): 3, (0, 1, 0): -1}))
+def test_certified_polynomials_are_irreducible(p):
+    if poly.CoprimeBasis(poly_ring(3)).irreducible(p):
+        assert [e for _, e in _sympy_factors(p)] == [1]
