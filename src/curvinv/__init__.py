@@ -1,5 +1,8 @@
 """Exact symbolic curvature invariants with parcel-parallel summation."""
 
+# poly first: without cached bytecode, compiling it is the import's largest
+# allocation, and it peaks lowest before the other modules are loaded
+from .poly import HeuristicGCDFailed
 from .contraction import (
     ContractionPlan,
     FactorSpec,
@@ -30,7 +33,6 @@ from .parallel import (
     partition,
 )
 from .pipeline import build_factor_tensors, run_invariant
-from .poly import HeuristicGCDFailed
 from .tensor import (
     Metric,
     SingularMetricError,
