@@ -58,7 +58,8 @@ def _add_common(p: argparse.ArgumentParser):
         action="append",
         default=[],
         metavar="SYM=VALUE",
-        help="substitute an exact rational for a parameter before differentiating",
+        help="fix a parameter to an exact rational before differentiating; "
+        "each parameter once, and only one the metric depends on",
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
 

@@ -1,22 +1,22 @@
 """End-to-end drivers: build the factor tensors an invariant needs, run
 the parcel pool, and assemble reports.
 
-Each metric's connection, lowered Riemann tensor, covariant derivatives
-and raised fields are memoised in one place, ``_field``, keyed by
-(derivative order, raised slots), so a field shared between factors, or
-between runs on one metric, is built once and its raising counted once per
-run.  The product statistic P is the enumerated product count plus the
-nonzero multiplications of the literal raisings.  Raising computes only
-part of those products and fills the rest by antisymmetry, so their number
-is worked out from the input: one per stored component and nonzero entry
-of the inverse-metric row its raised index selects.
+Each metric's lowered Riemann tensor, covariant derivatives and raised
+fields are memoised in one place, ``_field``, keyed by (derivative order,
+raised slots), so a field shared between factors, or between runs on one
+metric, is built once and its raising counted once per run.  The
+connection they share is the one the metric keeps (``christoffel``).
+The product statistic P is the enumerated product count plus the nonzero
+multiplications of the literal raisings.  Raising computes only part of
+those products and fills the rest by antisymmetry, so their number is
+worked out from the input: one per stored component and nonzero entry of
+the inverse-metric row its raised index selects.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .contraction import (
@@ -28,7 +28,6 @@ from .metrics import metric_by_name
 from .parallel import RunConfig, RunReport, execute
 from .tensor import (
     Metric,
-    TensorError,
     UPPER,
     christoffel,
     covariant_derivative,
@@ -37,8 +36,8 @@ from .tensor import (
 )
 
 
-# Per metric instance (metrics are immutable): its connection, and the
-# Riemann fields keyed by (derivative order, raised slots).
+# Per metric instance (metrics are immutable): the Riemann fields keyed by
+# (derivative order, raised slots).
 _base_fields = weakref.WeakKeyDictionary()
 
 
@@ -46,20 +45,17 @@ def _field(metric: Metric, order: int, raised: tuple = ()):
     """The lowered Riemann tensor's ``order``-th covariant derivative with
     the slots ``raised`` raised in that order, memoised per metric: each
     field is built once from the one below it."""
-    entry = _base_fields.get(metric)
-    if entry is None:
-        # One connection serves Riemann and every covariant derivative.
-        entry = _base_fields[metric] = (christoffel(metric), {})
-    gamma, fields = entry
+    fields = _base_fields.setdefault(metric, {})
     key = (order, raised)
     if key not in fields:
         if raised:
             below = _field(metric, order, raised[:-1])
             fields[key] = raise_index(below, raised[-1], metric.inverse())
         elif order:
-            fields[key] = covariant_derivative(_field(metric, order - 1), gamma)
+            below = _field(metric, order - 1)
+            fields[key] = covariant_derivative(below, christoffel(metric))
         else:
-            fields[key] = riemann_lowered(metric, gamma)
+            fields[key] = riemann_lowered(metric)
     return fields[key]
 
 
@@ -111,13 +107,8 @@ def run_invariant(
 
 def metric_with_substitutions(name: str, dim: int, substitutions) -> Metric:
     """The named metric with each (parameter, exact rational) pair fixed in
-    turn.  A parameter fixed twice is rejected: the second value would
-    silently change nothing."""
+    turn by ``Metric.substitute``, which rejects a parameter fixed twice."""
     metric = metric_by_name(name, dim)
-    fixed = set()
     for sym, value in substitutions:
-        if sym in fixed:
-            raise TensorError("parameter %r is set more than once" % sym)
-        fixed.add(sym)
         metric = metric.substitute(sym, value)
     return metric

@@ -25,11 +25,10 @@ are the antisymmetric pairs ``riemann_lowered`` declares and
 
 A ``Metric`` memoises what is derived from it alone, each piece built on
 first use: its inverse (``inverse``), its partial derivatives
-(``derivative``) and its connection of the first kind
-Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad) (``first_kind``).
-``christoffel`` and ``riemann_lowered`` both read them, so each derivative
-and each first-kind sum is computed once per metric.  The fields built
-from a metric are memoised by the pipeline.
+(``derivative``), its connection of the first kind
+Gamma_ead = (1/2)(d_a g_ed + d_d g_ea - d_e g_ad) (``first_kind``) and its
+connection (``christoffel``), so each is computed once per metric.  The
+Riemann fields built from a metric are memoised by the pipeline.
 
 The connection (Christoffel symbols) is a ``TensorField`` of variance
 (u, l, l) that stores both orientations of its symmetric lower pair, so
@@ -45,7 +44,7 @@ expression that summing canonical products gives.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .expr import Expr, RawSum, SymbolEnv, sum_by_key
 
@@ -203,6 +202,7 @@ class Metric(TensorField):
         # the metric: a reference cycle would keep the metric alive after the
         # pipeline's weak cache has let it go.
         self._inverse = None
+        self._connection = None
         self._derivatives = {}
         self._first_kind = {}
 
@@ -244,8 +244,9 @@ class Metric(TensorField):
     def substitute(self, name: str, value) -> "Metric":
         """Replace a parameter by an exact rational.
 
-        Only parameters may be fixed: a coordinate set to a constant before
-        differentiating gives a silently wrong curvature.
+        Only parameters may be fixed, once each: a coordinate set to a
+        constant before differentiating gives a silently wrong curvature,
+        and a value that changes no component would be silently ignored.
         """
         if name not in self.env.parameters:
             raise TensorError(
@@ -256,6 +257,8 @@ class Metric(TensorField):
         for (a, b), expr in self.components.items():
             if a <= b:
                 subbed[(a, b)] = expr.substitute(name, value)
+        if subbed.items() <= self.components.items():
+            raise TensorError("parameter %r is already fixed or never appears" % name)
         return Metric(self.env, self.dim, subbed)
 
 
@@ -301,13 +304,16 @@ def inverse_metric(g: Metric) -> TensorField:
 
 
 def christoffel(g: Metric) -> TensorField:
-    """Gamma^a_bc = g^ad Gamma_dbc, from the metric's connection of the
-    first kind (``Metric.first_kind``).
+    """The metric's connection Gamma^a_bc = g^ad Gamma_dbc, from its
+    connection of the first kind (``Metric.first_kind``): built on the first
+    call and kept on the metric, so every later call returns that field.
 
     Only b <= c is computed; the field stores the same value at both
     orientations (a, b, c) and (a, c, b) of the symmetric lower pair.  Each
     component sums the products g^ad Gamma_dbc in an ``expr.RawSum``.
     """
+    if g._connection is not None:
+        return g._connection
     dim, env = g.dim, g.env
     ginv_rows = _rows(dim, g.inverse().components)
     components = {}
@@ -318,28 +324,27 @@ def christoffel(g: Metric) -> TensorField:
                 for d, g_ad in ginv_rows[a]:
                     total.add_product((g_ad, g.first_kind(d, b, c)))
                 components[(a, b, c)] = components[(a, c, b)] = total.value()
-    return TensorField(env, dim, (UPPER, LOWER, LOWER), components)
+    g._connection = TensorField(env, dim, (UPPER, LOWER, LOWER), components)
+    return g._connection
 
 
-def riemann_lowered(g: Metric, gamma: Optional[TensorField] = None) -> TensorField:
+def riemann_lowered(g: Metric) -> TensorField:
     """All-lower Riemann tensor, built directly from the metric:
 
     R_abcd = (1/2)(d_b d_c g_ad + d_a d_d g_bc - d_a d_c g_bd - d_b d_d g_ac)
              + sum_e (Gamma^e_bc Gamma_ead - Gamma^e_bd Gamma_eac),
 
-    reading the metric derivatives and the connection of the first kind
-    Gamma_ead from the metric's memos (``Metric.derivative`` and
-    ``Metric.first_kind``), which ``christoffel`` fills too.  Only the
-    independent keys a < b, c < d and (a, b) <= (c, d) are computed, each
-    summing its products in an ``expr.RawSum``.
+    reading the metric derivatives, the connection of the first kind
+    Gamma_ead and the connection Gamma^e_bc from the metric's memos
+    (``Metric.derivative``, ``Metric.first_kind`` and ``christoffel``).
+    Only the independent keys a < b, c < d and (a, b) <= (c, d) are
+    computed, each summing its products in an ``expr.RawSum``.
     The pair exchange R_cdab = R_abcd puts each value at (a, b, c, d) and
     (c, d, a, b); the antisymmetries in slots (0,1) and (2,3) fill the
-    other keys by negation.  ``gamma`` is the metric's connection when the
-    caller already has it; otherwise it is built here.
+    other keys by negation.
     """
     dim, env = g.dim, g.env
-    if gamma is None:
-        gamma = christoffel(g)
+    gamma = christoffel(g)
     dg, half = g.derivative, g._half
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     independent = {}

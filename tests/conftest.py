@@ -80,6 +80,15 @@ def warped3d():
 
 
 @pytest.fixture(scope="session")
+def null3d():
+    """2 du dv + x dv**2 + x**2 dx**2: g_00 = 0, so inverting it swaps a
+    pivot row; its inverse is [[-x, 1, 0], [1, 0, 0], [0, 0, 1/x**2]]."""
+    env = SymbolEnv(coordinates=("u", "v", "x"))
+    x = env.symbol("x")
+    return Metric(env, 3, {(0, 1): env.one(), (1, 1): x, (2, 2): x ** 2})
+
+
+@pytest.fixture(scope="session")
 def s3_euler():
     """Unit S^3 in Euler angles with x = cos(theta),
     (1/4)(dx**2/(1 - x**2) + dphi**2 + dpsi**2 + 2 x dphi dpsi): off-diagonal,

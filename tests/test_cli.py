@@ -142,13 +142,15 @@ class TestRun:
         assert "upper on one slot and lower on the other" in err
 
     def test_bad_substitution(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "run",
-            "--metric", "kerr", "--dim", "4",
-            "--invariant", "I_a", "--set", "a=one",
-        )
-        assert code == 2
+        for substitution, message in (("a=one", "bad rational"), ("a", "SYM=VALUE")):
+            code, _, err = run_cli(
+                capsys,
+                "run",
+                "--metric", "kerr", "--dim", "4",
+                "--invariant", "I_a", "--set", substitution,
+            )
+            assert code == 2
+            assert message in err
 
     @pytest.mark.parametrize(
         "metric, substitution",

@@ -82,6 +82,8 @@ class TestParseSpec:
             "R(+*a,+b,+c,+d) R(-a,-b,-c,-d)",  # free label appearing twice
             "R(+a,+b,+c,+d) R(+a,+b,+c,+d)",  # contracted labels upper twice
             "R(+a,-b,+a,-b)",  # a upper twice, b lower twice
+            "R(+a,b,+c,+d) R(-a,-b,-c,-d)",  # slot without a variance
+            "R(+a,+b,+c,+d) R[-a,-b,-c,-d]",  # factor without parentheses
         ],
     )
     def test_rejects(self, text):

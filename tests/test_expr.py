@@ -81,8 +81,14 @@ class TestArith:
         assert r ** -2 == polar_env.one() / (r * r)
 
     def test_div_by_zero(self, polar_env):
-        with pytest.raises(DivisionByZeroExpression):
-            polar_env.one() / polar_env.zero()
+        a = polar_env.symbol("a")
+        for divide in (
+            lambda: polar_env.one() / polar_env.zero(),
+            lambda: polar_env.zero() ** -1,
+            lambda: (1 / (a - 1)).substitute("a", 1),  # denominator vanishes
+        ):
+            with pytest.raises(DivisionByZeroExpression):
+                divide()
 
     def test_zero_operand_skips_make(self, polar_env, monkeypatch):
         r, mu, c = (polar_env.symbol(n) for n in ("r", "mu", "cos(theta)"))

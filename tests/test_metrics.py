@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import pytest
 
+from curvinv.expr import SymbolEnv
 from curvinv.metrics import flat, kerr, metric_by_name, sphere_metric
 from curvinv.pipeline import run_invariant
-from curvinv.tensor import TensorError, riemann_lowered
+from curvinv.tensor import Metric, TensorError, riemann_lowered
 
 KRETSCHMANN = "R(+a,+b,+c,+d) R(-a,-b,-c,-d)"
 
@@ -86,9 +88,19 @@ class TestKerr:
 
     def test_substitution_only_for_parameters(self, kerr4, s2):
         assert kerr4.substitute("mu", 2).component((2, 2)) == kerr4.component((2, 2))
-        for g, name in ((kerr4, "r"), (kerr4, "cos(theta)"), (s2, "cos(chi2)"), (s2, "bogus")):
-            with pytest.raises(TensorError, match="parameter"):
-                g.substitute(name, 0)
+        env = SymbolEnv(coordinates=("r", "w"), parameters=("q",))
+        without_q = Metric(env, 2, {(0, 0): env.one(), (1, 1): env.symbol("r") ** 2})
+        for g, name in (
+            (kerr4, "r"),
+            (kerr4, "cos(theta)"),
+            (s2, "cos(chi2)"),
+            (s2, "bogus"),
+            # a second value for a, or any for q, would silently change nothing
+            (kerr4.substitute("a", 1), "a"),
+            (without_q, "q"),
+        ):
+            with pytest.raises(TensorError, match="parameter.*%s" % re.escape(repr(name))):
+                g.substitute(name, 2)
 
     def test_cross_term_is_only_off_diagonal(self, kerr4):
         for dim in (4, 6):

@@ -9,21 +9,25 @@ from curvinv.tensor import Metric, TensorError
 
 
 def test_one_connection_per_derivative_run(monkeypatch):
-    # Riemann and nabla R share the connection that _field builds.
+    # Riemann and nabla R share the connection the metric keeps: each call
+    # returns it, and only the first builds it.
     env = SymbolEnv(coordinates=("r", "w"))
     r = env.symbol("r")
     g = Metric(env, 2, {(0, 0): env.one(), (1, 1): r ** 4})
-    calls = []
+    builds, returned = [], []
     original = tensor.christoffel
 
     def counting(metric):
-        calls.append(metric)
-        return original(metric)
+        if metric._connection is None:
+            builds.append(metric)
+        returned.append(original(metric))
+        return returned[-1]
 
     monkeypatch.setattr(tensor, "christoffel", counting)
     monkeypatch.setattr(pipeline, "christoffel", counting)
     report = pipeline.run_invariant(g, PRESETS["I_c"])
-    assert calls == [g]
+    assert builds == [g]
+    assert len(returned) > 1 and all(gamma is original(g) for gamma in returned)
     assert not report.invariant.is_zero
 
 

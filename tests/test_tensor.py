@@ -59,8 +59,8 @@ class TestInverseMetric:
                     acc = acc + inv.component((a, b)) * kerr4.component((b, c))
                 assert acc == (env.one() if a == c else env.zero())
 
-    def test_matches_adjugate_oracle(self, s2, kerr4):
-        for g in (s2, kerr4):
+    def test_matches_adjugate_oracle(self, s2, kerr4, null3d):
+        for g in (s2, kerr4, null3d):
             oracle = adjugate_inverse(g)
             inv = g.inverse()
             for i in range(g.dim):
@@ -108,6 +108,10 @@ class TestChristoffel:
                     for c in range(g.dim):
                         assert gam.component((a, b, c)) == oracle[a][b][c]
 
+    def test_kept_on_metric(self, s3):
+        g = Metric(s3.env, s3.dim, s3.components)  # no connection kept yet
+        assert christoffel(g) is christoffel(g)
+
     def test_lower_symmetry(self, kerr4):
         gam = christoffel(kerr4)
         for (a, b, c) in gam.components:
@@ -131,7 +135,7 @@ class TestChristoffel:
 
         monkeypatch.setattr(Expr, "diff", counting_diff)
         monkeypatch.setattr(Metric, "derivative", recording_derivative)
-        riemann_lowered(g, christoffel(g))
+        riemann_lowered(g)
         monkeypatch.undo()
         # A derivative of an identically zero one is zero without a diff.
         taken = [key for key in keys if not g.derivative(*key[:-1]).is_zero]
@@ -165,10 +169,6 @@ class TestRiemann:
             R = riemann_lowered(g)
             for key in itertools.product(range(g.dim), repeat=4):
                 assert R.component(key) == oracle[key[0]][key[1]][key[2]][key[3]]
-
-    def test_given_connection(self, s3, quartic2d):
-        for g in (s3, quartic2d):
-            assert riemann_lowered(g, christoffel(g)).components == riemann_lowered(g).components
 
     def test_pair_antisymmetries(self, s3, kerr4_riemann):
         for R in (riemann_lowered(s3), kerr4_riemann):
@@ -414,10 +414,31 @@ class TestPairMetadataChecked:
             with pytest.raises(TensorError, match=message):
                 self.field(components)
 
+    @pytest.mark.parametrize(
+        "variance, components, message",
+        [
+            (("u", "x", "l"), {}, "variance slots"),
+            ((LOWER,) * 3, {(0, 1): 1}, "does not match rank"),
+            ((LOWER,) * 3, {(0, 1, 3): 1}, "out of range"),  # index 3 in 3 dimensions
+        ],
+    )
+    def test_bad_slots_and_keys_rejected(self, variance, components, message):
+        with pytest.raises(TensorError, match=message):
+            self.field(components, frozenset(), variance)
+
     def test_mixed_pair_values_not_checked(self):
         t = self.field({(0, 1, 2): 1, (1, 1, 2): 1}, variance=(UPPER, LOWER, LOWER))
         assert t.nnz() == 2
         assert t.oriented_pairs == frozenset()
+
+
+@pytest.mark.parametrize(
+    "dim, coordinates, message",
+    [(0, (), "dimension must be"), (2, ("u", "v", "w"), "exactly dim coordinates")],
+)
+def test_metric_dimension_checked(dim, coordinates, message):
+    with pytest.raises(TensorError, match=message):
+        Metric(SymbolEnv(coordinates=coordinates), dim, {})
 
 
 def test_metric_symmetry_enforced():
