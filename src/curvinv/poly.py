@@ -21,10 +21,11 @@ bits.  Then:
   quotient is then ``d ^ guard``;
 * integer order is lex order, so ``max(p)`` is the lex-leading monomial.
 
-Arithmetic returns new polynomials and never mutates its operands, so a
-polynomial may serve as a dict key.  Its hash and its support (see
-:func:`_support`) are cached: never mutate one after either has been
-read.
+Arithmetic never mutates its operands, so a polynomial may serve as a
+dict key.  It returns a new polynomial, except that a product with the
+integer 1 or the unit polynomial returns the other operand itself.  A
+polynomial's hash and its support (see :func:`_support`) are cached:
+never mutate one after either has been read.
 
 The tuple view is kept where exponents are read one by one:
 :meth:`Poly.terms` and :meth:`PolyRing.from_dict` speak in exponent
@@ -269,11 +270,17 @@ class Poly(dict):
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if other == 1:
+                return self
             if not other:
                 return self.ring.zero
             return _new(self.ring, {m: c * other for m, c in self.items()})
         if not isinstance(other, Poly):
             return NotImplemented
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         ring = self.ring
         if len(other) > len(self):
             self, other = other, self
@@ -562,7 +569,7 @@ def _exquo(f: dict, g: dict, guard: int):
     remainder term with an exponent past MAX_EXPONENT: every term of an
     exact division divides ``f``.  ``guard`` holds the ring's guard bits.
     """
-    if len(g) == 1 and g.get(0) == 1:
+    if _is_one(g):
         return dict(f)
     gm = max(g)
     gc = g[gm]
@@ -616,6 +623,10 @@ def _divide_out(p: dict, b: dict, guard: int, most: int) -> tuple:
 
 def _is_constant(p) -> bool:
     return len(p) == 1 and 0 in p
+
+
+def _is_one(p) -> bool:
+    return len(p) == 1 and p.get(0) == 1
 
 
 def _is_unit(p) -> bool:

@@ -8,16 +8,19 @@ immutable once built and safe to share across worker processes.
 A field's ``antisym_pairs`` are adjacent slot pairs (p, p+1) on which the
 tensor is antisymmetric.  Whether swapping a pair's indices negates a
 component follows from the variance alone: it does when both slots share
-a variance, and those pairs are the field's ``oriented_pairs``.  The
-constructor rejects a store that breaks them.  Index raising and the
-covariant derivative use them to save work: they compute only the output
-keys oriented on every such pair, ``key[p] < key[p+1]``, and fill each
-swapped key with the negated value.  The Riemann tensor also uses its pair
-exchange R_abcd = R_cdab: it is built from the metric only at its
-independent keys, a < b, c < d and (a, b) <= (c, d), and the other keys
-are filled.  Canonical forms are unique, so a filled component is exactly
-the one the full computation would give; keys with equal indices on a
-pair are zero and stay absent.
+a variance, and those pairs are the field's ``oriented_pairs``.  A field
+may also declare Riemann's pair exchange R_abcd = R_cdab (``exchange``),
+which ``riemann_lowered`` sets and raising and the covariant derivative
+keep; it is active when the first two slots have the variances of the
+next two.  The constructor rejects a store that breaks an oriented pair
+or an active exchange.  The builders use them to save work: they compute
+only the keys oriented on every oriented pair, ``key[p] < key[p+1]``, and,
+while the exchange is active, ordered by it, ``key[:2] <= key[2:4]``
+(``_computed``).  They fill each exchanged key with the same value and
+each swapped key with the negated value (``_filled``).  Canonical forms
+are unique, so a filled component is exactly the one the full
+computation would give; keys with equal indices on an oriented pair are
+zero and stay absent.
 
 A ``Metric`` is a ``TensorField`` of variance (l, l).  ``RIEMANN_PAIRS``
 are the antisymmetric pairs ``riemann_lowered`` declares and
@@ -38,8 +41,10 @@ Every builder forms each component as a sum of products of canonical
 components, canonicalised once in an ``expr.RawSum``: the Christoffel
 symbols and Riemann fill one per component in their own loops, and
 raising and the covariant derivative hand every product with its output
-key to ``expr.sum_by_key``.  The component is the same canonical
-expression that summing canonical products gives.
+key to ``expr.sum_by_key``.  Raising several slots at once forms each
+product of row weights and component in that one sum, so each output
+component is canonicalised once, not once per slot.  The component is
+the same canonical expression that summing canonical products gives.
 """
 
 from __future__ import annotations
@@ -72,10 +77,13 @@ class TensorField:
     ``oriented_pairs`` are the subset whose two slots share a variance,
     where an index swap negates the component.  A pair with one upper and
     one lower slot has no such rule (T^a_b is not -T^b_a), and becomes
-    oriented again once its other slot is raised too.  Every stored key
-    must have distinct indices on each oriented pair and its swapped key
-    stored with the negated value: operations trust the metadata to fill
-    components they do not compute.
+    oriented again once its other slot is raised too.  ``exchange``
+    declares the pair exchange of slots (0, 1) and (2, 3), with both
+    pairs antisymmetric; it is active when ``variance[:2] ==
+    variance[2:4]``.  Every stored key must have distinct indices on each
+    oriented pair and its swapped key stored with the negated value, and
+    under an active exchange its exchanged key stored with the same value:
+    operations trust the metadata to fill components they do not compute.
     """
 
     def __init__(
@@ -85,6 +93,7 @@ class TensorField:
         variance: tuple,
         components: Mapping,
         antisym_pairs: frozenset = frozenset(),
+        exchange: bool = False,
     ):
         rank = len(variance)
         for v in variance:
@@ -106,6 +115,8 @@ class TensorField:
         self.components = store
         self.antisym_pairs = frozenset(antisym_pairs)
         self.oriented_pairs = _check_pairs(self.variance, self.antisym_pairs, store)
+        self.exchange = exchange
+        _check_exchange(self.variance, self.antisym_pairs, exchange, store)
         self._zero = env.zero()
 
     def component(self, key: tuple) -> Expr:
@@ -141,7 +152,7 @@ def _check_pairs(variance: tuple, antisym_pairs, store: Mapping) -> frozenset:
             if key[p] < key[q]:
                 below += 1
                 mirror = store.get(_swapped(key, p))
-                if mirror is None or mirror != -value:
+                if mirror is None or not _negates(mirror, value):
                     raise _swap_error(key, (p, q))
             elif key[p] == key[q]:
                 raise TensorError(
@@ -159,24 +170,84 @@ def _swap_error(key: tuple, pair: tuple) -> TensorError:
     )
 
 
+def _negates(a: Expr, b: Expr) -> bool:
+    """Whether a == -b, compared coefficient by coefficient, without
+    building -b."""
+    num = a.num
+    return (
+        a.den == b.den
+        and len(num) == len(b.num)
+        and all(num.get(m) == -c for m, c in b.num.items())
+    )
+
+
+def _check_exchange(variance: tuple, antisym_pairs, exchange: bool, store: Mapping) -> None:
+    """Reject a declared pair exchange without Riemann's antisymmetric
+    pairs, or a store that breaks it while it is active."""
+    if not exchange:
+        return
+    if not RIEMANN_PAIRS <= antisym_pairs:
+        raise TensorError(
+            "the pair exchange needs antisymmetric pairs (0, 1) and (2, 3), not %r"
+            % (sorted(antisym_pairs),)
+        )
+    if not _exchanges(variance, exchange):
+        return
+    # As for a pair: each key with key[:2] < key[2:4] must have its exchange,
+    # equal, and as many keys must have key[:2] > key[2:4].
+    below = above = 0
+    for key, value in store.items():
+        if key[:2] < key[2:4]:
+            below += 1
+            copy = store.get(_exchanged(key))
+            if copy is None or copy != value:
+                raise _exchange_error(key)
+        elif key[:2] > key[2:4]:
+            above += 1
+    if below != above:
+        raise _exchange_error(next(k for k in store if _exchanged(k) not in store))
+
+
+def _exchange_error(key: tuple) -> TensorError:
+    return TensorError("component %r is not equal to its pair exchange" % (key,))
+
+
 def same_variance(pairs, variance: tuple) -> frozenset:
     """The slot pairs whose two slots share a variance: the antisymmetric
     pairs on which swapping the indices negates a component."""
     return frozenset((p, q) for p, q in pairs if variance[p] == variance[q])
 
 
+def _exchanges(variance: tuple, exchange: bool) -> bool:
+    """Whether a declared pair exchange is active at this variance: the
+    first two slots have the variances of the next two."""
+    return exchange and variance[:2] == variance[2:4]
+
+
 def _swapped(key: tuple, p: int) -> tuple:
     return key[:p] + (key[p + 1], key[p]) + key[p + 2 :]
 
 
-def _oriented(key: tuple, pairs) -> bool:
-    return all(key[p] < key[p + 1] for p, _ in pairs)
+def _exchanged(key: tuple) -> tuple:
+    return key[2:4] + key[:2] + key[4:]
 
 
-def _mirrored(oriented: Mapping, pairs) -> dict:
-    """Full store from the components at oriented keys: each oriented pair
-    in turn adds the swapped key of every key so far, negated."""
-    store = dict(oriented)
+def _computed(key: tuple, pairs, exchange: bool) -> bool:
+    """Whether a builder computes ``key``: oriented on every pair of
+    ``pairs`` and, with an active exchange, ``key[:2] <= key[2:4]``."""
+    return all(key[p] < key[p + 1] for p, _ in pairs) and (
+        not exchange or key[:2] <= key[2:4]
+    )
+
+
+def _filled(computed: Mapping, pairs, exchange: bool) -> dict:
+    """Full store from the components at computed keys (see ``_computed``):
+    an active exchange adds each key's exchange, equal, then each oriented
+    pair in turn adds the swapped key of every key so far, negated."""
+    store = dict(computed)
+    if exchange:
+        for key, value in computed.items():
+            store[_exchanged(key)] = value
     for p, _ in pairs:
         for key, value in list(store.items()):
             store[_swapped(key, p)] = -value
@@ -337,11 +408,9 @@ def riemann_lowered(g: Metric) -> TensorField:
     reading the metric derivatives, the connection of the first kind
     Gamma_ead and the connection Gamma^e_bc from the metric's memos
     (``Metric.derivative``, ``Metric.first_kind`` and ``christoffel``).
-    Only the independent keys a < b, c < d and (a, b) <= (c, d) are
-    computed, each summing its products in an ``expr.RawSum``.
-    The pair exchange R_cdab = R_abcd puts each value at (a, b, c, d) and
-    (c, d, a, b); the antisymmetries in slots (0,1) and (2,3) fill the
-    other keys by negation.
+    The field declares the pair exchange, so only its computed keys, the
+    independent a < b, c < d and (a, b) <= (c, d), are formed, each summing
+    its products in an ``expr.RawSum``; the other keys are filled.
     """
     dim, env = g.dim, g.env
     gamma = christoffel(g)
@@ -362,9 +431,11 @@ def riemann_lowered(g: Metric) -> TensorField:
                         total.add_product((w, g.first_kind(e, a, y)), sign)
             value = total.value()
             if not value.is_zero:
-                independent[(a, b, c, d)] = independent[(c, d, a, b)] = value
-    store = _mirrored(independent, RIEMANN_PAIRS)
-    return TensorField(env, dim, (LOWER,) * 4, store, antisym_pairs=RIEMANN_PAIRS)
+                independent[(a, b, c, d)] = value
+    store = _filled(independent, RIEMANN_PAIRS, True)
+    return TensorField(
+        env, dim, (LOWER,) * 4, store, antisym_pairs=RIEMANN_PAIRS, exchange=True
+    )
 
 
 def _rows(dim: int, components: Mapping) -> list:
@@ -375,38 +446,53 @@ def _rows(dim: int, components: Mapping) -> list:
     return rows
 
 
-def raise_index(t: TensorField, slot: int, g_inv: TensorField) -> TensorField:
-    """Contract ``slot`` with the inverse metric, flipping it to upper
-    variance: out[..k..] = sum of g^ke t[..e..].
+def raise_index(t: TensorField, slots, g_inv: TensorField) -> TensorField:
+    """Contract each of ``slots`` (one slot or several) with the inverse
+    metric, flipping it to upper variance: raising slots s and r gives
+    out[..k..l..] = sum of g^ke g^lf t[..e..f..].
 
-    The output keeps the input's antisymmetric pairs.  Only keys oriented
-    on its oriented pairs are computed: the products g^ke t[..e..] are
-    keyed by their output key and summed by ``expr.sum_by_key``.  The
-    swapped keys are filled by negation.
+    The output keeps the input's antisymmetric pairs and pair exchange.
+    Only its computed keys (see ``_computed``) are formed: oriented on the
+    pairs that are oriented at the output variance and, while the exchange
+    is active there, ordered by it.  Every product (g^ke, g^lf, ...,
+    t[..e..f..]) is keyed by its output key, and one ``expr.sum_by_key``
+    sums them all, so each output component is canonicalised once however
+    many slots are raised.  The other keys are filled (``_filled``).
     """
-    if not 0 <= slot < t.rank:
-        raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
-    if t.variance[slot] != LOWER:
-        raise TensorError("slot %d is already upper" % slot)
+    slots = (slots,) if isinstance(slots, int) else tuple(slots)
+    variance = list(t.variance)
+    for slot in slots:
+        if not 0 <= slot < t.rank:
+            raise TensorError("slot %d out of range for rank %d" % (slot, t.rank))
+        if variance[slot] != LOWER:
+            raise TensorError("slot %d is already upper" % slot)
+        variance[slot] = UPPER
+    out_variance = tuple(variance)
     rows = _rows(g_inv.dim, g_inv.components)
-    out_variance = t.variance[:slot] + (UPPER,) + t.variance[slot + 1 :]
     pairs = same_variance(t.antisym_pairs, out_variance)
+    exchange = _exchanges(out_variance, t.exchange)
 
     def products():
         for key, value in t.components.items():
-            prefix, suffix = key[:slot], key[slot + 1 :]
-            for k, weight in rows[key[slot]]:
-                out_key = prefix + (k,) + suffix
-                if _oriented(out_key, pairs):
-                    yield out_key, (weight, value), 1
+            raised = [(key, ())]
+            for s in slots:
+                raised = [
+                    (out[:s] + (k,) + out[s + 1 :], weights + (weight,))
+                    for out, weights in raised
+                    for k, weight in rows[key[s]]
+                ]
+            for out, weights in raised:
+                if _computed(out, pairs, exchange):
+                    yield out, weights + (value,), 1
 
     accumulated = sum_by_key(t.env, products())
     return TensorField(
         t.env,
         t.dim,
         out_variance,
-        _mirrored(accumulated, pairs),
+        _filled(accumulated, pairs, exchange),
         antisym_pairs=t.antisym_pairs,
+        exchange=t.exchange,
     )
 
 
@@ -415,28 +501,32 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
     Gamma^f_{e i_s} T_{..f..} over the original slots.
 
     Requires an all-lower input; raising is deferred until all derivatives
-    are taken, so every antisymmetric pair of the input is oriented.  The
-    output keeps those pairs, and only keys oriented on them are computed:
-    partial derivatives of oriented components, and connection terms whose
-    target key is oriented.  The swapped keys are filled by negation.  The
-    partial derivatives and connection products are keyed by their output
-    key and summed by ``expr.sum_by_key``.
+    are taken, so every antisymmetric pair of the input is oriented, and a
+    declared pair exchange is active (nabla_e R_abcd = nabla_e R_cdab).
+    The output keeps the pairs and the exchange, and only its computed
+    keys are formed: partial derivatives of computed components, and
+    connection terms whose target key is computed.  The other keys are
+    filled.  The partial derivatives and connection products are keyed by
+    their output key and summed by ``expr.sum_by_key``.
     """
     if any(v != LOWER for v in t.variance):
         raise TensorError("covariant derivative expects an all-lower field")
     dim, env = t.dim, t.env
     coords = env.coordinates
     pairs = t.oriented_pairs
+    exchange = _exchanges(t.variance, t.exchange)
 
     def products():
         for key, value in t.components.items():
-            if _oriented(key, pairs):
+            if _computed(key, pairs, exchange):
                 for e in range(dim):
                     yield key + (e,), (value.diff(coords[e]),), 1
             for s in range(t.rank):
                 f = key[s]
                 prefix, suffix = key[:s], key[s + 1 :]
-                targets = [i for i in range(dim) if _oriented(prefix + (i,) + suffix, pairs)]
+                targets = [
+                    i for i in range(dim) if _computed(prefix + (i,) + suffix, pairs, exchange)
+                ]
                 for e in range(dim):
                     for i in targets:
                         w = gamma.component((f, e, i))
@@ -448,6 +538,7 @@ def covariant_derivative(t: TensorField, gamma: TensorField) -> TensorField:
         env,
         dim,
         t.variance + (LOWER,),
-        _mirrored(accumulated, pairs),
+        _filled(accumulated, pairs, exchange),
         antisym_pairs=t.antisym_pairs,
+        exchange=t.exchange,
     )

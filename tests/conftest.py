@@ -89,6 +89,15 @@ def null3d():
 
 
 @pytest.fixture(scope="session")
+def null_pair3d():
+    """2 x du dv + dx**2: the u and v rows of its inverse hold one
+    off-diagonal entry each, so raising a u index gives a v index alone;
+    cheap enough for the every-key oracles."""
+    env = SymbolEnv(coordinates=("u", "v", "x"))
+    return Metric(env, 3, {(0, 1): env.symbol("x"), (2, 2): env.one()})
+
+
+@pytest.fixture(scope="session")
 def s3_euler():
     """Unit S^3 in Euler angles with x = cos(theta),
     (1/4)(dx**2/(1 - x**2) + dphi**2 + dpsi**2 + 2 x dphi dpsi): off-diagonal,

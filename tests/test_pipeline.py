@@ -2,6 +2,7 @@ import pytest
 
 from curvinv import pipeline, tensor
 from curvinv.cli import PRESETS
+from curvinv.contraction import parse_spec
 from curvinv.expr import SymbolEnv
 from curvinv.metrics import kerr, sphere_metric
 from curvinv.parallel import RunConfig
@@ -84,6 +85,31 @@ def test_raised_fields_cached_per_metric(monkeypatch):
     assert second.raise_mults > 0
     for name in ("expression", "P", "T", "multiplier", "product_count", "raise_mults"):
         assert getattr(second, name) == getattr(first, name)
+
+
+@pytest.mark.parametrize(
+    "name, dim, substitutions, invariant, raised",
+    [
+        # diagonal inverses: each factor field in one call, the longer one
+        # from the shorter, and P's intermediates never built
+        ("sphere", 3, (), "I_b", [(0, 1), (2, 3)]),
+        ("kerr", 5, [("a", 0)], "I_c", [(0, 1, 2, 3, 4)]),
+        # Kerr's t and phi rows have two entries: the literal chain is built
+        ("kerr", 4, [("a", 1)], "I_b", [(0,), (1,), (2,), (3,)]),
+    ],
+)
+def test_raise_calls(monkeypatch, name, dim, substitutions, invariant, raised):
+    metric = pipeline.metric_with_substitutions(name, dim, substitutions)
+    calls = []
+    original = pipeline.raise_index
+
+    def counting(t, slots, g_inv):
+        calls.append(slots)
+        return original(t, slots, g_inv)
+
+    monkeypatch.setattr(pipeline, "raise_index", counting)
+    pipeline.build_factor_tensors(metric, parse_spec(PRESETS[invariant]))
+    assert calls == raised
 
 
 def test_parameter_fixed_at_most_once():

@@ -208,6 +208,17 @@ def test_products_of_cached_supports_still_check_the_guard_bits():
     assert product._support == R.monomial((top, 1))
 
 
+def test_a_product_with_one_returns_the_other_operand():
+    R = poly_ring(2)
+    x, y = R.gens
+    p = x * y + 3
+    terms = dict(p)
+    for product in (p * 1, 1 * p, p * R.one, R.one * p):
+        assert product is p
+    assert dict(p * 2) == {m: 2 * c for m, c in terms.items()}
+    assert dict(p) == terms
+
+
 def _random_poly(rng, n, terms):
     return {
         tuple(rng.randint(0, 3) for _ in range(n)): rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5])

@@ -9,6 +9,7 @@ from curvinv.metrics import flat
 from curvinv.pipeline import build_factor_tensors
 from curvinv.tensor import (
     LOWER,
+    RIEMANN_PAIRS,
     Metric,
     SingularMetricError,
     TensorError,
@@ -316,11 +317,12 @@ class TestCovariantDerivative:
 
 
 class TestOrientedMatchesFull:
-    """Raising and nabla compute one orientation of each oriented pair and
-    fill the rest; the every-key loops in ``oracles`` are the reference,
-    component for component.  The raising count P takes is the oracle's
-    count of every product formed.  Each raised field, lowered back with
-    the every-key loop, gives the Riemann tensor again."""
+    """Raising and nabla compute one orientation of each oriented pair, and
+    one image of the pair exchange, and fill the rest; the every-key loops
+    in ``oracles`` are the reference, component for component.  The
+    raising count P takes is the oracle's count of every product formed.
+    Each raised field, lowered back with the every-key loop, gives the
+    Riemann tensor again."""
 
     CHAINS = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (1,), (2,), (3,))
 
@@ -331,8 +333,12 @@ class TestOrientedMatchesFull:
         assert got.antisym_pairs == want.antisym_pairs
         assert got.oriented_pairs == want.oriented_pairs
 
-    def test_raise_and_lower(self, s3, schwarzschild4, quartic2d, offdiag3d):
-        for g in (s3, schwarzschild4, quartic2d, offdiag3d):
+    def test_raise_and_lower(
+        self, s3, schwarzschild4, quartic2d, offdiag3d, null3d, null_pair3d
+    ):
+        # null3d's inverse has one-entry off-diagonal rows that lead to its
+        # two-entry row; null_pair3d's lead to each other.
+        for g in (s3, schwarzschild4, quartic2d, offdiag3d, null3d, null_pair3d):
             R = riemann_lowered(g)
             ginv = g.inverse()
             up_rows, down_rows = _rows(g.dim, ginv.components), rows(g)
@@ -343,15 +349,21 @@ class TestOrientedMatchesFull:
                     got = raise_index(got, slot, ginv)
                     want, mults = full_contract_slot(want, slot, up_rows, UPPER)
                     self.assert_same_field(got, want)
+                    assert got.exchange
                     expected += mults
+                # One call raises the whole chain in one sum.
+                self.assert_same_field(raise_index(R, chain, ginv), want)
                 # The chain raises these slots of a factor with free labels.
+                # On a fresh metric no intermediate is built beforehand, so
+                # the count reads what the pipeline builds or derives.
                 spec = parse_spec(
                     "R(%s)" % ",".join(
                         ("+*" if s in chain else "-*") + label
                         for s, label in enumerate("abcd")
                     )
                 )
-                (built,), counted = build_factor_tensors(g, spec)
+                fresh = Metric(g.env, g.dim, g.components)
+                (built,), counted = build_factor_tensors(fresh, spec)
                 self.assert_same_field(built, want)
                 assert counted == expected
                 for slot in chain:
@@ -367,6 +379,18 @@ class TestOrientedMatchesFull:
                 got = covariant_derivative(got, gam)
                 want = full_covariant_derivative(want, gam)
                 self.assert_same_field(got, want)
+                assert got.exchange
+
+    def test_all_slots_of_nabla_r_in_one_call(self, schwarzschild4, offdiag3d, null_pair3d):
+        for g in (schwarzschild4, offdiag3d, null_pair3d):
+            ginv = g.inverse()
+            up_rows = _rows(g.dim, ginv.components)
+            dR = covariant_derivative(riemann_lowered(g), christoffel(g))
+            assert dR.nnz() > 0
+            want = dR
+            for slot in range(5):
+                want, _ = full_contract_slot(want, slot, up_rows, UPPER)
+            self.assert_same_field(raise_index(dR, range(5), ginv), want)
 
 
 class TestPairMetadataChecked:
@@ -425,6 +449,35 @@ class TestPairMetadataChecked:
     def test_bad_slots_and_keys_rejected(self, variance, components, message):
         with pytest.raises(TensorError, match=message):
             self.field(components, frozenset(), variance)
+
+    @staticmethod
+    def riemann_like(values, variance=(LOWER,) * 4, pairs=RIEMANN_PAIRS):
+        """A rank-4 field declaring the pair exchange: each (a, b, c, d) of
+        ``values`` with its swaps on both antisymmetric pairs, negated."""
+        env = SymbolEnv(coordinates=("u", "v", "w"))
+        u = env.symbol("u")
+        store = {}
+        for (a, b, c, d), sign in values.items():
+            for w, x, first in ((a, b, 1), (b, a, -1)):
+                for y, z, second in ((c, d, 1), (d, c, -1)):
+                    store[(w, x, y, z)] = sign * first * second * u
+        return TensorField(env, 3, variance, store, antisym_pairs=pairs, exchange=True)
+
+    def test_pair_exchange_checked(self):
+        # R_0102 = R_0201 is accepted; an exchange that is missing or not
+        # equal is rejected, and the error names the key.
+        assert self.riemann_like({(0, 1, 0, 2): 1, (0, 2, 0, 1): 1}).nnz() == 8
+        for values in ({(0, 1, 0, 2): 1}, {(0, 1, 0, 2): 1, (0, 2, 0, 1): -1}):
+            with pytest.raises(TensorError, match="is not equal to its pair exchange"):
+                self.riemann_like(values)
+        # Every key of R_1201's orbit has key[:2] > key[2:4].
+        with pytest.raises(TensorError, match=re.escape("(1, 2, 0, 1) is not equal")):
+            self.riemann_like({(1, 2, 0, 1): 1})
+        # Inactive at a variance whose first two slots differ from the next two.
+        broken = self.riemann_like({(0, 1, 0, 2): 1}, variance=(UPPER,) + (LOWER,) * 3)
+        assert broken.nnz() == 4
+        with pytest.raises(TensorError, match="needs antisymmetric pairs"):
+            self.riemann_like({}, pairs=frozenset({(0, 1)}))
 
     def test_mixed_pair_values_not_checked(self):
         t = self.field({(0, 1, 2): 1, (1, 1, 2): 1}, variance=(UPPER, LOWER, LOWER))
