@@ -29,8 +29,7 @@ each entry's factor components, keyed by its free labels' values.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .expr import sum_by_key
 from .tensor import LOWER, RIEMANN_PAIRS, UPPER, TensorField, same_variance
@@ -49,26 +48,24 @@ class PlanError(Exception):
 MAX_DERIVATIVE_ORDER = 2
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(
+    namedtuple("FactorSpec", ("derivative_order", "labels", "variance", "antisym_pairs"))
+):
     """One tensor factor: derivative slots, per-slot labels and variances,
     and the antisymmetric slot pairs its tensor must declare."""
 
-    derivative_order: int
-    labels: tuple
-    variance: tuple
-    antisym_pairs: frozenset
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class InvariantSpec:
-    factors: tuple
-    label_names: tuple  # id -> name, in order of first appearance
-    free_labels: frozenset  # names marked free (appear exactly once)
+class InvariantSpec(namedtuple("InvariantSpec", ("factors", "label_names", "free_labels"))):
+    """The factors, the label names by id, in order of first appearance, and
+    the names marked free (each appears exactly once)."""
+
+    __slots__ = ()
 
     @property
     def label_count(self) -> int:
@@ -186,17 +183,15 @@ def symmetric_derivative_pairs(spec: InvariantSpec):
     )
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
+class ContractionPlan(
+    namedtuple("ContractionPlan", ("spec", "tensors", "sum_index_array", "multiplier"))
+):
     """An enumerated contraction: the spec, the factor tensors (checked
     against it) the assignments were enumerated from, the surviving label
     assignments in cycling order and the abbreviation multiplier.  Built by
     ``enumerate_indices``; every sum of its products reads its tensors."""
 
-    spec: InvariantSpec
-    tensors: tuple
-    sum_index_array: tuple
-    multiplier: int
+    __slots__ = ()
 
     @property
     def product_count(self) -> int:

@@ -12,31 +12,39 @@ compare equal componentwise.  In particular an expression is zero exactly
 when its numerator is the zero polynomial.
 
 Polynomials are :class:`curvinv.poly.Poly` values in the env's ring,
-read and built only through that module's public names.  The GCD that
-cancels numerator against denominator is ``curvinv.poly.cofactors``, a
-port of sympy's heuristic GCD (heugcd: Char, Geddes and Gonnet, J.
-Symbolic Comput. 7, 1989).  Over ZZ the reduced cofactors are unique up
-to one common sign, so re-applying the grevlex sign rule, the
-denominator's leading coefficient positive, gives the unique canonical
-form.
+read and built only through that module's public names.
 
-A :class:`RawSum` canonicalises a sum of products once rather than once
-per ``*`` and ``+``; :func:`sum_by_key` keeps one per key.  Only the
-numerators are multiplied out; the canonical denominators name each
-product's group.  Each :class:`SymbolEnv` instance keeps a
-``curvinv.poly.CoprimeBasis`` of the denominators its sums have met,
-which brings the groups over a common denominator and proves, where it
-can, the sum reduced; else one ``Expr.make`` cancels what is left.
-Canonical forms are unique, so the result is, byte for byte, the
-expression that summing the canonical products one by one gives.
+All arithmetic goes through the env's coprime basis of the denominators
+it has met (``curvinv.poly.CoprimeBasis``, one per :class:`SymbolEnv`
+instance, never pickled).  A :class:`RawSum` canonicalises a sum of
+products once: each product is cancelled before it is multiplied (an
+element power that one factor's denominator shares with another factor's
+numerator is divided out of both), only the cancelled numerators are
+multiplied out, and the groups, keyed by what is left of their
+denominators, are brought over their least common denominator, divided
+by element powers as far as that goes, and proved reduced.
+:func:`sum_by_key` keeps one sum per key.  ``*``, ``+`` and ``-`` are
+each one such sum, ``a / b`` is ``a * b**-1``, and :meth:`Expr.diff`
+sums the quotient rule over the factored denominator.  Canonical forms
+are unique, so every result is, byte for byte, the one that multiplying
+everything out and cancelling by a GCD gives.
+
+The GCD, ``curvinv.poly.cofactors``, a port of sympy's heuristic GCD
+(heugcd: Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989), serves
+the basis (refinement and the coprimality proof of an element that the
+irreducibility certificate does not cover), and :meth:`Expr.make`: the
+fallback for a sum the basis cannot prove reduced, and exact
+substitution.  Over ZZ the reduced cofactors are unique up to one common
+sign, so re-applying the grevlex sign rule, the denominator's leading
+coefficient positive, gives the unique canonical form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .poly import CoprimeBasis, SymbolicError, cofactors, poly_ring
 
@@ -59,22 +67,17 @@ def _cancel(num, den):
     return num, den
 
 
-@dataclass(frozen=True)
-class SymbolEnv:
+class SymbolEnv(namedtuple("SymbolEnv", ("coordinates", "parameters"))):
     """Fixed, ordered universe of symbols an expression may mention: the
-    parameters, then the coordinates, each one generator of the ring."""
+    parameters, then the coordinates, each one generator of the ring.
+    Equal and hashed by value; its fields are read-only."""
 
-    coordinates: tuple
-    parameters: tuple = ()
-
-    def __post_init__(self):
-        coords = tuple(self.coordinates)
-        params = tuple(self.parameters)
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "parameters", params)
-        names = params + coords
+    def __new__(cls, coordinates, parameters=()):
+        coordinates, parameters = tuple(coordinates), tuple(parameters)
+        names = parameters + coordinates
         if len(set(names)) != len(names):
             raise UnknownSymbolError("coordinate/parameter names must be unique")
+        return super().__new__(cls, coordinates, parameters)
 
     @cached_property
     def gen_names(self) -> tuple:
@@ -86,8 +89,8 @@ class SymbolEnv:
 
     @cached_property
     def basis(self) -> "CoprimeBasis":
-        """The coprime basis of the denominators this instance's sums have
-        met.  It belongs to the instance, not to its value: an equal env
+        """The coprime basis of the denominators this instance's arithmetic
+        has met.  It belongs to the instance, not to its value: an equal env
         built separately starts its own, and a pickled env arrives without
         one."""
         return CoprimeBasis(self.ring)
@@ -175,21 +178,19 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # a zero operand leaves the other canonical; make would redo its GCD
+        # a zero operand leaves the other canonical
         if not other.num:
             return self
         if not self.num:
             return other
-        if self.den == other.den:
-            if self.den == self.env.ring.one:
-                # a sum of polynomials is canonical as-is
-                return Expr(self.env, self.num + other.num, self.den)
-            return Expr.make(self.env, self.num + other.num, self.den)
-        return Expr.make(
-            self.env,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        one = self.env.ring.one
+        if self.den == one and other.den == one:
+            # a sum of polynomials is canonical as-is
+            return Expr(self.env, self.num + other.num, self.den)
+        total = RawSum(self.env)
+        total.add_product((self,))
+        total.add_product((other,))
+        return total.value()
 
     __radd__ = __add__
 
@@ -206,10 +207,15 @@ class Expr:
         return other.__sub__(self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, int):
+            values, coefficient = (self,), other
+        elif isinstance(other, Expr):
+            values, coefficient = (self, other), 1
+        else:
             return NotImplemented
-        return Expr.make(self.env, self.num * other.num, self.den * other.den)
+        total = RawSum(self.env)
+        total.add_product(values, coefficient)
+        return total.value()
 
     __rmul__ = __mul__
 
@@ -219,7 +225,7 @@ class Expr:
             return NotImplemented
         if not other.num:
             raise DivisionByZeroExpression("division by zero expression")
-        return Expr.make(self.env, self.num * other.den, self.den * other.num)
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -248,17 +254,31 @@ class Expr:
         return Expr(self.env, num ** exponent, den ** exponent)
 
     def diff(self, coordinate: str) -> "Expr":
-        """Partial derivative by a coordinate (not a parameter)."""
+        """Partial derivative by a coordinate (not a parameter), by the
+        quotient rule over the factoring d = c * prod(b_i**e_i) of the
+        denominator on the env's basis:
+
+            (n/d)' = n'/d - sum of e_i n b_i' / (d b_i),
+
+        one :class:`RawSum` whose common denominator is d * prod(b_i), not
+        d**2."""
         if coordinate not in self.env.coordinates:
             raise UnknownSymbolError("cannot differentiate by %r" % coordinate)
-        i = self.env.gen_index(coordinate)
+        env = self.env
+        i = env.gen_index(coordinate)
         dnum = self.num.diff(i)
-        dden = self.den.diff(i)
-        if not dden:
-            return Expr.make(self.env, dnum, self.den)
-        return Expr.make(
-            self.env, dnum * self.den - self.num * dden, self.den * self.den
-        )
+        if self.den == env.ring.one:
+            return Expr(env, dnum, self.den)
+        basis = env.basis
+        content, vector = basis.factor(self.den)
+        total = RawSum(env)
+        total.add_quotient(dnum, (content, vector))
+        for j, (k, e) in enumerate(vector):
+            db = basis.elements[k].diff(i)
+            if db:
+                over = vector[:j] + ((k, e + 1),) + vector[j + 1 :]
+                total.add_quotient(self.num * db * -e, (content, over))
+        return total.value()
 
     # Exact substitution ------------------------------------------------------
 
@@ -325,45 +345,93 @@ def _format_poly(env: SymbolEnv, p) -> str:
 class RawSum:
     """Accumulator for a sum of products of canonical expressions.
 
-    It maps the sorted tuple of each product's non-unit canonical
-    denominators to the sum of the raw numerators of that group.  No
-    denominator is multiplied out.  :meth:`value` sums the groups over the
-    env's ``CoprimeBasis`` (``CoprimeBasis.sum_quotients``); when the basis
-    cannot prove that quotient reduced, one ``Expr.make`` cancels what is
-    left.  The result is the canonical sum (see the module docstring).
+    Each product is cancelled before it is multiplied
+    (``CoprimeBasis.cancel`` on the env's basis): an element power that one
+    factor's denominator shares with another factor's numerator is divided
+    out of both, memoised per (numerator, element).  Only the cancelled
+    numerators are multiplied out.  Products are grouped by the factoring
+    of what is left of their denominators over the basis, ``(content,
+    ((index, exponent), ...))``, and each group's numerators are summed.
+    :meth:`value` brings the groups over their least common denominator
+    and divides element powers back out (``CoprimeBasis.sum_quotients``);
+    a sum of one product has no such lift, and each element left in its
+    denominator is certified coprime to the numerator, by the irreducibility
+    certificate or else by an exact division and ``poly._coprime``.  When
+    an element cannot be certified, one ``Expr.make`` cancels what is left.
+    The result is the canonical sum (see the module docstring).
+
+    The group keys index the basis's ``elements`` list as it was when they
+    were made; a refinement that splits an element (by any sum on the env)
+    gives the basis a new list, and the groups are then factored again over
+    it (``CoprimeBasis.refactor``).
     """
 
-    __slots__ = ("env", "_groups")
+    __slots__ = ("env", "_groups", "_elements", "_lone")
 
     def __init__(self, env: SymbolEnv):
         self.env = env
         self._groups = {}
+        self._elements = None  # the basis's elements list the keys index
+        self._lone = False  # whether the sum holds exactly one product
 
     def add_product(self, values: Iterable[Expr], coefficient: int = 1) -> None:
         """Add the integer ``coefficient`` times the product of ``values``,
-        raw; a zero factor adds nothing."""
-        num = None
-        dens = []
+        cancelled; a zero factor adds nothing."""
+        factors = []
         for v in values:
             if not v.num:
                 return
-            num = v.num if num is None else num * v.num
-            den = v.den
-            if len(den) > 1 or den.get(0) != 1:
-                dens.append(den)
+            factors.append((v.num, v.den))
+        content, vector, nums = self.env.basis.cancel(factors)
+        num = nums[0]
+        for other in nums[1:]:
+            num = num * other
         if coefficient != 1:
             num = num * coefficient
-        key = tuple(sorted(dens, key=hash)) if len(dens) > 1 else tuple(dens)
+        lone = not self._groups
+        self._add((content, vector), num)
+        self._lone = lone
+
+    def add_quotient(self, num, factored: tuple) -> None:
+        """Add the raw quotient of the polynomial ``num`` by the
+        denominator factored as ``(content, vector)`` over the env's basis
+        as it is now."""
+        self._add(factored, num)
+        self._lone = False
+
+    def _add(self, key: tuple, num) -> None:
+        basis = self.env.basis
+        if self._elements is not basis.elements:
+            self._refactor(basis)
         prior = self._groups.get(key)
         self._groups[key] = num if prior is None else prior + num
+
+    def _refactor(self, basis) -> None:
+        """Key the groups over the basis's current elements.  Each earlier
+        element is a product of current ones, so factoring it refines
+        nothing and the new keys all index the current list.  A piece of a
+        split element may divide a numerator that the element did not, so
+        a lone product is certified as a sum from then on."""
+        old, self._elements = self._elements, basis.elements
+        if old is None:
+            return
+        self._lone = False
+        groups, self._groups = self._groups, {}
+        for (content, vector), num in groups.items():
+            key = basis.refactor(content, vector, old)
+            prior = self._groups.get(key)
+            self._groups[key] = num if prior is None else prior + num
 
     def value(self) -> Expr:
         """The canonical sum; zero when nothing was added."""
         env = self.env
-        groups = [(dens, num) for dens, num in self._groups.items() if num]
+        basis = env.basis
+        if self._elements is not basis.elements:
+            self._refactor(basis)
+        groups = [(key, num) for key, num in self._groups.items() if num]
         if not groups:
             return env.zero()
-        num, den, reduced = env.basis.sum_quotients(groups)
+        num, den, reduced = basis.sum_quotients(groups, self._lone)
         if reduced:
             return Expr(env, num, den)
         return Expr.make(env, num, den)

@@ -46,10 +46,10 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .contraction import ContractionPlan, keyed_products
-from .expr import Expr, RawSum, sum_by_key
+from .expr import RawSum, sum_by_key
 
 
 class WorkerFailure(Exception):
@@ -62,24 +62,30 @@ class WorkerFailure(Exception):
 MAX_WORKERS = 4 * (os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    workers: int = 1
-    parcels_per_worker: int = 1
+class RunConfig(namedtuple("RunConfig", ("workers", "parcels_per_worker"))):
+    """How a sum runs: the number of worker processes, the coordinator
+    included, and the parcels per worker.  Checked on every construction,
+    ``_replace`` included."""
 
-    def __post_init__(self):
-        if self.workers < 1:
+    __slots__ = ()
+
+    def __new__(cls, workers: int = 1, parcels_per_worker: int = 1):
+        if workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.workers > MAX_WORKERS:
+        if workers > MAX_WORKERS:
             raise ValueError(
-                "workers must be <= %d (4 per CPU), got %d" % (MAX_WORKERS, self.workers)
+                "workers must be <= %d (4 per CPU), got %d" % (MAX_WORKERS, workers)
             )
-        if self.parcels_per_worker < 1:
+        if parcels_per_worker < 1:
             raise ValueError("parcels_per_worker must be >= 1")
+        return super().__new__(cls, workers, parcels_per_worker)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass
-class WorkerStats:
+class WorkerStats(namedtuple("WorkerStats", ("entries", "wall_ms"))):
     """One process's share of a run, the coordinator's included: the entries
     of the parcels it summed and the milliseconds it spent summing them to
     its partials (busy time only, not start-up or waiting; the coordinator's
@@ -88,32 +94,26 @@ class WorkerStats:
     coordinator, which sums parcel 0, comes first; then one all-zero entry
     per configured worker that took no parcel or never started."""
 
-    entries: int
-    wall_ms: float
+    __slots__ = ()
 
 
-@dataclass
-class RunReport:
-    """One invariant's value, the paper's statistics (P, T, multiplier) and
-    how the sum ran: ``per_worker`` has exactly ``workers`` entries, and
-    ``pool_ms`` is the pool cost measured in this run (its wall time beyond
-    its longest busy process), 0 when the sum stayed in process."""
+class RunReport(
+    namedtuple(
+        "RunReport",
+        (
+            "invariant", "expression", "P", "T", "multiplier", "product_count",
+            "raise_mults", "dim", "spec_text", "metric_name", "workers", "parcels",
+            "wall_ms", "pool_ms", "per_worker",
+        ),
+    )
+):
+    """One invariant's value (an ``Expr``), the paper's statistics (P, T,
+    multiplier) and how the sum ran: ``per_worker`` has exactly ``workers``
+    entries (a list of :class:`WorkerStats`), and ``pool_ms`` is the pool
+    cost measured in this run (its wall time beyond its longest busy
+    process), 0 when the sum stayed in process."""
 
-    invariant: Expr
-    expression: str
-    P: int
-    T: int
-    multiplier: int
-    product_count: int
-    raise_mults: int
-    dim: int
-    spec_text: str
-    metric_name: str
-    workers: int
-    parcels: int
-    wall_ms: float
-    pool_ms: float
-    per_worker: list  # of WorkerStats, padded to `workers` entries
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,9 +274,8 @@ def execute(
                 for j, future in futures.items():
                     pid, partial, busy_ms = future.result()
                     total.add_product((partial,), plan.multiplier)
-                    worker = stats.setdefault(pid, WorkerStats(0, 0.0))
-                    worker.entries += len(parcels[j])
-                    worker.wall_ms += busy_ms
+                    entries, wall_ms = stats.get(pid, (0, 0.0))
+                    stats[pid] = WorkerStats(entries + len(parcels[j]), wall_ms + busy_ms)
             except BrokenProcessPool as exc:
                 raise WorkerFailure("a worker exited without reporting") from exc
     finally:

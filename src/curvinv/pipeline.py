@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from typing import Optional
 
 from .contraction import (
     InvariantSpec,
@@ -130,7 +129,7 @@ def _count_keys(metric: Metric, field_key: tuple, partner: dict, keys: dict):
 def run_invariant(
     metric: Metric,
     spec_text: str,
-    cfg: Optional[RunConfig] = None,
+    cfg: RunConfig | None = None,
     *,
     metric_name: str = "",
 ) -> RunReport:

@@ -61,23 +61,30 @@ order too.  Over ZZ the reduced cofactors are unique up to one common
 sign, which heugcd fixes by the lex leading coefficient, so it is the sign
 of the GCD over all variables.
 
-A :class:`CoprimeBasis` lets a sum of quotients over many denominators be
-brought over a common denominator without a GCD (factor refinement: Bach,
-Driscoll and Shallit, J. Algorithms 14, 1993; Bernstein, J. Algorithms
-54, 2005).  It keeps pairwise coprime elements that generate the
-denominators it has met, so each denominator factors as an integer
-content times element powers: the least common denominator is a
-componentwise maximum and each quotient's cofactor a product of cached
-element powers.  :meth:`CoprimeBasis.sum_quotients` then divides the sum
-exactly by elements as far as it goes, so each element left in the
-denominator failed an exact division of the numerator.  When that
-element is certified irreducible (a test run once per element: linear,
-or quadratic with a discriminant that is no square, in a variable in
-which its content is a unit), the failed division proves it coprime to
-the numerator.  Otherwise a GCD with the element, taken over the
-numerator's coefficients in that element's variables, proves it, or the
-caller is told that a GCD must still cancel the quotient.  All of this
-is exact polynomial arithmetic.
+A :class:`CoprimeBasis` lets products and sums of quotients over many
+denominators be reduced without a GCD (factor refinement: Bach, Driscoll
+and Shallit, J. Algorithms 14, 1993; Bernstein, J. Algorithms 54, 2005).
+It keeps pairwise coprime elements that generate the denominators it has
+met, so each denominator factors as an integer content times element
+powers.  :meth:`CoprimeBasis.cancel` takes a product's factors and,
+before anything is multiplied, divides out each element power that one
+factor's denominator shares with another factor's numerator, from both,
+through a memo of exact quotient chains per (polynomial, element).  For
+a sum, the least common denominator is a componentwise maximum and each
+quotient's cofactor a product of cached element powers;
+:meth:`CoprimeBasis.sum_quotients` then divides the sum exactly by
+elements as far as it goes, so each element left in the denominator
+failed an exact division of the numerator.  (A lone cancelled product
+skips that division for a certified element, which divides none of its
+factors and so, being irreducible, not their product.)  When that
+element is certified irreducible (a test run once per element:
+linear, or quadratic with a discriminant that is no square, in a
+variable in which its content is a unit), the failed division proves it
+coprime to the numerator.  Otherwise a GCD with the element, taken over
+the numerator's coefficients in that element's variables, proves it, or
+the caller is told that a GCD must still cancel the quotient.  So the
+GCD serves only refinement, that proof and the caller's fallback.  All
+of this is exact polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -719,21 +726,28 @@ class CoprimeBasis:
     denominator that the elements do not generate refines the basis:
     what is left after trial division is split against each element by
     its GCD until every piece is coprime to the rest.  A refinement that
-    splits an element renumbers the basis and bumps ``generation``;
-    factorings made under an older generation are stale and are
-    recomputed when next asked for.  A refinement that only appends an
-    element coprime to all others leaves every earlier factoring exact.
+    splits an element renumbers the basis, bumps ``generation`` and makes
+    ``elements`` a new list, so a holder of the old list can still read
+    the elements its vectors index (:meth:`refactor`); factorings made
+    under an older generation are stale and are recomputed when next
+    asked for.  A refinement that only appends an element coprime to all
+    others keeps the list and leaves every earlier factoring exact.
     """
 
-    __slots__ = ("ring", "elements", "generation", "_factors", "_powers", "_irreducible")
+    __slots__ = (
+        "ring", "elements", "generation", "_factors", "_powers", "_irreducible", "_chains",
+    )
 
     def __init__(self, ring):
         self.ring = ring
         self.elements = []
         self.generation = 0
-        self._factors = {}  # denominator -> (generation, content, vector)
+        self._factors = {}  # denominator -> (generation, (content, vector))
         self._powers = {}  # element -> [element**0, element**1, ...]
         self._irreducible = {}  # element -> whether it is certified irreducible
+        # (polynomial, element) -> [p, p/b, p/b**2, ...], ending in None
+        # once the element divides the last quotient no further
+        self._chains = {}
 
     def irreducible(self, b) -> bool:
         """Whether the element ``b`` is certified irreducible (see
@@ -749,27 +763,94 @@ class CoprimeBasis:
         of ``elements[i] ** e`` over the ``(i, e)`` pairs of the vector."""
         cached = self._factors.get(den)
         if cached is not None and cached[0] == self.generation:
-            return cached[1], cached[2]
+            return cached[1]
         while True:
             content, vector, rest = self._divide(den)
             if rest is None:
                 break
             self._refine(rest)
-        self._factors[den] = (self.generation, content, vector)
+        self._factors[den] = (self.generation, (content, vector))
         return content, vector
 
-    def factor_product(self, dens) -> tuple:
-        """:meth:`factor` of the product of ``dens``."""
-        if len(dens) == 1:
-            return self.factor(dens[0])
+    def refactor(self, content: int, vector: tuple, elements: list) -> tuple:
+        """``(content, vector)``, whose vector indexes ``elements``, an
+        earlier ``elements`` list, factored over the current one.  Each
+        earlier element is a product of current ones."""
+        exponents = {}
+        for i, e in vector:
+            c, pieces = self.factor(elements[i])
+            content *= c ** e
+            for j, f in pieces:
+                exponents[j] = exponents.get(j, 0) + e * f
+        return content, tuple(sorted(exponents.items()))
+
+    def quotient(self, p, i: int, most: int) -> tuple:
+        """``(q, k)`` with ``p = q * elements[i]**k`` and ``k`` as large as
+        it goes, at most ``most``: the exact quotient chain of ``p`` by the
+        element, memoised per (polynomial, element) as far as it has been
+        followed."""
+        b = self.elements[i]
+        key = (p, b)
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = [p]
+        while len(chain) <= most and chain[-1] is not None:
+            q = _exquo(chain[-1], b, self.ring.guard)
+            chain.append(None if q is None else _new(self.ring, q))
+        k = min(most, len(chain) - 1)
+        if chain[k] is None:
+            k -= 1
+        return chain[k], k
+
+    def cancel(self, factors) -> tuple:
+        """The product of the reduced quotients ``num / den`` of the
+        ``(num, den)`` pairs ``factors``, each ``num`` nonzero and each
+        ``den`` with a positive grevlex leading coefficient, as ``(content,
+        vector, nums)``: the product is that of ``nums`` over ``content``
+        times the element powers of ``vector``.  Before anything is
+        multiplied, each element power that one factor's denominator shares
+        with another factor's numerator is divided out of both, so an
+        element left in ``vector`` divides none of ``nums``."""
+        generation = self.generation
+        factorings = self._factors
+        nums = []
         content = 1
         exponents = {}
-        for den in dens:
-            c, vector = self.factor(den)
+        holder = {}  # element index -> the factor whose den holds it, or None if several
+        for j, (num, den) in enumerate(factors):
+            nums.append(num)
+            if len(den) == 1 and den.get(0) == 1:
+                continue
+            cached = factorings.get(den)
+            c, vector = (
+                cached[1] if cached is not None and cached[0] == generation else self.factor(den)
+            )
             content *= c
             for i, e in vector:
-                exponents[i] = exponents.get(i, 0) + e
-        return content, tuple(sorted(exponents.items()))
+                if i in exponents:
+                    exponents[i] += e
+                    holder[i] = None
+                else:
+                    exponents[i] = e
+                    holder[i] = j
+        if self.generation != generation:
+            # factoring split an element, which renumbers the basis: factor
+            # every denominator again
+            return self.cancel(factors)
+        if len(nums) > 1:
+            for i, e in exponents.items():
+                # a factor's own element divides neither its reduced
+                # numerator nor a constant
+                for j, num in enumerate(nums):
+                    if j != holder[i] and not (len(num) == 1 and 0 in num):
+                        num, k = self.quotient(num, i, e)
+                        if k:
+                            nums[j] = num
+                            e -= k
+                            if not e:
+                                break
+                exponents[i] = e
+        return content, tuple(sorted((i, e) for i, e in exponents.items() if e)), nums
 
     def power(self, i: int, k: int):
         """``elements[i] ** k``, cached."""
@@ -781,38 +862,32 @@ class CoprimeBasis:
             powers.append(powers[-1] * b)
         return powers[k]
 
-    def sum_quotients(self, groups) -> tuple:
-        """The sum of ``num / prod(dens)`` over the ``(dens, num)`` groups,
-        each ``dens`` a tuple of denominators with a positive grevlex
-        leading coefficient and each ``num`` nonzero, as ``(num, den,
-        reduced)``.  ``num / den`` is the sum as a rational function, and
-        ``den`` has a positive content and leading coefficient.  When
-        ``reduced`` is true, ``num`` and ``den`` are proved coprime; else a
-        GCD must still cancel them.  A zero sum is ``(0, 1, True)``."""
-        # Factoring may split an element, which renumbers the basis: factor
-        # every group again until a pass leaves the basis as it was.
-        while True:
-            generation = self.generation
-            factored = [self.factor_product(dens) for dens, _ in groups]
-            if self.generation == generation:
-                break
-        merged = {}
-        for key, (_, num) in zip(factored, groups):
-            prior = merged.get(key)
-            merged[key] = num if prior is None else prior + num
-        merged = {key: num for key, num in merged.items() if num}
-        content = lcm(*(c for c, _ in merged))
+    def sum_quotients(self, groups, lone: bool = False) -> tuple:
+        """The sum of ``num / (content * prod(elements[i]**e))`` over the
+        ``((content, vector), num)`` groups, each factored over the current
+        elements with a positive content, as ``(num, den, reduced)``.
+        ``num / den`` is the sum as a rational function, and ``den`` has a
+        positive content and leading coefficient.  When ``reduced`` is
+        true, ``num`` and ``den`` are proved coprime; else a GCD must still
+        cancel them.  A zero sum is ``(0, 1, True)``.
+
+        ``lone`` says that the one group is one product from
+        :meth:`cancel`, whose elements divide none of its factors'
+        numerators: a certified irreducible element then divides no product
+        of them either, and is left in the denominator without a trial
+        division."""
+        content = lcm(*(c for (c, _), _ in groups))
         lcd = {}
-        for _, vector in merged:
+        for (_, vector), _ in groups:
             for i, e in vector:
                 if e > lcd.get(i, 0):
                     lcd[i] = e
         R = self.ring
-        if len(merged) == 1:
-            (total,) = merged.values()
+        if len(groups) == 1:
+            ((_, total),) = groups
         else:
             total = R.zero
-            for (c, vector), num in merged.items():
+            for (c, vector), num in groups:
                 have = dict(vector)
                 cofactor = R.ground_new(content // c)
                 for i, e in lcd.items():
@@ -833,15 +908,18 @@ class CoprimeBasis:
         leftover = []
         for i, e in lcd.items():
             b = self.elements[i]
-            num, k = _divide_out(num, b, R.guard, e)
+            k = 0
+            if not (lone and self.irreducible(b)):
+                num, k = _divide_out(num, b, R.guard, e)
             if k < e:
                 den = den * self.power(i, e - k)
                 leftover.append(b)
-        common = gcd(content, _content(num))
-        num = _quo_ground(num, common)
+        if content != 1:
+            common = gcd(content, _content(num))
+            num = _quo_ground(num, common)
+            den = den * (content // common)
         if num is not total:
             num = R.new(num)
-        den = den * (content // common)
         reduced = all(self.irreducible(b) or _coprime(num, b) for b in leftover)
         return num, den, reduced
 
@@ -851,10 +929,16 @@ class CoprimeBasis:
         content = _content(den)
         p = _quo_ground(den, content)
         guard = self.ring.guard
+        # low + support sets a field's guard bit exactly where the support
+        # mentions the variable (a support stays below the guard bits)
+        low = guard - (guard >> (FIELD_BITS - 1))
+        unmentioned = ~(_support(den) + low) & guard
         vector = []
         for i, b in enumerate(self.elements):
-            # a non-constant element divides a polynomial at most
-            # MAX_EXPONENT times
+            # an element with a variable den lacks divides no factor of it;
+            # another divides it at most MAX_EXPONENT times
+            if (_support(b) + low) & unmentioned:
+                continue
             p, e = _divide_out(p, b, guard, MAX_EXPONENT)
             if e:
                 vector.append((i, e))
@@ -873,7 +957,10 @@ class CoprimeBasis:
             for i, b in enumerate(elements):
                 g, a_rest, b_rest = cofactors(a, b)
                 if not _is_constant(g):
-                    # a = g a_rest and b = g b_rest: b gives way to the pieces
+                    # a = g a_rest and b = g b_rest: b gives way to the pieces,
+                    # in a new list, so that the old one still reads as it did
+                    if not split:
+                        elements = self.elements = list(elements)
                     del elements[i]
                     self._powers.pop(b, None)
                     split = True

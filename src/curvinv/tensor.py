@@ -49,7 +49,7 @@ the same canonical expression that summing canonical products gives.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .expr import Expr, RawSum, SymbolEnv, sum_by_key
 

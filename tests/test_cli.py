@@ -183,10 +183,11 @@ class TestRun:
         assert err.startswith("error:") and "'a'" in err
 
     def test_gcd_failure_is_reported(self, capsys, monkeypatch):
-        # with no evaluation point to try, every heuristic GCD fails
+        # with no evaluation point to try, every heuristic GCD fails; S^3's
+        # second polar denominator refines the coprime basis by a GCD
         monkeypatch.setattr(poly, "HEU_GCD_MAX", 0)
         code, out, err = run_cli(
-            capsys, "run", "--metric", "sphere", "--dim", "2", "--invariant", "I_a"
+            capsys, "run", "--metric", "sphere", "--dim", "3", "--invariant", "I_a"
         )
         assert code == 2
         assert out == ""

@@ -386,15 +386,17 @@ class TestRawSum:
     def test_leftover_element_sharing_a_factor_falls_back_to_make(self, monkeypatch):
         # x**2 - 1 is one basis element of a fresh env, which x + 1 does not
         # divide but shares the factor x + 1 with; in the second sum the
-        # numerator (1 + k)(1 + x) has the factor in each coefficient in k
+        # numerator (1 + k)(1 + x) has the factor in each coefficient in k.
+        # The makes are counted inside the two sums alone, and the expected
+        # values built after them: building 1/(x - 1) splits x**2 - 1.
         env = _fresh_env()
         x, k = env.symbol("x"), env.symbol("k")
         one = [([1 / (x ** 2 - 1)], 1), ([x / (x ** 2 - 1)], 1)]
         two = one + [([k / (x ** 2 - 1)], 1), ([k * x / (x ** 2 - 1)], 1)]
-        expected = (1 / (x - 1), (1 + k) / (x - 1))
         calls = self._count_makes(monkeypatch)
-        assert (_raw_sum_in(env, one), _raw_sum_in(env, two)) == expected
+        sums = (_raw_sum_in(env, one), _raw_sum_in(env, two))
         assert len(calls) == 2
+        assert sums == (1 / (x - 1), (1 + k) / (x - 1))
 
     def test_leftover_element_with_a_polynomial_content_falls_back_to_make(self):
         # x*k + x is one basis element of a fresh env, linear in k and in x
@@ -425,6 +427,111 @@ class TestRawSum:
         assert calls == []
         assert total.den == g_tt.den * g_rr.den
         assert total == _canonical_sum(products, env)
+
+
+# --- products cancelled over the basis before they are multiplied ---------------
+
+_K, _X, _T = _env.ring.gens
+
+# Pieces of numerators and denominators: irreducible elements, reducible ones
+# that the certificate does not cover (x**2 - 1, which x - 1 or x + 1 splits,
+# and x**2, which x splits), an element in two variables, and one that
+# several others share a variable with.
+_PIECES = (_X - _K, _T + 1, _X ** 2 - 1, _X - 1, _X + 1, _X, _X ** 2, _X + _T ** 2, _K * _T + 1)
+_NUMERATORS = (_env.ring.one, _K, _X + _T, 2 * _T - _K, -3 * _X * _T)
+_CONTENTS = (1, 1, 2, 3, 6)
+
+
+def _piece_product(pieces):
+    p = _env.ring.one
+    for piece, e in pieces:
+        p = p * piece ** e
+    return p
+
+
+def _cancel_factors():
+    """Canonical factors (through ``Expr.make`` alone, never the basis):
+    a small numerator times element powers over a constant times element
+    powers, so that one factor's numerator often shares an element with
+    another's denominator."""
+    pieces = st.lists(st.tuples(st.sampled_from(_PIECES), st.integers(1, 2)), max_size=2)
+    return st.tuples(
+        st.sampled_from(_NUMERATORS), pieces, st.sampled_from(_CONTENTS), pieces
+    ).map(
+        lambda f: (f[0] * _piece_product(f[1]), f[2] * _piece_product(f[3]))
+    )
+
+
+def _cancel_products():
+    return st.lists(
+        st.tuples(st.lists(_cancel_factors(), min_size=1, max_size=3), st.sampled_from([1, -1, 2, -3])),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def _in_env(env, products):
+    """The raw ``(num, den)`` factors of ``products`` as canonical
+    expressions of ``env``."""
+    return [
+        ([Expr.make(env, num, den) for num, den in factors], coefficient)
+        for factors, coefficient in products
+    ]
+
+
+def _made_sum(env, products):
+    """The sum with every numerator and denominator multiplied out and one
+    ``Expr.make`` at the end: the GCD path alone, no basis."""
+    ring = env.ring
+    num, den = ring.zero, ring.one
+    for values, coefficient in products:
+        n, d = ring.ground_new(coefficient), ring.one
+        for v in values:
+            n, d = n * v.num, d * v.den
+        num, den = num * d + n * den, den * d
+    return Expr.make(env, num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cancel_products(), _cancel_products())
+@example(
+    # 1/x + 1/(3 x**2) is (3x + 1)/(3 x**2): the content 3 stays
+    first=[([(_env.ring.one, _X)], 1), ([(_env.ring.one, 3 * _X ** 2)], 1)],
+    second=[],
+)
+@example(
+    # x**3 over x: the numerator keeps x**2, no more is cancelled
+    first=[([(_X ** 3, _T + 1), (_env.ring.one, 2 * _X)], 1)],
+    second=[],
+)
+@example(
+    # x**2 - 1 enters the basis whole, then x - 1 splits it
+    first=[([((_X - 1) * _T, _X ** 2 - 1), (_X + 1, _T + 1)], 1)],
+    second=[([(_X + 1, _X - 1), (_X ** 2 - 1, 3 * _X)], 1), ([(_K, _X ** 2 - 1)], -1)],
+)
+def test_cancelled_products_equal_the_gcd_path(first, second):
+    # Each example starts from an empty basis, which the first sum grows, so
+    # the second may split an element between or within its products.
+    env = _fresh_env()
+    for products in (first, second):
+        products = _in_env(env, products)
+        total = _raw_sum_in(env, products)
+        assert total == _made_sum(env, products)
+        assert total == _canonical_sum(products, env)
+        for values, coefficient in products:
+            # one product alone, with no lift
+            assert _raw_sum_in(env, [(values, coefficient)]) == _made_sum(env, [(values, coefficient)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cancel_products(), st.sampled_from(["x", "t"]))
+def test_diff_equals_the_quotient_rule_with_make(products, coordinate):
+    env = _fresh_env()
+    e = _made_sum(env, _in_env(env, products))
+    i = env.gen_index(coordinate)
+    num, den = e.num, e.den
+    expected = Expr.make(env, num.diff(i) * den - num * den.diff(i), den * den)
+    assert e.diff(coordinate) == expected
 
 
 # --- the coprime basis that RawSum factors denominators over --------------------
@@ -500,14 +607,42 @@ def test_raw_sum_over_a_growing_basis_equals_canonical_sum(earlier, products):
             assert len(poly.cofactors(b, c)[0]) == 1
 
 
+def test_a_split_between_add_and_value_is_followed():
+    # One product's x + 1 over x**2 - 1: the element x**2 - 1 divides no
+    # factor.  Before value(), another sum splits it into x - 1 and x + 1,
+    # which are certified irreducible, and x + 1 divides the numerator.
+    env = _fresh_env()
+    x = env.symbol("x")
+    total = RawSum(env)
+    total.add_product([x + 1, 1 / (x ** 2 - 1)])
+    split = 1 / (x - 1)
+    assert len(env.basis.elements) == 2
+    assert total.value() == split
+    # and a group keyed before a split is keyed again, and merges, after it
+    env = _fresh_env()
+    x = env.symbol("x")
+    total = RawSum(env)
+    total.add_product([x / (x ** 2 - 1)], 2)
+    split = 1 / (x - 1)
+    total.add_product([x, split, 1 / (x + 1)], -1)
+    assert total.value() == x / (x ** 2 - 1)
+
+
 def test_basis_belongs_to_the_env_instance():
+    # each metric fills its own env's basis while it is built; sums on the
+    # first env, one of them over a new denominator, leave the second's as
+    # it was
     first, second = kerr(4), kerr(4)
     assert first.env == second.env
     assert first.env.basis is not second.env.basis
+    before = list(second.env.basis.elements)
+    assert before == first.env.basis.elements
     total = RawSum(first.env)
     total.add_product([first.component((2, 2)), first.component((1, 1))])
+    total.add_product([1 / (first.env.symbol("t") + 1)])
     total.value()
-    assert first.env.basis.elements and not second.env.basis.elements
+    assert len(first.env.basis.elements) > len(before)
+    assert second.env.basis.elements == before
 
 
 def test_basis_is_never_pickled():

@@ -37,6 +37,12 @@ numerator by a GCD, before elements certified irreducible were proved so
 by the exact division that failed; all ten hold after it.  It is the
 rotation-on case whose fields all sit over rho**2 and Delta, the
 elements that certificate covers.
+
+The S^8 I_2 (value -112) and Kerr D=8 I_b at a=1 digests pin two large-D
+cases.  They were computed while ``RawSum`` still multiplied each
+product's numerators out before any cancellation and ``Expr.diff``, ``*``
+and ``/`` cancelled by a GCD; all twelve hold after products were
+cancelled over the coprime basis before they are multiplied.
 """
 
 import hashlib
@@ -77,6 +83,12 @@ CASES = {
     ),
     "Kerr D=4 I_c a=1": (
         "kerr", 4, (("a", Fraction(1)),), "I_c", "2d4459990498447027b7ecd43027bfc952cab805"
+    ),
+    "S^8 I_2": (
+        "sphere", 8, (), "I_2", "63e9e5c1b02159b2f12c84af5b183bb6aac009a6"
+    ),
+    "Kerr D=8 I_b a=1": (
+        "kerr", 8, (("a", Fraction(1)),), "I_b", "8fa20d0cf21bbc9ac3bb337c0f9b0c756f4d8f2c"
     ),
 }
 

@@ -1,9 +1,13 @@
 """Every module of the package, bar ``__init__.py``, uses each top-level
 name it imports: an import left behind by a change costs load time and
-misleads the reader."""
+misleads the reader.  And importing the package loads none of the
+standard library's slow-to-import introspection modules."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +30,19 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported(tree) - used) == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps the site hook from preloading typing, so the check sees what
+    # the package itself imports
+    script = (
+        "import sys\n"
+        "import curvinv\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import multiprocessing as mp
 import os
 import pickle
@@ -213,8 +212,8 @@ class TestExecute:
         plan, _ = _plan_for(s2, KRETSCHMANN)
         # poison the plan with an assignment that addresses a missing
         # component: the worker's KeyError must become a run failure
-        poisoned = dataclasses.replace(
-            plan, sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
+        poisoned = plan._replace(
+            sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
         )
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):
             execute(poisoned, RunConfig(workers=2))
@@ -344,8 +343,8 @@ class TestExecute:
         # The one pool worker is slow, so the coordinator takes back the
         # last parcel, whose last entry addresses a missing component.
         plan, _ = _plan_for(schwarzschild4, I_C)
-        poisoned = dataclasses.replace(
-            plan, sum_index_array=plan.sum_index_array + ((0,) * len(plan.sum_index_array[0]),)
+        poisoned = plan._replace(
+            sum_index_array=plan.sum_index_array + ((0,) * len(plan.sum_index_array[0]),)
         )
         cfg = RunConfig(workers=2, parcels_per_worker=4)
         assert len(partition(poisoned, cfg)) == 8
@@ -400,8 +399,8 @@ class TestExecute:
 
     def test_one_worker_failure_names_the_parcel(self, s2, monkeypatch):
         plan, _ = _plan_for(s2, KRETSCHMANN)
-        poisoned = dataclasses.replace(
-            plan, sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
+        poisoned = plan._replace(
+            sum_index_array=plan.sum_index_array + ((1, 1, 1, 1),)
         )
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         with pytest.raises(WorkerFailure, match="parcel 1 failed: KeyError"):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from curvinv.expr import Expr
-from curvinv.metrics import sphere_metric
+from curvinv.metrics import kerr, sphere_metric
 from curvinv.pipeline import run_invariant
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -48,12 +48,21 @@ def test_install_then_uninstall_restores(spans):
     assert all(a is b for a, b in zip(before, _originals(spans)))
 
 
-def test_pipeline_calls_every_span(spans):
+def _span_names(spans, metric, spec_text) -> set:
     tracer = spans.Tracer()
     tracer.install()
     try:
-        run_invariant(sphere_metric(2), "R(+a,+b,+c,+d;+e) R(-a,-b,-c,-d;-e)")
+        run_invariant(metric, spec_text)
     finally:
         tracer.uninstall()
-    names = {name for _, _, name in spans.TARGETS} | {"expr.make"}
-    assert {s[1] for s in tracer.spans} == names
+    return {s[1] for s in tracer.spans}
+
+
+def test_pipeline_calls_every_span(spans):
+    # S^2's sums are all proved reduced, so they make no Expr.make call
+    names = {name for _, _, name in spans.TARGETS}
+    assert _span_names(spans, sphere_metric(2), "R(+a,+b,+c,+d;+e) R(-a,-b,-c,-d;-e)") == names
+    # Tangherlini D=5 leaves the basis element r**2, which is not certified
+    # irreducible, in some sums' denominators: those fall back to Expr.make
+    tangherlini = kerr(5).substitute("a", 0)
+    assert "expr.make" in _span_names(spans, tangherlini, "R(+a,+b,+c,+d) R(-a,-b,-c,-d)")
